@@ -1,11 +1,11 @@
 """Simulator-core benchmark — the BENCH_simcore.json source.
 
-Measures the columnar and event-driven cores against the legacy
-dict-based core: cold vs warm columnar-trace builds through the
-artifact cache, the equal-stats grid (every workload × pair scheme ×
-value predictor, plus one deterministic fault-injected point, must be
-bit-identical across all three cores), and a cold paper-grid sweep
-(jobs=1, warm traces and pairs) timed under each core.  The CLI
+Measures the event-driven core against the legacy dict-based core:
+cold vs warm columnar-trace builds through the artifact cache, the
+equal-stats grid (every workload × pair scheme × value predictor, plus
+one deterministic fault-injected point, must be bit-identical across
+both cores), and a cold paper-grid sweep (jobs=1, warm traces and
+pairs) timed under each core.  The CLI
 equivalent, which CI runs and archives, is::
 
     python -m repro bench --skip-parallel
@@ -37,7 +37,7 @@ def test_simcore_bench_gates(tmp_path):
 
     # Correctness: the cores agree on every grid point (including the
     # fault-injected leg) and on every sweep series.
-    assert report["cores"] == ["legacy", "columnar", "event"]
+    assert report["cores"] == ["legacy", "event"]
     assert report["equal_results"], report["equal_stats"]["mismatches"]
     eq = report["equal_stats"]
     assert eq["fault_injected_points"] >= 1
@@ -54,13 +54,11 @@ def test_simcore_bench_gates(tmp_path):
     assert cache["warm"]["misses"] == 0
     assert cache["warm_hit_rate"] == 1.0
 
-    # Throughput: the event core clears the speed-up target cold, and
-    # both rewrites beat the legacy core.
+    # Throughput: the event core clears the speed-up target cold.
     sweep = report["sweep"]
-    assert set(sweep["speedups"]) == {"columnar", "event"}
+    assert set(sweep["speedups"]) == {"event"}
     assert sweep["speedup"] >= SIMCORE_SPEEDUP_TARGET, sweep
     assert sweep["event"]["insts_per_sec"] > sweep["legacy"]["insts_per_sec"]
-    assert sweep["columnar"]["insts_per_sec"] > sweep["legacy"]["insts_per_sec"]
     assert report["ok"]
 
     out = write_simcore_report(report, tmp_path / "BENCH_simcore.json")

@@ -791,8 +791,7 @@ def cmd_bench(args) -> int:
             print(
                 f"wrote {simcore_path} (equal_results="
                 f"{simcore['equal_results']}, cold sweep speedup event "
-                f"{sweep['speedup']}x / columnar "
-                f"{sweep['speedups']['columnar']}x, warm columns hit rate "
+                f"{sweep['speedup']}x, warm columns hit rate "
                 f"{simcore['columns_cache']['warm_hit_rate']:.0%})"
             )
             ok = ok and simcore["ok"]
@@ -1456,8 +1455,8 @@ def make_parser() -> argparse.ArgumentParser:
                    default="profile")
     p.add_argument("--vp", default="stride",
                    choices=("perfect", "stride", "fcm", "last", "none"))
-    p.add_argument("--core", choices=("columnar", "legacy", "event"),
-                   default="columnar", help="simulator core to profile")
+    p.add_argument("--core", choices=("event", "legacy"),
+                   default="event", help="simulator core to profile")
     p.add_argument("--top", type=int, default=15,
                    help="hotspot functions to report (default 15)")
     p.add_argument("--no-cprofile", action="store_true",

@@ -114,13 +114,13 @@ class ProcessorConfig:
     fault_restart_penalty: int = 16
 
     # --- implementation selection (never changes results) ---
-    #: Simulator core implementation: "columnar" (default — struct-of-
-    #: arrays trace columns and ring-buffer issue booking), "event"
-    #: (columnar data path plus a batched event loop with a wakeup heap
-    #: that jumps the clock over dead cycles), or "legacy" (the original
-    #: object-graph core, kept as the bit-identical reference for the
-    #: equal-stats gate and BENCH_simcore).
-    sim_core: str = "columnar"
+    #: Simulator core implementation: "event" (default — struct-of-
+    #: arrays trace columns, ring-buffer issue booking and a batched
+    #: event loop with a wakeup heap that jumps the clock over dead
+    #: cycles) or "legacy" (the original object-graph core, kept as the
+    #: bit-identical reference for the equal-stats gate and
+    #: BENCH_simcore).
+    sim_core: str = "event"
 
     def __post_init__(self) -> None:
         if self.num_thread_units < 1:
@@ -153,7 +153,7 @@ class ProcessorConfig:
             raise ValueError("livelock_threshold must be >= 1 when set")
         if self.fault_restart_penalty < 0:
             raise ValueError("fault_restart_penalty cannot be negative")
-        if self.sim_core not in ("columnar", "legacy", "event"):
+        if self.sim_core not in ("event", "legacy"):
             raise ValueError(f"unknown sim_core {self.sim_core!r}")
 
     def with_(self, **overrides) -> "ProcessorConfig":
@@ -161,10 +161,20 @@ class ProcessorConfig:
         return replace(self, **overrides)
 
     def single_threaded(self) -> "ProcessorConfig":
-        """Return the matching one-thread-unit baseline configuration."""
+        """Return the matching one-thread-unit baseline configuration.
+
+        Knobs that cannot affect a one-unit run without spawning pairs
+        are reset to their defaults, so configurations that differ only
+        in them share one baseline: the dynamic pair policies, and the
+        value predictor (with one unit no thread is ever spawned, so no
+        live-in is ever predicted).
+        """
         return self.with_(
             num_thread_units=1,
             removal_cycles=None,
             min_thread_size=None,
             reassign=False,
+            value_predictor=ProcessorConfig.value_predictor,
+            value_predictor_kb=ProcessorConfig.value_predictor_kb,
+            prime_value_predictor=ProcessorConfig.prime_value_predictor,
         )

@@ -1,18 +1,19 @@
 """Event-driven batch-advance simulator core (``sim_core="event"``).
 
-The columnar core (:meth:`ClusteredProcessor._advance_columns`) is fast
-per fetch group but still schedules *every* group through the generic
-event loop, including the dead ones: a thread blocked on a cross-thread
-value re-parks at its producer's next fetch cycle over and over, so on
-dependence-heavy workloads most heap events are zero-fetch polls (74% on
-gcc, 73% on li at paper scale).  This module replaces that loop with a
-single batched run function that
+The legacy core (:meth:`ClusteredProcessor.run` over
+:meth:`ClusteredProcessor._advance`) schedules *every* fetch group
+through a generic event loop, including the dead ones: a thread blocked
+on a cross-thread value re-parks at its producer's next fetch cycle over
+and over, so on dependence-heavy workloads most heap events are
+zero-fetch polls (74% on gcc, 73% on li at paper scale).  This module
+replaces that loop with a single batched run function over the trace's
+struct-of-arrays columns (:mod:`repro.exec.columns`) that
 
 1. **hoists every run-invariant local once** (trace columns, config
-   scalars, booking rings, heap primitives) instead of once per
-   ``_advance`` call, and keeps advancing the same thread inline while
-   it is the only runnable one (no heap traffic at all in
-   single-threaded stretches);
+   scalars, booking rings, heap primitives) instead of once per fetch
+   group, and keeps advancing the same thread inline while it is the
+   only runnable one (no heap traffic at all in single-threaded
+   stretches);
 2. **parks blocked threads on a wakeup registry instead of polling**:
    a thread blocked on trace position ``p`` registers in
    ``proc._waiters[p]`` and is pushed back onto the heap by the advance
@@ -105,8 +106,8 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     """Simulate ``proc``'s full trace with the event-driven batched core.
 
     Behaviourally identical to :meth:`ClusteredProcessor.run` over the
-    columnar core (which is itself the legacy core's bit-identical
-    twin); only wall-clock time and ``proc.event_metrics`` differ.
+    legacy core; only wall-clock time and ``proc.event_metrics``
+    differ.
 
     Returns:
         The run's finalized :class:`SimulationStats`.
@@ -147,7 +148,7 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     tus = proc._tus
     trace_on = tracer.enabled
 
-    # Run-invariant hoists (per-advance in the columnar core).
+    # Run-invariant hoists (per fetch group in the legacy core).
     pc_col = cols.pc
     flags_col = cols.flags
     fu_col = cols.fu
@@ -885,10 +886,10 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                             # re-derive their chain root.
                             wake_rooted_sleepers(thread, pop_cycle, start)
                     else:
-                        # Poll park, exactly as the legacy/columnar
-                        # cores: the owner's clock bounds ours from
-                        # below.  A sleeping owner's clock is frozen at
-                        # its block cycle, but in the legacy loop it
+                        # Poll park, exactly as the legacy core: the
+                        # owner's clock bounds ours from below.  A
+                        # sleeping owner's clock is frozen at its
+                        # block cycle, but in the legacy loop it
                         # would be polling the next advance of its own
                         # blocking chain's live root — so walk the chain
                         # to that root, whose clock is the same value.

@@ -16,20 +16,19 @@ time; mispredicted or unpredicted live-ins synchronise with their producer
 (completion + 3-cycle forward, plus a recovery penalty when a wrong
 prediction must be squashed).
 
-Three interchangeable cores implement the timing model
+Two interchangeable cores implement the timing model
 (``ProcessorConfig.sim_core``):
 
-- ``"columnar"`` (default) runs the hot loop over the trace's
-  struct-of-arrays columns (:mod:`repro.exec.columns`) with hoisted
-  locals, ring-buffer issue booking and a fixed-size per-thread commit
-  ring — no per-instruction allocation or attribute chasing.
-- ``"event"`` (:mod:`repro.cmt.event_core`) batches the columnar
-  advance into a single run loop with a wakeup registry: blocked
-  threads sleep until the advance that completes their producer wakes
-  them, so the clock jumps over dead poll cycles instead of ticking
-  them.
-- ``"legacy"`` is the original object-graph core, kept verbatim as the
-  bit-identical reference: the golden-stats fixture and the
+- ``"event"`` (default, :mod:`repro.cmt.event_core`) runs one batched
+  loop over the trace's struct-of-arrays columns
+  (:mod:`repro.exec.columns`) with hoisted locals, ring-buffer issue
+  booking, a fixed-size per-thread commit ring and a wakeup registry:
+  blocked threads sleep until the advance that completes their
+  producer wakes them, so the clock jumps over dead poll cycles
+  instead of ticking them.
+- ``"legacy"`` is the original object-graph core (:meth:`run` over
+  :meth:`ClusteredProcessor._advance`), kept verbatim as the
+  bit-identical reference: the golden-stats fixtures and the
   ``BENCH_simcore`` equal-stats gate compare the cores over the full
   workload × pair-scheme × predictor grid.
 """
@@ -37,25 +36,17 @@ Three interchangeable cores implement the timing model
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cmt.config import ProcessorConfig
 from repro.cmt.event_core import run_event
 from repro.cmt.spawn_runtime import SpawnRuntime
 from repro.cmt.stats import SimulationStats, ThreadRecord
-from repro.cmt.thread_unit import RING_WINDOW, ThreadUnit
+from repro.cmt.thread_unit import ThreadUnit
 from repro.errors import InvariantViolation, SimulationTimeout
-from repro.exec.columns import (
-    F_BRANCH,
-    F_LOAD,
-    F_STORE,
-    F_TAKEN,
-    F_UNCOND,
-    LDST_INDEX,
-)
 from repro.exec.trace import Trace
-from repro.isa.instructions import FU_LIMITS, FuClass, Opcode, fu_class, latency_of
+from repro.isa.instructions import FuClass, Opcode, fu_class, latency_of
 from repro.obs.events import (
     EV_LIVEIN_CORRUPT,
     EV_PREDICT_HIT,
@@ -79,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.faults.injector import FaultInjector
 
 _INFINITY = float("inf")
-_RING_MASK = RING_WINDOW - 1
 
 #: Live-in prediction status values.
 _HIT = 0  # predicted correctly: value ready at thread start
@@ -226,34 +216,26 @@ class ClusteredProcessor:
         self._last_commit_cycle = 0
         self._next_seq = 0
         self._executed_total = 0
-        #: Unfinished threads in ``_order`` (columnar "alone" test).
+        #: Unfinished threads in ``_order`` (event-core "alone" test).
         self._running = 0
-        self._use_columns = self.config.sim_core != "legacy"
-        # Ring-buffer issue booking relies on per-unit booking floors
-        # never regressing.  That holds under fault injection too: a
-        # restarted/folded thread's probes are bounded below by its
-        # unit's ``free_at``, which is always at or above every floor
-        # previously booked on that unit (blackout ends and commit
-        # cycles both dominate the last ``begin_group`` floor), so
-        # every columnar run books through the rings — the injector
-        # equal-stats tests pin this down against the dict tracker.
-        self._use_rings = self._use_columns
+        # The event core reads the trace columns and books issue through
+        # the ring buffers; the legacy core keeps the object graph and
+        # the dict tracker.
+        self._use_columns = self.config.sim_core == "event"
         #: trace position -> threads sleeping until it completes (the
-        #: event core's wakeup registry; empty for the other cores).
+        #: event core's wakeup registry; empty for the legacy core).
         self._waiters: Dict[int, List[_Thread]] = {}
         #: Observability counters of the last event-core run (clock
-        #: jumps, wakeups, stall reasons); ``None`` for the other cores.
+        #: jumps, wakeups, stall reasons); ``None`` for the legacy core.
         #: Never feeds :class:`SimulationStats` — results stay equal.
         self.event_metrics: Optional[Dict[str, object]] = None
         if self._use_columns:
             self._cols = trace.columns
             self._spawn_pcs = self.runtime.spawn_pcs()
-            self._advance_impl = self._advance_columns
             self._predict_liveins_impl = self._predict_liveins_cols
         else:
             self._cols = None
             self._spawn_pcs = frozenset()
-            self._advance_impl = self._advance_legacy
             self._predict_liveins_impl = self._predict_liveins
         if self.config.prime_value_predictor and self.config.value_predictor not in (
             "perfect",
@@ -273,14 +255,10 @@ class ClusteredProcessor:
         trace = self.trace
         if len(trace) == 0:
             return self.stats
-        # The event core owns the whole loop (batch advance + wakeup
-        # registry).  A patched ``_advance`` (subclass or test double)
-        # must still intercept every fetch group, so those runs degrade
-        # to the generic loop below over the columnar advance.
-        if (
-            self.config.sim_core == "event"
-            and type(self)._advance is _ORIGINAL_ADVANCE
-        ):
+        # The event core owns its whole loop (batch advance + wakeup
+        # registry); the legacy loop below advances one fetch group per
+        # heap event through :meth:`_advance`.
+        if self._use_columns:
             return run_event(self)
         root = self._make_thread(
             start=0,
@@ -304,15 +282,7 @@ class ClusteredProcessor:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        # Bind the core's advance once per run.  An overridden/patched
-        # ``_advance`` (subclass or test double, or a patch on this class
-        # itself) still wins; otherwise the dispatcher layer is skipped
-        # for the duration of the loop.  ``_ORIGINAL_ADVANCE`` is captured
-        # at import time so class-level monkeypatching is detected too.
-        if type(self)._advance is _ORIGINAL_ADVANCE:
-            advance = self._advance_impl
-        else:
-            advance = self._advance
+        advance = self._advance
         while heap:
             cycle, _start, thread = heappop(heap)
             if thread.finished or cycle != thread.fetch_cycle:
@@ -387,11 +357,7 @@ class ClusteredProcessor:
         return thread
 
     def _advance(self, thread: _Thread) -> None:
-        """Process one fetch group of ``thread`` (dispatches on ``sim_core``)."""
-        self._advance_impl(thread)
-
-    def _advance_legacy(self, thread: _Thread) -> None:
-        """Process one fetch group of ``thread`` (reference core)."""
+        """Process one fetch group of ``thread`` (legacy reference core)."""
         config = self.config
         trace = self.trace
         completion = self._completion
@@ -554,246 +520,6 @@ class ClusteredProcessor:
         if pos >= thread.join:
             self._finish(thread)
 
-    def _advance_columns(self, thread: _Thread) -> None:
-        """Process one fetch group of ``thread`` over the trace columns.
-
-        Bit-identical twin of :meth:`_advance_legacy`: same decisions in
-        the same order, but every per-instruction fact is an indexed read
-        from :class:`~repro.exec.columns.TraceColumns`, thread state lives
-        in hoisted locals for the duration of the group, issue booking
-        uses the thread unit's ring buffers, and the commit ring is a
-        preallocated list indexed modulo the ROB size.
-        """
-        config = self.config
-        cols = self._cols
-        completion = self._completion
-        cycle = thread.fetch_cycle
-        if self.injector is not None:
-            dark_until = thread.tu.dark_until(cycle)
-            if dark_until is not None:
-                self._on_blackout(thread, cycle, dark_until)
-                return
-        # "Executing alone": fewer than ``removal_coactive_threshold``
-        # other active threads are still running and at least one waiter
-        # exists (``_running`` replaces the legacy core's O(threads) scan).
-        alone = False
-        if config.removal_cycles is not None and thread.pair is not None:
-            if len(self._order) > 1:
-                # ``thread`` itself is running (the event loop never
-                # advances a finished thread), so others = running - 1.
-                alone = self._running - 1 < config.removal_coactive_threshold
-
-        rob_size = config.rob_size
-        commit_ring = thread.commit_ring
-        local_index = thread.local_index
-        pos = thread.cursor
-        # ROB full at the group head: wait for the oldest entry to commit.
-        if local_index >= rob_size:
-            blocker = commit_ring[local_index % rob_size]
-            if blocker > cycle:
-                cycle = blocker
-
-        tu = thread.tu
-        if self._use_rings:
-            tu.begin_group(cycle + 1)
-            book_issue = tu.book_issue_idx
-            # Ring state hoisted for the inline fast path below.  The base
-            # is fixed for the group (only begin_group raises it) and
-            # overflow entries made during the group are all beyond the
-            # window, so ``spilled`` need not be refreshed in-group.
-            ring_base = tu._ring_base
-            issue_stamp = tu._issue_stamp
-            issue_count = tu._issue_count
-            fu_stamps = tu._fu_stamp
-            fu_counts = tu._fu_count
-            issue_width = tu.issue_width
-            spilled = bool(tu._issue_overflow or tu._fu_overflow)
-        else:
-            book_issue = tu.book_issue_idx_dict
-            spilled = True  # disables the inline ring fast path
-        pc_col = cols.pc
-        flags_col = cols.flags
-        fu_col = cols.fu
-        lat_col = cols.lat
-        addr_col = cols.addr
-        mem_dep_col = cols.mem_dep
-        dep_pairs_col = cols.dep_pairs
-        spawn_pcs = self._spawn_pcs
-        l1_access = tu.l1.access
-        trace_on = self.tracer.enabled
-        if trace_on:
-            l1 = tu.l1
-            note_install = tu.note_install
-            thread_seq = thread.seq
-        gshare_update = tu.gshare.update
-        fu_limits = FU_LIMITS
-        ring_window = RING_WINDOW
-        ring_mask = _RING_MASK
-        fetch_width = config.fetch_width
-        perfect_memory = config.perfect_memory
-        forward_latency = config.forward_latency
-        start = thread.start
-        join = thread.join
-        last_commit = thread.last_commit
-        executed = 0
-
-        next_fetch = cycle + 1
-        spawn_penalty = 0
-        fetched = 0
-        while fetched < fetch_width and pos < join:
-            if local_index >= rob_size:
-                blocker = commit_ring[local_index % rob_size]
-                if blocker > cycle:
-                    break  # the rest of the group waits for ROB space
-            flags = flags_col[pos]
-            pc = pc_col[pos]
-
-            # Spawn attempt at a spawning point (checked at fetch).
-            if pc in spawn_pcs:
-                spawn_penalty += self._try_spawn(thread, pos, pc, cycle)
-                join = thread.join  # a successful spawn shrinks the segment
-
-            # Operand readiness.
-            ready = cycle + 1  # decode/rename stage
-            blocked_on = None
-            for producer, reg in dep_pairs_col[pos]:
-                if producer >= start:
-                    when = completion[producer]
-                    if when is None:
-                        raise InvariantViolation(
-                            "internal producer not yet simulated",
-                            cycle=cycle,
-                            thread=thread.seq,
-                            position=pos,
-                            producer=producer,
-                        )
-                else:
-                    when = self._external_value_time(thread, reg, producer)
-                    if when is None:
-                        blocked_on = producer
-                        break
-                if when > ready:
-                    ready = when
-            if blocked_on is None and flags & F_LOAD:
-                producer = mem_dep_col[pos]
-                if producer >= 0 and not (
-                    perfect_memory and producer < start
-                ):
-                    when = completion[producer]
-                    if when is None and producer < start:
-                        blocked_on = producer
-                    elif when is None:
-                        raise InvariantViolation(
-                            "internal store not yet simulated",
-                            cycle=cycle,
-                            thread=thread.seq,
-                            position=pos,
-                            producer=producer,
-                        )
-                    else:
-                        if producer < start:
-                            when += forward_latency
-                        if when > ready:
-                            ready = when
-            if blocked_on is not None:
-                # Producer thread has not simulated that position yet: park
-                # until it progresses (its cycle bounds ours from below).
-                owner = self._owner_of(blocked_on)
-                stall_to = max(
-                    thread.fetch_cycle + 1,
-                    owner.fetch_cycle if owner is not None else cycle + 1,
-                )
-                thread.cursor = pos
-                thread.local_index = local_index
-                thread.last_commit = last_commit
-                thread.executed += executed
-                thread.fetch_cycle = stall_to
-                self._track_alone(thread, alone, stall_to - cycle)
-                return
-
-            # Execution latency and resources.
-            if flags & F_LOAD:
-                if trace_on:
-                    miss_before = l1.misses
-                    latency = 1 + l1_access(addr_col[pos])
-                    if l1.misses != miss_before:
-                        note_install(cycle, thread_seq, addr_col[pos], False)
-                else:
-                    latency = 1 + l1_access(addr_col[pos])
-                fu = LDST_INDEX
-            elif flags & F_STORE:
-                if trace_on:
-                    miss_before = l1.misses
-                    l1_access(addr_col[pos], True)
-                    if l1.misses != miss_before:
-                        note_install(cycle, thread_seq, addr_col[pos], True)
-                else:
-                    l1_access(addr_col[pos], True)
-                latency = 1
-                fu = LDST_INDEX
-            else:
-                fu = fu_col[pos]
-                latency = lat_col[pos]
-            # Inline ring booking for the common case (in-window, no
-            # spill, first probed cycle has both an issue slot and a free
-            # unit); anything else takes the full probe loop.
-            if not spilled and 0 <= ready - ring_base < ring_window:
-                slot = ready & ring_mask
-                used = issue_count[slot] if issue_stamp[slot] == ready else 0
-                fstamp = fu_stamps[fu]
-                fcount = fu_counts[fu]
-                busy = fcount[slot] if fstamp[slot] == ready else 0
-                if used < issue_width and busy < fu_limits[fu]:
-                    if used:
-                        issue_count[slot] = used + 1
-                    else:
-                        issue_stamp[slot] = ready
-                        issue_count[slot] = 1
-                    if busy:
-                        fcount[slot] = busy + 1
-                    else:
-                        fstamp[slot] = ready
-                        fcount[slot] = 1
-                    issue = ready
-                else:
-                    issue = book_issue(ready, fu)
-            else:
-                issue = book_issue(ready, fu)
-            done = issue + latency
-            completion[pos] = done
-
-            if done > last_commit:
-                last_commit = done
-            commit_ring[local_index % rob_size] = last_commit
-            local_index += 1
-            executed += 1
-            pos += 1
-            fetched += 1
-
-            # Control flow shapes the fetch group.
-            if flags & F_BRANCH:
-                correct = gshare_update(pc, flags & F_TAKEN != 0)
-                if not correct:
-                    next_fetch = done + config.mispredict_penalty
-                    break
-                if flags & F_TAKEN:
-                    break  # fetch stops at the first taken branch
-            elif flags & F_UNCOND:
-                break  # unconditional transfers end the group too
-
-        thread.cursor = pos
-        thread.local_index = local_index
-        thread.last_commit = last_commit
-        thread.executed += executed
-        floor = cycle + 1 + spawn_penalty
-        if next_fetch < floor:
-            next_fetch = floor
-        thread.fetch_cycle = next_fetch
-        self._executed_total += fetched
-        self._track_alone(thread, alone, next_fetch - cycle)
-        if pos >= join:
-            self._finish(thread)
-
     def _track_alone(self, thread: _Thread, was_alone: bool, delta: int) -> None:
         if not was_alone or self.config.removal_cycles is None:
             return
@@ -874,7 +600,7 @@ class ClusteredProcessor:
         thread.local_index = 0
         if not self._use_columns:
             thread.commit_ring = []
-        # (columnar: the preallocated ring is reused — every slot is
+        # (event core: the preallocated ring is reused — every slot is
         # rewritten before it can be read again once local_index restarts)
         thread.executed = 0
         thread.start_cycle = restart
@@ -1648,11 +1374,6 @@ class ClusteredProcessor:
             self.runtime.note_thread_size(
                 oldest.pair, oldest.executed, int(commit_cycle)
             )
-
-
-#: The pristine dispatcher, captured at import time so the event loop can
-#: tell "nobody overrode ``_advance``" apart from a class-level patch.
-_ORIGINAL_ADVANCE = ClusteredProcessor._advance
 
 
 def simulate(

@@ -55,7 +55,7 @@ class SpawnRuntime:
         """The static set of spawning-point PCs.
 
         Pair removal/revival only changes :meth:`candidates`, never this
-        set, so callers may hoist it (the columnar core keeps it as a
+        set, so callers may hoist it (the event core keeps it as a
         frozenset for its fetch loop's membership test).
         """
         return frozenset(self._alternatives)

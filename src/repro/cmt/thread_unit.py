@@ -10,9 +10,9 @@ Issue/FU bandwidth is tracked two ways:
   ``cycle -> count`` / ``(fu, cycle) -> count`` dictionaries (the
   reference core).
 - :meth:`book_issue` / :meth:`book_issue_idx` use fixed-size ring
-  buffers over a sliding cycle window (the columnar and event cores'
-  hot path — fault-injected runs included, since booking floors stay
-  monotone across blackout restarts and spawn-retry delays):
+  buffers over a sliding cycle window (the event core's hot path —
+  fault-injected runs included, since booking floors stay monotone
+  across blackout restarts and spawn-retry delays):
   per probed cycle the ring slot is ``cycle % window`` and a stamp
   records which cycle the slot's count belongs to, so stale slots cost
   nothing to reclaim.  Bookings beyond the window spill into small
@@ -64,7 +64,7 @@ class ThreadUnit:
         #: (fu class, cycle) -> units of that class busy issuing that
         #: cycle (legacy core only).
         self._fu_used: Dict[Tuple[FuClass, int], int] = {}
-        # Ring-buffer tracker (columnar core): per-slot stamps say which
+        # Ring-buffer tracker (event core): per-slot stamps say which
         # cycle the count belongs to, so advancing the window is free.
         self._ring_base = 0
         self._issue_stamp: List[int] = [-1] * RING_WINDOW
@@ -191,20 +191,6 @@ class ThreadUnit:
     # ------------------------------------------------------------------
     # Issue booking — legacy dict tracker (reference core).
     # ------------------------------------------------------------------
-
-    def book_issue_idx_dict(self, earliest: int, fu_idx: int) -> int:
-        """Dict-backed booking over the FU ordinal.
-
-        Kept as the reference twin of :meth:`book_issue_idx` (and as an
-        escape hatch via ``ClusteredProcessor._use_rings``).  The
-        columnar core used to fall back to it under fault injection;
-        booking floors are monotone there too — a restarted or folded
-        thread's probes are bounded below by its unit's ``free_at``,
-        which dominates every floor previously booked on the unit — so
-        all columnar-family runs now book through the rings and the
-        injector equal-stats tests compare the two trackers.
-        """
-        return self.book_issue_legacy(earliest, FU_CLASSES[fu_idx])
 
     def book_issue_legacy(self, earliest: int, fu: FuClass) -> int:
         """The original dict-backed :meth:`book_issue` (reference core)."""

@@ -5,8 +5,8 @@ facts — opcode class, latency, control/memory flags, dependence edges —
 that the object-per-instruction :class:`~repro.exec.trace.DynInst` view
 makes it re-derive on every simulated fetch of every thread.
 :class:`TraceColumns` precomputes them once per trace into flat columns
-indexed by trace position, so the inner loop of
-``ClusteredProcessor._advance`` is all O(1) integer reads with no
+indexed by trace position, so the event core's inner loop
+(:mod:`repro.cmt.event_core`) is all O(1) integer reads with no
 attribute lookups, enum hashing or per-instruction allocation.
 
 Columns are deterministic pure functions of the trace, which makes them

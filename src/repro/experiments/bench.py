@@ -9,8 +9,8 @@ trajectory as ``BENCH_parallel.json``.
 
 :func:`run_simcore_bench` benchmarks the simulator cores themselves: it
 measures cold/warm columnar-trace builds through the artifact cache,
-checks the columnar and event cores against the legacy dict-based core
-for bit-identical stats across the whole workload × policy × predictor
+checks the event core against the legacy dict-based core for
+bit-identical stats across the whole workload × policy × predictor
 grid (plus a deterministic fault-injected leg), and times the full
 paper grid — every workload under both spawning policies and all of
 :data:`SIMCORE_PREDICTORS`, with single-threaded baselines — under
@@ -168,7 +168,7 @@ def write_bench_report(
 SIMCORE_SPEEDUP_TARGET = 4.0
 
 #: Simulator cores under test, reference core first.
-SIMCORE_CORES = ("legacy", "columnar", "event")
+SIMCORE_CORES = ("legacy", "event")
 
 #: Spawning policies of the equal-stats grid (the two pair schemes the
 #: paper compares).
@@ -223,13 +223,12 @@ def _equal_stats_phase(
     names: List[str],
     progress: Optional[Callable[[str], None]],
 ) -> Dict[str, Any]:
-    """Every core vs legacy: bit-identical stats across the whole grid.
+    """Event core vs legacy: bit-identical stats across the whole grid.
 
     Besides the healthy workload × policy × predictor grid, one
     deterministic fault-injected point (TU blackouts) pins the cores'
     agreement on the injector leg, where the event core degrades to
-    poll parking and all columnar-family runs book through the issue
-    rings.
+    poll parking and still books through the issue rings.
     """
     from repro.cmt import simulate
     from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
@@ -382,8 +381,8 @@ def _sweep_phase(
     record["equal_series"] = equal_series
     if progress is not None:
         progress(
-            f"sweep speedup: event {speedups['event']}x, columnar "
-            f"{speedups['columnar']}x (series equal: {equal_series})"
+            f"sweep speedup: event {speedups['event']}x "
+            f"(series equal: {equal_series})"
         )
     return record
 
@@ -395,7 +394,7 @@ def run_simcore_bench(
     enforce_speedup: bool = True,
     speedup_target: float = SIMCORE_SPEEDUP_TARGET,
 ) -> Dict[str, Any]:
-    """Benchmark the columnar and event cores against the legacy core.
+    """Benchmark the event core against the legacy core.
 
     Args:
         scale: Workload size multiplier (1.0 for the committed report;

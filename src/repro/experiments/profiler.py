@@ -28,7 +28,7 @@ PHASES = ("trace_build", "column_build", "pair_selection", "simulate",
 #: sim-core benchmark, external tooling reading CI artifacts) key their
 #: parsing on it.  Version 2 added the ``wakeup_heap`` section and the
 #: ``stall_reasons`` histogram (event core only; ``None``/empty for the
-#: ticking cores).
+#: legacy core).
 PROFILE_SCHEMA_VERSION = 2
 
 
@@ -53,10 +53,10 @@ class ProfileReport:
     hotspots: List[Dict[str, Any]] = field(default_factory=list)
     #: Event-core clock/wakeup accounting (``cycles_skipped``, clock
     #: jumps, heap wakeup breakdown, sleeping-poller counters); ``None``
-    #: for the ticking cores, which have no wakeup heap.
+    #: for the legacy core, which has no wakeup heap.
     wakeup_heap: Optional[Dict[str, Any]] = None
     #: Per-stall-reason histogram of the simulated run (event core
-    #: only; empty for the ticking cores).
+    #: only; empty for the legacy core).
     stall_reasons: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -191,7 +191,7 @@ def profile_run(
     scale: float = 0.3,
     policy: str = "profile",
     value_predictor: str = "stride",
-    sim_core: str = "columnar",
+    sim_core: str = "event",
     top: int = 15,
     with_profile: bool = True,
     config: Optional[ProcessorConfig] = None,
@@ -204,7 +204,7 @@ def profile_run(
         policy: Spawning policy (see
             :func:`repro.experiments.framework.policy_names`).
         value_predictor: Live-in value predictor of the simulated run.
-        sim_core: ``columnar``, ``legacy``, or ``event``.
+        sim_core: ``event`` or ``legacy``.
         top: How many functions to keep in the hotspot list.
         with_profile: Run the simulate phase under :mod:`cProfile`
             (skipping it removes the profiler's overhead, which the

@@ -104,7 +104,7 @@ FU_COUNT = {
     FuClass.FP_DIV: 1,
 }
 
-#: Dense ordinal view of the FU classes for the columnar simulator core:
+#: Dense ordinal view of the FU classes for the event simulator core:
 #: ``FU_CLASSES[i]`` is the class with ordinal ``i``, ``FU_INDEX`` maps a
 #: class back to its ordinal, and ``FU_LIMITS[i]``/``FU_LATENCY_BY_INDEX[i]``
 #: mirror :data:`FU_COUNT`/:data:`FU_LATENCY` as flat tuples so the hot loop

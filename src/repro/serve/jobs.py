@@ -21,6 +21,7 @@ Failures classify through the :mod:`repro.errors` taxonomy:
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ __all__ = [
     "JOB_RUNNERS",
     "PRIORITIES",
     "job_digest",
+    "check_params",
     "classify_failure",
     "execute_job_payload",
     "current_cancel_event",
@@ -327,6 +329,31 @@ JOB_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = _job_runners()
 #: the ``point`` kind — exactly the engine's keying, so a sweep warmed
 #: by ``repro exp`` serves the daemon (and vice versa).
 CACHED_RUNNERS = ("simulate", "campaign")
+
+
+def check_params(runner: str, params: Dict[str, Any]) -> None:
+    """Reject job parameters no attempt could ever run with.
+
+    The params must bind to the runner's signature, and a ``simulate``
+    job's ``overrides`` must build a valid processor configuration.
+    Checked at submit time: the worker-side failure would be a
+    ``TypeError``/``ValueError``, which retries as transient.
+
+    Args:
+        runner: Registered runner name.
+        params: Runner keyword arguments.
+
+    Raises:
+        ValueError: Describing the first problem found.
+    """
+    try:
+        inspect.signature(JOB_RUNNERS[runner]).bind(**params)
+        if runner == "simulate":
+            from repro.experiments.framework import EXPERIMENT_CONFIG
+
+            EXPERIMENT_CONFIG.with_(**params["overrides"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {runner!r} params: {exc}") from None
 
 
 def cache_key_fields(job: Job) -> Dict[str, Any]:

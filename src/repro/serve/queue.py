@@ -302,9 +302,11 @@ class JobQueue:
             AdmissionError: When draining, full, or shedding low
                 priority under pressure.
             KeyError: Unknown runner name.
-            ValueError: Unknown priority lane.
+            ValueError: Unknown priority lane, or params the runner
+                can never run with (see
+                :func:`~repro.serve.jobs.check_params`).
         """
-        from repro.serve.jobs import JOB_RUNNERS
+        from repro.serve.jobs import JOB_RUNNERS, check_params
 
         if runner not in JOB_RUNNERS:
             raise KeyError(
@@ -315,6 +317,7 @@ class JobQueue:
             raise ValueError(
                 f"unknown priority {priority!r}; choose from {PRIORITIES}"
             )
+        check_params(runner, params)
         job_id = job_digest(runner, params)
         with self._lock:
             existing = self.jobs.get(job_id)

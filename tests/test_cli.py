@@ -136,7 +136,7 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == 2
         assert payload["ok"] is True
-        assert payload["sim_core"] == "columnar"
+        assert payload["sim_core"] == "event"  # the default core
         assert set(payload["phases"]) == {
             "trace_build", "column_build", "pair_selection", "simulate",
             "commit_check",
@@ -144,8 +144,7 @@ class TestCommands:
         assert payload["hotspots"] == []  # --no-cprofile
         assert all(payload["commit_check"].values())
         assert payload["insts_per_sec"] > 0
-        assert payload["wakeup_heap"] is None  # ticking core: no heap
-        assert payload["stall_reasons"] == {}
+        assert payload["wakeup_heap"]["events_processed"] > 0
 
     def test_profile_legacy_core(self, capsys):
         import json
@@ -156,6 +155,13 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sim_core"] == "legacy"
         assert payload["ok"] is True
+        assert payload["wakeup_heap"] is None  # ticking core: no heap
+        assert payload["stall_reasons"] == {}
+
+    def test_profile_rejects_removed_core(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["profile", "compress", "--core", "columnar"])
+        assert info.value.code == 2
 
     def test_profile_event_core(self, capsys):
         import json

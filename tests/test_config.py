@@ -63,3 +63,13 @@ class TestHelpers:
     def test_config_is_hashable(self):
         assert hash(ProcessorConfig()) == hash(ProcessorConfig())
         assert ProcessorConfig() != ProcessorConfig(num_thread_units=4)
+
+    def test_single_threaded_resets_value_predictor(self):
+        config = ProcessorConfig(
+            value_predictor="fcm", value_predictor_kb=4,
+            prime_value_predictor=False,
+        ).single_threaded()
+        assert config.value_predictor == ProcessorConfig.value_predictor
+        assert config.value_predictor_kb == ProcessorConfig.value_predictor_kb
+        assert config.prime_value_predictor
+        assert config == ProcessorConfig().single_threaded()

@@ -207,10 +207,12 @@ class TestWatchdogs:
         def stuck(self, thread):
             thread.fetch_cycle += 1  # spins without executing anything
 
+        # The legacy loop runs every fetch group through ``_advance``;
+        # the event core owns its loop and has its own livelock checks.
         monkeypatch.setattr(ClusteredProcessor, "_advance", stuck)
         proc = ClusteredProcessor(
             loop_trace, _pairs(loop_trace),
-            ProcessorConfig(livelock_threshold=64),
+            ProcessorConfig(livelock_threshold=64, sim_core="legacy"),
         )
         with pytest.raises(InvariantViolation) as info:
             proc.run()

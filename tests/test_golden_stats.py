@@ -2,9 +2,10 @@
 
 Committed JSON fixtures pin the *complete* ``SimulationStats`` of two
 representative workloads across both pair schemes and three value
-predictors.  Any change to simulator semantics — intended or not —
-shows up as a diff here before it can silently shift the reproduced
-figures.  After a deliberate semantic change, regenerate with::
+predictors, under both simulator cores.  Any change to simulator
+semantics — intended or not — shows up as a diff here before it can
+silently shift the reproduced figures.  After a deliberate semantic
+change, regenerate (from the legacy reference core) with::
 
     pytest tests/test_golden_stats.py --regen-goldens
 
@@ -30,6 +31,10 @@ GOLDEN_SCALE = 0.2
 WORKLOADS = ("compress", "li")
 POLICIES = ("profile", "heuristics")
 PREDICTORS = ("perfect", "stride", "fcm")
+#: Every simulator core is held to the same fixtures; the legacy
+#: reference core is the one ``--regen-goldens`` writes them from.
+SIM_CORES = ("legacy", "event")
+REFERENCE_CORE = "legacy"
 
 #: Matches the experiment framework's profile-policy parameters.
 POLICY_CONFIG = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
@@ -51,7 +56,7 @@ def _golden_path(workload: str) -> Path:
     return GOLDEN_DIR / f"stats_{workload}.json"
 
 
-def _compute(workload: str, sim_core: str = "columnar") -> dict:
+def _compute(workload: str, sim_core: str) -> dict:
     trace = load_trace(workload, GOLDEN_SCALE)
     return {
         f"{policy}/{predictor}": _point(trace, policy, predictor, sim_core)
@@ -61,10 +66,15 @@ def _compute(workload: str, sim_core: str = "columnar") -> dict:
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_stats_match_goldens(request, workload):
+@pytest.mark.parametrize("sim_core", SIM_CORES)
+def test_stats_match_goldens(request, sim_core, workload):
+    """Both cores reproduce the committed fixtures bit for bit."""
     path = _golden_path(workload)
-    current = _compute(workload)
-    if request.config.getoption("--regen-goldens"):
+    regen = request.config.getoption("--regen-goldens")
+    if regen and sim_core != REFERENCE_CORE:
+        pytest.skip(f"fixtures are regenerated from the {REFERENCE_CORE} core")
+    current = _compute(workload, sim_core)
+    if regen:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {path}")
@@ -76,23 +86,7 @@ def test_stats_match_goldens(request, workload):
     assert sorted(current) == sorted(golden)
     for key in sorted(current):
         assert current[key] == golden[key], (
-            f"{workload} {key}: simulated stats diverged from the golden "
-            "fixture (regenerate with --regen-goldens only if the "
+            f"{workload} {key}: {sim_core}-core stats diverged from the "
+            "golden fixture (regenerate with --regen-goldens only if the "
             "semantic change is intentional)"
-        )
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_event_core_matches_goldens(request, workload):
-    """The event core reproduces the committed fixtures bit for bit."""
-    path = _golden_path(workload)
-    if request.config.getoption("--regen-goldens") or not path.is_file():
-        pytest.skip("fixtures regenerated or absent; columnar test owns them")
-    golden = json.loads(path.read_text())
-    current = _compute(workload, sim_core="event")
-    assert sorted(current) == sorted(golden)
-    for key in sorted(current):
-        assert current[key] == golden[key], (
-            f"{workload} {key}: event-core stats diverged from the golden "
-            "fixture"
         )

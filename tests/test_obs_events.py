@@ -181,7 +181,7 @@ class TestReplayParity:
 class TestDisabledIsInvisible:
     """Tracing off must be bit-identical to no tracing at all."""
 
-    @pytest.mark.parametrize("core", ["columnar", "legacy"])
+    @pytest.mark.parametrize("core", ["event", "legacy"])
     def test_stats_bit_identical(self, small_traces, core):
         trace = small_traces["m88ksim"]
         pairs = _pairs(trace)

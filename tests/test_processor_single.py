@@ -6,6 +6,7 @@ from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.exec import run_program
 from repro.isa import assemble
 from repro.spawning import SpawnPairSet
+from repro.workloads import load_trace, workload_names
 
 BASE = ProcessorConfig()
 
@@ -96,3 +97,25 @@ class TestLatencyEffects:
 class TestHelper:
     def test_single_thread_cycles_matches_simulate(self, loop_trace):
         assert single_thread_cycles(loop_trace, BASE) == _single(loop_trace).cycles
+
+
+class TestPredictorFreeBaseline:
+    """A one-unit run spawns no thread, so it never predicts a live-in:
+    the value-predictor knobs cannot move its stats.  This is what lets
+    ``ProcessorConfig.single_threaded`` share one baseline across
+    predictors."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_one_unit_stats_equal_across_predictors(self, name):
+        trace = load_trace(name, 0.1)
+        single = BASE.single_threaded()
+        reference = simulate(trace, SpawnPairSet([]), single)
+        assert reference.value_predictions == 0
+        for predictor in ("none", "last", "stride", "fcm"):
+            for prime in (True, False):
+                config = single.with_(
+                    value_predictor=predictor, prime_value_predictor=prime
+                )
+                stats = simulate(trace, SpawnPairSet([]), config)
+                assert stats.value_predictions == 0
+                assert stats == reference, (name, predictor, prime)

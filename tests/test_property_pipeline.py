@@ -75,13 +75,20 @@ class TestPipelineProperties:
     def test_simulation_invariants_hold(self, program):
         trace = run_program(program, max_steps=100_000)
         pairs = select_profile_pairs(trace, POLICY)
-        config = ProcessorConfig(num_thread_units=4)
-        stats = simulate(trace, pairs, config)
-        assert stats.instructions == len(trace)
-        assert sum(stats.thread_sizes) == len(trace)
-        assert stats.threads_committed == stats.spawns + 1
-        assert 0 < stats.avg_active_threads <= 4
-        assert stats.cycles >= len(trace) / (4 * config.issue_width)
+        for predictor in ("perfect", "stride"):
+            config = ProcessorConfig(
+                num_thread_units=4, value_predictor=predictor
+            )
+            stats = simulate(trace, pairs, config)
+            assert stats.instructions == len(trace)
+            assert sum(stats.thread_sizes) == len(trace)
+            assert stats.threads_committed == stats.spawns + 1
+            assert 0 < stats.avg_active_threads <= 4
+            assert stats.cycles >= len(trace) / (4 * config.issue_width)
+            # Differential check: the default event core matches the
+            # legacy reference core counter for counter.
+            reference = simulate(trace, pairs, config.with_(sim_core="legacy"))
+            assert stats == reference
 
     @given(program=random_program())
     @settings(max_examples=15, deadline=None)

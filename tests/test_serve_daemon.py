@@ -79,6 +79,33 @@ class TestHttpApi:
         finally:
             daemon.stop()
 
+    def test_invalid_simulate_params_are_400(self, tmp_path):
+        # Params no attempt could run with are refused at submit time:
+        # never journaled, never queued, never retried in a worker.
+        daemon, client = start_daemon(tmp_path)
+        journal = tmp_path / "state" / "journal.jsonl"
+        size_before = journal.stat().st_size if journal.exists() else 0
+        point = {"name": "compress", "policy": "profile", "scale": 0.05}
+        try:
+            for overrides in (
+                {"sim_core": "bogus"},
+                {"sim_core": "columnar"},  # removed simulator core
+                {"num_thread_units": 0},
+                {"no_such_knob": 1},
+            ):
+                status, body = client.submit(
+                    "simulate", {**point, "overrides": overrides}
+                )
+                assert status == 400, (overrides, body)
+                assert "invalid 'simulate' params" in body["error"]
+            status, body = client.submit("simulate", point)  # no overrides
+            assert status == 400, body
+            assert client.request("GET", "/jobs")[1]["jobs"] == []
+            size_after = journal.stat().st_size if journal.exists() else 0
+            assert size_after == size_before
+        finally:
+            daemon.stop()
+
     def test_unknown_routes_and_jobs_are_404(self, tmp_path):
         daemon, client = start_daemon(tmp_path)
         try:

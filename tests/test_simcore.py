@@ -1,12 +1,12 @@
-"""Columnar/event vs legacy simulator cores: bit-identical statistics.
+"""Event vs legacy simulator cores: bit-identical statistics.
 
-The columnar core (``ProcessorConfig.sim_core == "columnar"``) and the
-event-driven batch-advance core (``sim_core == "event"``) are pure
-performance rewrites of the hot loop; these tests pin the contract that
-neither ever changes a single counter relative to the legacy dict-based
-core — across value predictors, spawning policies, removal policies,
-and under fault injection — and that the event core's clock jumps stay
-observationally invisible at the watchdog boundaries.
+The event-driven batch-advance core (``ProcessorConfig.sim_core ==
+"event"``, the default) is a pure performance rewrite of the hot loop;
+these tests pin the contract that it never changes a single counter
+relative to the legacy dict-based core — across value predictors,
+spawning policies, removal policies, and under fault injection — and
+that its clock jumps stay observationally invisible at the watchdog
+boundaries.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from repro.spawning import (
 
 POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
-CORES = ("legacy", "columnar", "event")
+CORES = ("legacy", "event")
 
 
 def _pairs(trace, policy="profile"):
@@ -51,12 +51,14 @@ def _assert_equal(results):
 
 
 class TestConfig:
-    def test_default_core_is_columnar(self):
-        assert ProcessorConfig().sim_core == "columnar"
+    def test_default_core_is_event(self):
+        assert ProcessorConfig().sim_core == "event"
 
     def test_rejects_unknown_core(self):
         with pytest.raises(ValueError):
             ProcessorConfig(sim_core="vectorized")
+        with pytest.raises(ValueError):
+            ProcessorConfig(sim_core="columnar")  # removed core
 
     def test_with_preserves_core(self):
         config = ProcessorConfig(sim_core="legacy")
@@ -107,10 +109,10 @@ class TestEquivalence:
         )
 
     def test_under_fault_injection(self, small_traces):
-        # All columnar-family runs book through the ring-buffer issue
-        # tracker under fault injection too (the legacy core keeps the
-        # dict tracker), and the event core degrades to poll parking;
-        # the deterministic plan must still produce identical stats.
+        # The event core books through the ring-buffer issue tracker
+        # under fault injection too (the legacy core keeps the dict
+        # tracker) and degrades to poll parking; the deterministic plan
+        # must still produce identical stats.
         trace = small_traces["compress"]
         plan = FaultPlan(
             seed=7,
@@ -215,9 +217,9 @@ class TestEventEdgeCases:
             "advance", "waiter", "park_poll", "sleeper"
         }
         assert metrics["replayed_polls"] >= 0
-        # The ticking cores leave no event metrics behind.
+        # The ticking legacy core leaves no event metrics behind.
         ticking = ClusteredProcessor(
-            loop_trace, _pairs(loop_trace), ProcessorConfig(sim_core="columnar")
+            loop_trace, _pairs(loop_trace), ProcessorConfig(sim_core="legacy")
         )
         ticking.run()
         assert ticking.event_metrics is None

@@ -115,14 +115,6 @@ class TestRingBooking:
         assert tu._ring_base == 0
         assert tu.book_issue(50, FuClass.SIMPLE_INT) == 50
 
-    def test_dict_variant_by_ordinal_matches_legacy(self):
-        from repro.isa.instructions import FU_INDEX
-
-        a, b = _tu(issue_width=2), _tu(issue_width=2)
-        for cycle in (5, 5, 5, 9):
-            assert a.book_issue_idx_dict(cycle, FU_INDEX[FuClass.LDST]) == \
-                b.book_issue_legacy(cycle, FuClass.LDST)
-
 
 class TestTrimBandwidth:
     def test_trim_drops_only_past_entries(self):
