@@ -9,11 +9,14 @@ Walks the Markdown files (default: ``docs/*.md`` plus the top-level
 - the subcommand must exist (nested subcommands like ``metrics dump``
   are followed one level down);
 - every ``--flag`` (with any ``=value`` stripped) must be a real option
-  of that subcommand.
+  of that subcommand;
+- the value documented after an option that declares argparse
+  ``choices`` must be one of them — each alternative of ``a|b`` is
+  checked, and ``<...>`` placeholders are skipped.
 
 This is the documentation analogue of the api-docs staleness check: a
-renamed or removed flag fails CI instead of silently rotting in the
-docs.  Run it as::
+renamed or removed flag (or option value) fails CI instead of silently
+rotting in the docs.  Run it as::
 
     PYTHONPATH=src python scripts/check_cli_docs.py            # default set
     PYTHONPATH=src python scripts/check_cli_docs.py docs/*.md  # explicit set
@@ -25,7 +28,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -36,7 +39,12 @@ from repro.cli import make_parser  # noqa: E402
 _INVOCATION = re.compile(
     r"(?:python -m repro|(?<![-\w.])repro)\s+([a-z][a-z0-9-]*)([^\n`]*)"
 )
-_FLAG = re.compile(r"(--[a-z][a-z0-9-]*)")
+#: One ``--flag`` and the value token after it (``=value`` or `` value``;
+#: empty when the next token is another flag or absent).
+_FLAG = re.compile(r"(--[a-z][a-z0-9-]*)(?:(?:=|\s+)([^-\s]\S*))?")
+
+#: Option string -> its argparse ``choices`` (None when unrestricted).
+Options = Dict[str, Optional[Tuple[str, ...]]]
 
 
 def _subparsers(
@@ -49,31 +57,37 @@ def _subparsers(
     return {}
 
 
-def _options(parser: argparse.ArgumentParser) -> Set[str]:
-    """Return every ``--long-option`` string the parser accepts."""
-    flags: Set[str] = set()
+def _options(parser: argparse.ArgumentParser) -> Options:
+    """Return every ``--long-option`` the parser accepts, with its choices."""
+    flags: Options = {}
     for action in parser._actions:
-        flags.update(s for s in action.option_strings if s.startswith("--"))
+        choices = (
+            tuple(str(c) for c in action.choices) if action.choices else None
+        )
+        for option in action.option_strings:
+            if option.startswith("--"):
+                flags[option] = choices
     return flags
 
 
-def build_command_table() -> Dict[str, Set[str]]:
-    """Map each CLI command path to its accepted ``--flags``.
+def build_command_table() -> Dict[str, Options]:
+    """Map each CLI command path to its accepted ``--flags`` and choices.
 
     Nested subcommands (``metrics dump``, ``metrics diff``) appear both
     under their full path and contribute nothing to the parent's entry.
 
     Returns:
-        ``{"exp": {"--fig", ...}, "metrics dump": {...}, ...}``.
+        ``{"exp": {"--fig": None, "--backend": ("serial", ...), ...},
+        "metrics dump": {...}, ...}``.
     """
-    table: Dict[str, Set[str]] = {}
+    table: Dict[str, Options] = {}
     for name, sub in _subparsers(make_parser()).items():
         nested = _subparsers(sub)
         table[name] = _options(sub)
         for nested_name, nested_sub in nested.items():
-            table[f"{name} {nested_name}"] = _options(nested_sub) | _options(
-                sub
-            )
+            table[f"{name} {nested_name}"] = {
+                **_options(sub), **_options(nested_sub)
+            }
     return table
 
 
@@ -85,13 +99,21 @@ def _invocations(text: str) -> List[Tuple[str, str]]:
     ]
 
 
+def _stale_values(value: str, choices: Tuple[str, ...]) -> List[str]:
+    """Return the alternatives of a documented value not in ``choices``."""
+    value = value.rstrip(".,;:)]'\"")
+    if value.startswith("<"):
+        return []  # a <placeholder>, not a literal value
+    return [alt for alt in value.split("|") if alt not in choices]
+
+
 def check_file(
-    path: Path, table: Dict[str, Set[str]]
+    path: Path, table: Dict[str, Options]
 ) -> Tuple[int, List[str]]:
     """Validate one file's invocations; returns (checked, problems)."""
     checked = 0
     problems: List[str] = []
-    rel = path.relative_to(REPO)
+    rel = path.relative_to(REPO) if path.is_relative_to(REPO) else path
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         for command, rest in _invocations(line):
             checked += 1
@@ -105,12 +127,22 @@ def check_file(
             if nested and f"{command} {nested}" in table:
                 target = f"{command} {nested}"
             known = table[target]
-            for flag in _FLAG.findall(rest):
+            for flag, value in _FLAG.findall(rest):
                 checked += 1
                 if flag not in known:
                     problems.append(
                         f"{rel}:{line_no}: 'repro {target}' has no "
                         f"option {flag}"
+                    )
+                    continue
+                choices = known[flag]
+                if choices is None or not value:
+                    continue
+                for stale in _stale_values(value, choices):
+                    problems.append(
+                        f"{rel}:{line_no}: 'repro {target} {flag}' has "
+                        f"no value {stale!r} (choose from "
+                        f"{', '.join(choices)})"
                     )
     return checked, problems
 

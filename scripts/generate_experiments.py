@@ -66,8 +66,9 @@ python -m repro faults --smoke --jobs 4 --cache-dir .repro-cache
 Guarantees worth knowing:
 
 - `--jobs 1` and `--jobs N` produce **identical** figures.  `--jobs 1`
-  executes the historical serial path; parallel results seed the same
-  figure drivers.  `repro bench` asserts this equality on every run.
+  runs every point in the calling process (the `serial` backend);
+  parallel results seed the same figure drivers.  `repro bench` asserts
+  this equality on every run.
 - Cache keys hash the schema version, a digest of the artifact-producing
   source packages, and every configuration knob — editing the simulator
   invalidates exactly the artifacts it produced, automatically.

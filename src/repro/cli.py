@@ -838,9 +838,7 @@ def cmd_serve(args) -> int:
         from repro.serve.bench import run_serve_smoke
 
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-            report = run_serve_smoke(
-                Path(tmp) / "state", mode=args.mode
-            )
+            report = run_serve_smoke(Path(tmp) / "state")
         for check in report["checks"]:
             status = "ok" if check["ok"] else "FAIL"
             detail = (
@@ -907,8 +905,6 @@ def cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         telemetry_dir=args.telemetry,
         drain_timeout=args.drain_timeout,
-        mode=args.mode,
-        backend=args.backend,
         fsync=not args.no_fsync,
     ))
     daemon.install_signal_handlers()
@@ -1224,7 +1220,7 @@ def make_parser() -> argparse.ArgumentParser:
                    "digest, fault seed, wall time) plus a campaign "
                    "rollup into DIR")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async-local", "remote"),
+                   choices=("serial", "process", "remote"),
                    default=None,
                    help="executor backend (default: serial for --jobs 1, "
                    "process otherwise)")
@@ -1260,7 +1256,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print per-point progress to stderr")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async-local", "remote"),
+                   choices=("serial", "process", "remote"),
                    default=None,
                    help="executor backend (default: serial for --jobs 1, "
                    "process otherwise)")
@@ -1335,7 +1331,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-chaos", action="store_true",
                    help="skip the --dist kill -9 chaos leg")
     p.add_argument("--backend",
-                   choices=("process", "async-local", "remote"),
+                   choices=("process", "remote"),
                    default=None,
                    help="executor backend of the jobs=N phases "
                    "(default process)")
@@ -1373,12 +1369,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="deterministic jitter fraction of the backoff")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds a graceful drain waits for live jobs")
-    p.add_argument("--mode", choices=("process", "thread"), default=None,
-                   help="worker execution mode (default: process where "
-                   "fork exists)")
-    p.add_argument("--backend", choices=("process", "thread"), default=None,
-                   help="worker-pool backend knob (supersedes --mode "
-                   "when both are given)")
     p.add_argument("--no-fsync", action="store_true",
                    help="skip per-record journal fsync (faster, "
                    "weakens crash durability)")

@@ -340,7 +340,6 @@ def run_smoke(
             state_dir=os.path.join(tmp, "serve"),
             fsync=False,
             workers=1,
-            mode="thread",
         ))
         daemon.start()
         try:

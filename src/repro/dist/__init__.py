@@ -1,47 +1,15 @@
 """Distributed execution: pluggable backends for the parallel engine.
 
 The package splits "what to run" (the engine's sweep points) from "how
-to run it" (a :class:`~repro.dist.backend.Backend`): ``serial`` and
-``process`` reproduce the historical engine paths bit-for-bit,
-``async-local`` adds work-stealing dispatch over a local pool, and
-``remote`` drives a socket-connected worker fleet with a shared
-artifact cache.  See ``docs/distributed.md`` for the protocol contract
-and the operations runbook.
+to run it" (a :class:`~repro.dist.backend.Backend`): ``serial`` runs
+points in the calling process (the ``jobs=1`` path), ``process`` fans
+them across a local pool, and ``remote`` drives a socket-connected
+worker fleet with work stealing and a shared artifact cache.  See
+``docs/distributed.md`` for the protocol contract and the operations
+runbook.
+
+Import from the submodules (:mod:`repro.dist.backend`,
+:mod:`repro.dist.coordinator`, :mod:`repro.dist.worker`, ...): the
+package itself imports nothing, so a ``jobs=1`` sweep, which loads
+:mod:`repro.dist.backend`, does not pay for the socket layer.
 """
-
-from repro.dist.backend import (
-    Backend,
-    ExecutionPlan,
-    backend_names,
-    create_backend,
-)
-from repro.dist.cache_net import NetCacheStats, NetworkCache
-from repro.dist.protocol import (
-    ConnectionClosed,
-    FrameChannel,
-    ProtocolError,
-    blob_digest,
-    recv_frame,
-    send_frame,
-)
-from repro.dist.scheduler import CostModel, WorkStealingScheduler
-from repro.dist.worker import parse_endpoint, run_worker
-
-__all__ = [
-    "Backend",
-    "ExecutionPlan",
-    "backend_names",
-    "create_backend",
-    "CostModel",
-    "WorkStealingScheduler",
-    "NetworkCache",
-    "NetCacheStats",
-    "FrameChannel",
-    "ProtocolError",
-    "ConnectionClosed",
-    "blob_digest",
-    "send_frame",
-    "recv_frame",
-    "parse_endpoint",
-    "run_worker",
-]

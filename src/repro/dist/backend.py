@@ -12,30 +12,25 @@ those travel inside the outcome dict, exactly as
 
 Built-in backends:
 
-- ``serial`` — in-process, submission order; the reference behaviour
-  every other backend is gated against.
-- ``process`` — the historical ``ProcessPoolExecutor`` fan-out,
-  bit-identical to the pre-refactor engine.
-- ``async-local`` — an asyncio dispatcher over a local process pool,
-  scheduling through the work-stealing
-  :class:`~repro.dist.scheduler.WorkStealingScheduler`.
-- ``remote`` — a socket-connected worker fleet (see
-  :mod:`repro.dist.coordinator`; registered lazily to keep import cost
-  off the serial path).
+- ``serial`` — in-process, submission order; the ``jobs=1`` path and
+  the reference behaviour every other backend is gated against.
+- ``process`` — a local ``ProcessPoolExecutor`` fan-out.
+- ``remote`` — a socket-connected worker fleet scheduled by the
+  work-stealing :class:`~repro.dist.scheduler.WorkStealingScheduler`
+  (see :mod:`repro.dist.coordinator`; registered lazily to keep import
+  cost off the serial path).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cache import ArtifactCache
-from repro.experiments import framework
-from repro.experiments.engine import Point, execute_point
+from repro.experiments import engine, framework
+from repro.experiments.engine import Point
 from repro.experiments.framework import run_resilient
 
 __all__ = [
@@ -45,7 +40,6 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ProcessBackend",
-    "AsyncLocalBackend",
     "backend_names",
     "create_backend",
 ]
@@ -70,8 +64,8 @@ class ExecutionPlan:
         cache_dir: Shared on-disk artifact-cache directory (None
             disables disk caching).
         cache: The caller's live cache instance over ``cache_dir`` (the
-            serial backend reuses it so in-process memo state matches
-            the historical path; other backends open their own handles).
+            serial backend reuses it, so its in-process memos and stats
+            are the caller's; other backends open their own handles).
         telemetry_dir: Telemetry directory of *earlier* sweeps — the
             source of work-stealing cost priors (see
             :meth:`~repro.dist.scheduler.CostModel.from_manifests`).
@@ -133,9 +127,11 @@ class SerialBackend(Backend):
     """In-process execution in submission order (the reference backend).
 
     Installs the plan's cache as the active framework cache (so derived
-    trace/pair/baseline artifacts memoize exactly as the historical
-    serial path did) and runs each point through
-    :func:`~repro.experiments.framework.run_resilient`.
+    trace/pair/baseline artifacts memoize in the caller's cache) and
+    runs each point through
+    :func:`~repro.experiments.framework.run_resilient`.  The point body
+    is looked up as ``engine.execute_point`` at call time, so a wrapper
+    installed on the engine module sees every point.
     """
 
     name = "serial"
@@ -155,7 +151,7 @@ class SerialBackend(Backend):
             for point in points:
                 before = cache.stats.to_dict() if cache else None
                 outcome = run_resilient(
-                    lambda point=point: execute_point(point, cache),
+                    lambda point=point: engine.execute_point(point, cache),
                     timeout=plan.timeout,
                     retries=plan.retries,
                     backoff=plan.backoff,
@@ -172,7 +168,7 @@ class SerialBackend(Backend):
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing shared by the process/async-local backends.
+# Worker-process plumbing of the process backend.
 # Top-level functions: they cross the process boundary by reference.
 # ----------------------------------------------------------------------
 
@@ -207,7 +203,7 @@ def _worker_run(
     cache = _worker_cache
     before = cache.stats.to_dict() if cache else None
     outcome = run_resilient(
-        lambda: execute_point(point, cache),
+        lambda: engine.execute_point(point, cache),
         timeout=timeout,
         retries=retries,
         backoff=backoff,
@@ -221,10 +217,10 @@ def _worker_run(
 
 
 class ProcessBackend(Backend):
-    """The historical ``ProcessPoolExecutor`` fan-out, bit-identical.
+    """A local ``ProcessPoolExecutor`` fan-out.
 
     Points are all submitted up front; results are emitted in
-    completion order, exactly as the pre-refactor engine did.
+    completion order.
     """
 
     name = "process"
@@ -238,6 +234,9 @@ class ProcessBackend(Backend):
         """Fan the points across a local process pool via ``emit``."""
         if not points:
             return
+        # Imported here: the pool machinery stays off the serial path.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(
             max_workers=min(max(plan.workers, 1), len(points)),
             initializer=_worker_init,
@@ -255,88 +254,12 @@ class ProcessBackend(Backend):
                 emit(key, outcome_dict, delta, worker_id)
 
 
-class AsyncLocalBackend(Backend):
-    """Asyncio dispatcher over a local pool with work stealing.
-
-    One coroutine per worker slot pulls tasks from the work-stealing
-    scheduler (seeded longest-job-first from telemetry cost priors) and
-    awaits each execution on a shared process pool — the same dispatch
-    discipline the remote fleet uses, without sockets.  After a run,
-    :meth:`fleet_summary` exposes the scheduler counters.
-    """
-
-    name = "async-local"
-
-    def __init__(self) -> None:
-        self._fleet: Dict[str, Any] = {}
-
-    def fleet_summary(self) -> Dict[str, Any]:
-        """Return the last run's scheduler counters (steals, dispatch)."""
-        return dict(self._fleet)
-
-    def execute(
-        self,
-        points: Sequence[Point],
-        plan: ExecutionPlan,
-        emit: EmitFn,
-    ) -> None:
-        """Drive the points through asyncio worker slots via ``emit``."""
-        if not points:
-            return
-        from repro.dist.scheduler import CostModel, WorkStealingScheduler
-
-        slots = min(max(plan.workers, 1), len(points))
-        worker_ids = [f"async-{index}" for index in range(slots)]
-        scheduler = WorkStealingScheduler(
-            points,
-            workers=worker_ids,
-            cost=CostModel.from_manifests(plan.telemetry_dir),
-        )
-        asyncio.run(self._drive(scheduler, worker_ids, plan, emit))
-        self._fleet = scheduler.snapshot()
-
-    async def _drive(
-        self,
-        scheduler: Any,
-        worker_ids: Sequence[str],
-        plan: ExecutionPlan,
-        emit: EmitFn,
-    ) -> None:
-        """Async body: one pulling coroutine per worker slot."""
-        loop = asyncio.get_running_loop()
-        with ProcessPoolExecutor(
-            max_workers=len(worker_ids),
-            initializer=_worker_init,
-            initargs=(plan.cache_dir,),
-        ) as pool:
-
-            async def slot(worker_id: str) -> None:
-                while True:
-                    task = scheduler.next_task(worker_id)
-                    if task is None:
-                        if scheduler.done():
-                            return
-                        await asyncio.sleep(0.005)
-                        continue
-                    key, outcome_dict, delta, _pid = (
-                        await loop.run_in_executor(
-                            pool, _worker_run, task, plan.timeout,
-                            plan.retries, plan.backoff,
-                        )
-                    )
-                    if scheduler.complete(worker_id, key):
-                        emit(key, outcome_dict, delta, worker_id)
-
-            await asyncio.gather(*(slot(w) for w in worker_ids))
-
-
 #: Backend registry: name -> zero-argument factory.  ``remote`` is
 #: resolved lazily inside :func:`create_backend` so importing this
 #: module never pays the socket machinery's import cost.
 _FACTORIES: Dict[str, Callable[[], Backend]] = {
     "serial": SerialBackend,
     "process": ProcessBackend,
-    "async-local": AsyncLocalBackend,
 }
 
 

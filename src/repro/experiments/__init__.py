@@ -22,7 +22,6 @@ from repro.experiments.framework import (
     backoff_delay,
     baseline_cycles,
     pair_set_for,
-    resilient_sweep,
     run_policy,
     run_resilient,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "baseline_cycles",
     "figure_points",
     "pair_set_for",
-    "resilient_sweep",
     "run_figure",
     "run_policy",
     "run_resilient",

@@ -2,11 +2,11 @@
 
 Every figure in the paper's evaluation is an embarrassingly parallel
 sweep over (workload x policy x thread-unit count).  This module turns
-such a sweep into a list of pickle-safe :class:`Point` specs, runs each
-point through the hardened :func:`~repro.experiments.framework.run_resilient`
-wrapper — serially for ``jobs=1`` (bit-identical to the historical
-path), or through a pluggable executor :class:`~repro.dist.backend.Backend`
-(``process``, ``async-local``, ``remote``) otherwise — and reassembles
+such a sweep into a list of pickle-safe :class:`Point` specs, sends them
+through a pluggable executor :class:`~repro.dist.backend.Backend`
+(``serial`` for ``jobs=1``, ``process`` or ``remote`` otherwise), where
+each point runs under the one attempt runner
+:func:`~repro.experiments.framework.run_resilient`, and reassembles
 results in deterministic input order regardless of completion order.
 
 Workers share the on-disk :class:`~repro.cache.ArtifactCache` when one
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import ArtifactCache
+from repro.errors import InvariantViolation, SimulationTimeout
 from repro.experiments import figures as figures_mod
 from repro.experiments import framework
 from repro.experiments.framework import (
@@ -31,7 +32,6 @@ from repro.experiments.framework import (
     FigureResult,
     ResilientOutcome,
     SweepCheckpoint,
-    resilient_sweep,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "run_figure",
     "execute_point",
     "POINT_RUNNERS",
+    "CACHED_RUNNERS",
 ]
 
 
@@ -84,11 +85,6 @@ def _runner_simulate(
     }
 
 
-#: Worker-local budget of injected crashes (resilience testing); the
-#: retry of a crashed attempt runs in the same process and proceeds.
-_CRASH_BUDGET: Dict[str, int] = {}
-
-
 def _runner_campaign(
     spec_fields: Dict[str, Any],
     workload: str,
@@ -98,56 +94,69 @@ def _runner_campaign(
     crash_key: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one fault-injection campaign point (see ``faults.campaign``)."""
-    from repro.faults.campaign import CampaignSpec, _run_payload
+    from repro.faults.campaign import run_point
 
-    if crash_key is not None:
-        budget = _CRASH_BUDGET.setdefault(crash_key, 1)
-        if budget > 0:
-            _CRASH_BUDGET[crash_key] = budget - 1
-            raise RuntimeError(f"injected worker crash in {crash_key}")
-    spec = CampaignSpec(
-        workloads=(workload,),
-        rates=(rate,),
-        seed=int(spec_fields["seed"]),
-        scale=float(spec_fields["scale"]),
-        policy=str(spec_fields["policy"]),
-        thread_units=int(spec_fields["thread_units"]),
-        cycle_budget_factor=int(spec_fields["cycle_budget_factor"]),
+    return run_point(
+        spec_fields, workload, rate, sequential, faultless, crash_key
     )
-    return _run_payload(spec, workload, rate, sequential, faultless)
 
 
 def _runner_sleep(
-    duration: float = 0.05,
+    duration: float = 0.1,
     fail: Optional[str] = None,
+    fail_file: Optional[str] = None,
     tag: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Deterministic low-cost workload for backend/scheduler testing.
+    """Deterministic test/bench workload: sleep, optionally misbehave.
 
     Args:
         duration: Seconds to sleep.
-        fail: ``"transient"`` raises ``RuntimeError`` after sleeping.
-        tag: Free-form marker echoed in the payload.
+        fail: ``"transient"`` raises ``RuntimeError`` every attempt,
+            ``"poison"`` raises ``InvariantViolation``, ``"timeout"``
+            raises ``SimulationTimeout`` (all *after* sleeping).
+        fail_file: Path holding a decimal count; while positive it is
+            decremented and the attempt raises ``RuntimeError`` —
+            retry-until-healed testing across attempts and processes.
+        tag: Free-form marker echoed in the payload (also
+            differentiates job digests for load generation).
 
     Returns:
         ``{"slept": duration, "tag": tag}`` on success.
     """
     time.sleep(max(float(duration), 0.0))
+    if fail_file is not None:
+        try:
+            budget = int(open(fail_file).read().strip() or "0")
+        except (OSError, ValueError):
+            budget = 0
+        if budget > 0:
+            tmp = f"{fail_file}.tmp{os.getpid()}"
+            with open(tmp, "w") as handle:
+                handle.write(str(budget - 1))
+            os.replace(tmp, fail_file)
+            raise RuntimeError(f"injected transient failure ({budget} left)")
     if fail == "transient":
         raise RuntimeError("injected transient failure")
+    if fail == "poison":
+        raise InvariantViolation("injected invariant violation")
+    if fail == "timeout":
+        raise SimulationTimeout("injected timeout", seconds=duration)
     return {"slept": float(duration), "tag": tag}
 
 
-#: runner name -> callable; points refer to runners by name so the spec
-#: stays picklable (no closures cross the process boundary).  ``sleep``
-#: is the uncached, deterministic workload the distributed tests and
-#: benchmarks use (the serve daemon overrides it with a cancel-aware
-#: variant in its own registry).
+#: runner name -> callable; points (and serve jobs) refer to runners by
+#: name so the spec stays picklable (no closures cross the process
+#: boundary).  ``sleep`` is the uncached, deterministic workload the
+#: distributed tests, the serve daemon's smoke gate and the benchmarks use.
 POINT_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "simulate": _runner_simulate,
     "campaign": _runner_campaign,
     "sleep": _runner_sleep,
 }
+
+#: Runner names whose payloads are memoized in the artifact cache under
+#: the ``point`` kind (sweeps and serve jobs share these artifacts).
+CACHED_RUNNERS = ("simulate", "campaign")
 
 
 def execute_point(point: Point, cache: Optional[ArtifactCache] = None) -> Any:
@@ -161,7 +170,7 @@ def execute_point(point: Point, cache: Optional[ArtifactCache] = None) -> Any:
         The runner's JSON-serialisable payload.
     """
     runner = POINT_RUNNERS[point.runner]
-    if cache is None or point.runner not in ("simulate", "campaign"):
+    if cache is None or point.runner not in CACHED_RUNNERS:
         return runner(**point.params)
     return cache.get_or_create(
         "point", lambda: runner(**point.params), runner=point.runner, **point.params
@@ -173,8 +182,8 @@ class ParallelEngine:
 
     Args:
         jobs: Worker count; ``None`` means ``os.cpu_count()``.  ``jobs=1``
-            executes through :func:`resilient_sweep` in the calling
-            process — bit-identical to the historical serial path.
+            selects the ``serial`` backend: every point runs in the
+            calling process, in submission order.
         cache_dir: Directory of the shared on-disk artifact cache (None
             disables disk caching; in-process memos still apply).
         timeout: Per-point wall-clock limit in seconds (None = unbounded).
@@ -187,10 +196,10 @@ class ParallelEngine:
             directory; an existing directory also seeds the
             work-stealing scheduler's cost priors.
         backend: Executor backend — a registry name (``serial``,
-            ``process``, ``async-local``, ``remote``) or a ready
+            ``process``, ``remote``) or a ready
             :class:`~repro.dist.backend.Backend` instance.  ``None``
             selects ``serial`` for ``jobs=1`` and ``process``
-            otherwise, matching the historical behaviour exactly.
+            otherwise.
         workers: Parallelism the backend should use (default ``jobs``).
 
     After :meth:`run`, ``cache_events`` holds aggregated cache counters
@@ -280,76 +289,27 @@ class ParallelEngine:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate point keys in sweep")
         started = time.perf_counter()
-        if self.backend_name == "serial" and not self._backend_instance():
-            results = self._run_serial(points, checkpoint, progress)
-        else:
-            results = self._run_dispatch(points, checkpoint, progress)
+        results = self._run_dispatch(points, checkpoint, progress)
         if self.telemetry_dir is not None:
             self._write_telemetry(
                 points, results, time.perf_counter() - started
             )
         return results
 
-    def _execute_tracked(self, point: Point) -> Any:
-        """Serial-path task body: run the point, recording its cache delta."""
-        cache = self.cache
-        if cache is None:
-            return execute_point(point, None)
-        before = cache.stats.to_dict()
-        try:
-            return execute_point(point, cache)
-        finally:
-            after = cache.stats.to_dict()
-            self._point_deltas[point.key] = {
-                k: after[k] - before[k]
-                for k in ("memory_hits", "disk_hits", "misses", "puts")
-            }
-
-    def _run_serial(self, points, checkpoint, progress):
-        tasks = {
-            p.key: (lambda p=p: self._execute_tracked(p)) for p in points
-        }
-        before = self.cache.stats.to_dict() if self.cache else None
-        previous = framework.set_cache(self.cache)
-        try:
-            results = resilient_sweep(
-                tasks,
-                checkpoint=checkpoint,
-                timeout=self.timeout,
-                retries=self.retries,
-                backoff=self.backoff,
-                progress=progress,
-            )
-        finally:
-            framework.set_cache(previous)
-        if self.cache is not None and before is not None:
-            after = self.cache.stats.to_dict()
-            self._note_cache_delta(
-                {
-                    k: after[k] - before[k]
-                    for k in ("memory_hits", "disk_hits", "misses", "puts")
-                }
-            )
-        return results
-
-    def _backend_instance(self):
-        """Return the backend when one was passed as an instance, else None."""
-        if self.backend is not None and not isinstance(self.backend, str):
-            return self.backend
-        return None
-
     def _run_dispatch(self, points, checkpoint, progress):
-        """Execute the sweep through an executor backend.
+        """Execute the sweep through the executor backend.
 
-        Resumed checkpoint keys are emitted first (as the historical
-        parallel path did); the remaining to-do points go to the
-        backend, whose serialized ``emit`` calls land results,
-        checkpoint records, cache deltas and worker attribution.
+        Resumed checkpoint keys are emitted first; the remaining to-do
+        points go to the backend, whose serialized ``emit`` calls land
+        results, checkpoint records, cache deltas and worker
+        attribution, and report progress right after each point.
         """
         from repro.dist.backend import ExecutionPlan, create_backend
 
-        backend = self._backend_instance() or create_backend(
-            self.backend_name
+        backend = (
+            create_backend(self.backend_name)
+            if self.backend is None or isinstance(self.backend, str)
+            else self.backend
         )
         results: Dict[str, ResilientOutcome] = {}
         todo: List[Point] = []

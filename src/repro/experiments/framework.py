@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cmt import ProcessorConfig, simulate
 from repro.cmt.stats import SimulationStats
-from repro.errors import SimulationTimeout
+from repro.errors import SimulationTimeout, classify_failure
 from repro.exec.trace import Trace
 from repro.spawning import (
     HeuristicConfig,
@@ -391,38 +391,60 @@ def suite(scale: float = 1.0) -> Sequence[str]:
 
 
 # ----------------------------------------------------------------------
-# Hardened execution: wall-clock limits, retries, checkpointed sweeps.
+# Hardened execution: the one attempt runner (wall-clock limits, retries,
+# failure classification) and checkpoints.
 # ----------------------------------------------------------------------
+
+#: Per-thread deadline of the attempt running under :func:`run_resilient`.
+_ATTEMPT = threading.local()
+
+
+def attempt_deadline() -> Optional[float]:
+    """Return the running attempt's ``time.monotonic()`` deadline.
+
+    :func:`run_resilient` publishes the deadline of every attempt it
+    times.  ``SIGALRM`` enforces it only in the main thread; an attempt
+    that runs elsewhere polls it instead (the serve pool hard-kills its
+    forked child on it).
+
+    Returns:
+        The deadline, or None outside a time-limited attempt.
+    """
+    return getattr(_ATTEMPT, "deadline", None)
 
 
 @contextmanager
 def _wall_clock_limit(seconds: Optional[float]):
-    """Raise :class:`SimulationTimeout` if the block runs past ``seconds``.
+    """Give the block a ``seconds`` deadline (see :func:`attempt_deadline`).
 
-    Implemented with ``SIGALRM``, so it only arms in the main thread on
-    platforms that have it; elsewhere the block runs unbounded (the
-    in-simulator cycle budget is the portable backstop).
+    In the main thread, on platforms with ``setitimer``, ``SIGALRM``
+    raises :class:`SimulationTimeout` when it passes; elsewhere the
+    deadline is only published (the in-simulator cycle budget is the
+    portable backstop).
     """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
+    if seconds is None or seconds <= 0:
         yield
         return
+    previous = attempt_deadline()
+    _ATTEMPT.deadline = time.monotonic() + seconds
+    alarm = (
+        hasattr(signal, "setitimer")
+        and threading.current_thread() is threading.main_thread()
+    )
+    if alarm:
 
-    def _on_alarm(signum, frame):
-        raise SimulationTimeout("wall-clock limit exceeded", seconds=seconds)
+        def _on_alarm(signum, frame):
+            raise SimulationTimeout("wall-clock limit exceeded", seconds=seconds)
 
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+        handler = signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        if alarm:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        _ATTEMPT.deadline = previous
 
 
 @dataclass
@@ -503,49 +525,52 @@ def run_resilient(
     jitter: float = 0.0,
     jitter_key: str = "",
 ) -> ResilientOutcome:
-    """Run ``task`` with a per-attempt wall-clock limit and bounded retry.
+    """Run ``task`` under the shared attempt policy; never raises.
 
-    A failing attempt (any :class:`Exception`, including the structured
-    ``SimulationError`` family) is retried up to ``retries`` times with
-    exponential backoff; ``KeyboardInterrupt``/``SystemExit`` propagate.
-    ``jitter``/``jitter_key`` spread the backoff deterministically (see
-    :func:`backoff_delay`) so a herd of concurrent retries does not
-    resynchronise; the default ``jitter=0`` keeps the historical delays
-    bit-identical.  Never raises: a run that exhausts its retries is
-    reported as a failed :class:`ResilientOutcome` so a sweep can carry
-    on.
+    Sweeps, dist workers and the serve pool all run attempts through
+    here.  Each attempt gets a ``timeout``-second wall-clock limit (see
+    :func:`attempt_deadline`).  A failure classifies through
+    :func:`~repro.errors.classify_failure`: a transient one is retried
+    up to ``retries`` times with exponential backoff, while a poison,
+    fatal or cancelled one ends the run at once, because re-running it
+    would fail the same way.  ``KeyboardInterrupt``/``SystemExit``
+    propagate.  ``jitter``/``jitter_key`` spread the backoff
+    deterministically (see :func:`backoff_delay`) so a herd of
+    concurrent retries does not resynchronise; the default
+    ``jitter=0`` keeps the pure-exponential delays.
 
     Returns:
         A :class:`ResilientOutcome` with the task's value or the last
         failure's type and message.
     """
-    last: Optional[BaseException] = None
     started = time.perf_counter()
-    for attempt in range(retries + 1):
+    attempt = 0
+    while True:
+        attempt += 1
         try:
             with _wall_clock_limit(timeout):
                 value = task()
             return ResilientOutcome(
                 ok=True,
                 value=value,
-                attempts=attempt + 1,
+                attempts=attempt,
                 seconds=time.perf_counter() - started,
             )
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            last = exc
-            if attempt < retries and backoff > 0:
-                time.sleep(
-                    backoff_delay(backoff, attempt, jitter, jitter_key)
+            if attempt > retries or classify_failure(exc) != "transient":
+                return ResilientOutcome(
+                    ok=False,
+                    attempts=attempt,
+                    error=str(exc),
+                    error_type=type(exc).__name__,
+                    seconds=time.perf_counter() - started,
                 )
-    return ResilientOutcome(
-        ok=False,
-        attempts=retries + 1,
-        error=str(last),
-        error_type=type(last).__name__,
-        seconds=time.perf_counter() - started,
-    )
+            if backoff > 0:
+                time.sleep(
+                    backoff_delay(backoff, attempt - 1, jitter, jitter_key)
+                )
 
 
 class SweepCheckpoint:
@@ -608,38 +633,3 @@ class SweepCheckpoint:
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         tmp.write_text(json.dumps(self._outcomes, indent=1, sort_keys=True))
         os.replace(tmp, self.path)
-
-
-def resilient_sweep(
-    tasks: Dict[str, Callable[[], Any]],
-    checkpoint: Optional[SweepCheckpoint] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.05,
-    progress: Optional[Callable[[str, ResilientOutcome, bool], None]] = None,
-    jitter: float = 0.0,
-) -> Dict[str, ResilientOutcome]:
-    """Run every task resiliently, checkpointing each completed run.
-
-    ``tasks`` maps a stable run key to a zero-argument callable returning
-    a JSON-serialisable payload.  Keys already present in ``checkpoint``
-    are resumed (not re-run).  ``progress(key, outcome, resumed)`` is
-    called after every run when given.  ``jitter`` spreads retry
-    backoffs deterministically per run key (see :func:`backoff_delay`).
-    """
-    results: Dict[str, ResilientOutcome] = {}
-    for key, task in tasks.items():
-        resumed = checkpoint is not None and key in checkpoint
-        if resumed:
-            outcome = checkpoint.get(key)
-        else:
-            outcome = run_resilient(
-                task, timeout=timeout, retries=retries, backoff=backoff,
-                jitter=jitter, jitter_key=key,
-            )
-            if checkpoint is not None:
-                checkpoint.record(key, outcome)
-        results[key] = outcome
-        if progress is not None:
-            progress(key, outcome, resumed)
-    return results

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cmt import simulate
 from repro.experiments.framework import (
@@ -26,7 +26,6 @@ from repro.experiments.framework import (
     SweepCheckpoint,
     baseline_cycles,
     pair_set_for,
-    resilient_sweep,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultPlan
@@ -227,6 +226,51 @@ def _run_payload(spec: CampaignSpec, workload: str, rate: float,
     }
 
 
+#: Crash keys whose injected crash already fired in this process; the
+#: retry of a crashed attempt runs in the same process and proceeds.
+#: :func:`run_campaign` clears it, so every campaign crashes anew on every
+#: backend (pool and fleet workers start from the cleared state).
+_CRASHED: Set[str] = set()
+
+
+def run_point(
+    spec_fields: Dict[str, Any],
+    workload: str,
+    rate: float,
+    sequential: int,
+    faultless: int,
+    crash_key: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Run one campaign point from its pickle-safe engine params.
+
+    Args:
+        spec_fields: The campaign spec fields a point needs (seed,
+            scale, policy, thread units, cycle-budget factor).
+        workload: Workload name.
+        rate: Fault rate of the run.
+        sequential: Single-threaded reference cycles of the workload.
+        faultless: Faultless multi-threaded reference cycles.
+        crash_key: When set, the point's first attempt in this campaign
+            raises an injected crash (resilience testing).
+
+    Returns:
+        The run's JSON payload (see :func:`_run_payload`).
+    """
+    if crash_key is not None and crash_key not in _CRASHED:
+        _CRASHED.add(crash_key)
+        raise RuntimeError(f"injected worker crash in {crash_key}")
+    spec = CampaignSpec(
+        workloads=(workload,),
+        rates=(rate,),
+        seed=int(spec_fields["seed"]),
+        scale=float(spec_fields["scale"]),
+        policy=str(spec_fields["policy"]),
+        thread_units=int(spec_fields["thread_units"]),
+        cycle_budget_factor=int(spec_fields["cycle_budget_factor"]),
+    )
+    return _run_payload(spec, workload, rate, sequential, faultless)
+
+
 def _campaign_points(
     spec: CampaignSpec,
     reference: Dict[str, Dict[str, int]],
@@ -284,18 +328,17 @@ def run_campaign(
             crash — a deterministic way to exercise (and test) the
             retry path end to end.
         progress: Optional one-line-per-run status callback.
-        jobs: Worker processes; 1 (the default) keeps the historical
-            serial path, >1 fans runs across a
-            :class:`~repro.experiments.engine.ParallelEngine`.
+        jobs: Worker processes of the
+            :class:`~repro.experiments.engine.ParallelEngine` the runs
+            go through; 1 (the default) runs them in this process.
         cache_dir: Optional artifact-cache directory shared by the
             reference computation and every worker.
         telemetry_dir: When set, write one provenance manifest per run
             (config digest, derived fault seed, attempts, wall time)
-            plus a campaign rollup into this directory — identically
-            for the serial and the parallel path.
+            plus a campaign rollup into this directory.
         backend: Executor backend name forwarded to the engine
-            (``serial``/``process``/``async-local``/``remote``); None
-            keeps the historical jobs-based selection.
+            (``serial``/``process``/``remote``); None selects by
+            ``jobs``.
         workers: Backend parallelism (default: ``jobs``).
 
     Returns:
@@ -307,7 +350,6 @@ def run_campaign(
 
     started = time.perf_counter()
     result = CampaignResult(spec=spec)
-    crash_budget = {key: 1 for key in crash_keys}
     engine = ParallelEngine(
         jobs=jobs,
         cache_dir=cache_dir,
@@ -344,39 +386,9 @@ def run_campaign(
             )
             progress(f"{key}: {status}{retry}")
 
-    if jobs == 1 and backend is None:
-        # Historical serial path: closures over the crash budget, run
-        # through ``resilient_sweep`` in submission order.
-        tasks: Dict[str, Callable[[], Any]] = {}
-        for workload in spec.workloads:
-            sequential = result.reference[workload]["sequential_cycles"]
-            faultless = result.reference[workload]["faultless_cycles"]
-            for rate in spec.rates:
-                key = run_key(workload, rate)
-
-                def task(workload=workload, rate=rate, key=key,
-                         sequential=sequential, faultless=faultless):
-                    if crash_budget.get(key, 0) > 0:
-                        crash_budget[key] -= 1
-                        raise RuntimeError(f"injected worker crash in {key}")
-                    return _run_payload(
-                        spec, workload, rate, sequential, faultless
-                    )
-
-                tasks[key] = task
-
-        with framework.use_cache(engine.cache):
-            result.outcomes = resilient_sweep(
-                tasks,
-                checkpoint=checkpoint,
-                timeout=spec.timeout,
-                retries=spec.retries,
-                backoff=spec.backoff,
-                progress=note,
-            )
-    else:
-        points = _campaign_points(spec, result.reference, crash_keys)
-        result.outcomes = engine.run(points, checkpoint=checkpoint, progress=note)
+    _CRASHED.clear()
+    points = _campaign_points(spec, result.reference, crash_keys)
+    result.outcomes = engine.run(points, checkpoint=checkpoint, progress=note)
     if telemetry_dir is not None:
         _write_campaign_telemetry(
             telemetry_dir, spec, result, engine,
@@ -392,12 +404,7 @@ def _write_campaign_telemetry(
     engine,
     seconds: float,
 ) -> None:
-    """Write one manifest per campaign run plus the campaign rollup.
-
-    Written after both execution paths, so the manifests are identical
-    whether the campaign ran serially or through the parallel engine
-    (the per-run cache delta is only known on the engine path).
-    """
+    """Write one manifest per campaign run plus the campaign rollup."""
     from repro.obs.manifest import RunManifest, write_sweep_manifest
 
     spec_fields = {

@@ -12,27 +12,21 @@ lanes, 429/503 rejection, SIGTERM drain).
 Layers (one module each):
 
 - :mod:`repro.serve.journal` — the crash-safe WAL + snapshot pair;
-- :mod:`repro.serve.jobs` — the content-addressed job model, failure
-  classification and runner registry;
+- :mod:`repro.serve.jobs` — the content-addressed job model and the
+  submit-time params check;
 - :mod:`repro.serve.queue` — the journaled priority queue with
   admission control, dedup and cache probing;
-- :mod:`repro.serve.pool` — the supervised worker pool (timeouts,
-  retries with deterministic jitter, hard cancellation, quarantine);
+- :mod:`repro.serve.pool` — the supervised worker pool (fork-per-attempt
+  through the shared attempt runner: timeouts, retries with
+  deterministic jitter, hard cancellation, quarantine);
 - :mod:`repro.serve.metrics` — the live ``/metrics`` registry;
 - :mod:`repro.serve.server` — the daemon + stdlib HTTP layer;
 - :mod:`repro.serve.bench` — the smoke gate, load generator and chaos
   benchmark (``BENCH_serve.json``).
 """
 
-from repro.serve.jobs import (
-    JOB_RUNNERS,
-    PRIORITIES,
-    Job,
-    JobCancelled,
-    JobState,
-    classify_failure,
-    job_digest,
-)
+from repro.errors import JobCancelled, classify_failure
+from repro.serve.jobs import PRIORITIES, Job, JobState, job_digest
 from repro.serve.journal import JobJournal, JournalRecovery
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import WorkerPool
@@ -47,7 +41,6 @@ __all__ = [
     "JobQueue",
     "JobState",
     "JournalRecovery",
-    "JOB_RUNNERS",
     "PRIORITIES",
     "RecoveryReport",
     "ServeConfig",

@@ -193,14 +193,12 @@ def _check(
 def run_serve_smoke(
     state_dir: Union[str, Path],
     cache_dir: Optional[Union[str, Path]] = None,
-    mode: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Exercise one daemon end to end; the ``serve --smoke`` CI gate.
 
     Args:
         state_dir: Fresh directory for the journal/endpoint.
         cache_dir: Artifact-cache directory (defaults next to state).
-        mode: Worker execution mode override (None = auto).
 
     Returns:
         ``{"ok", "checks": [{name, ok, detail}, ...], ...}``.
@@ -216,7 +214,6 @@ def run_serve_smoke(
         timeout=20.0,
         retries=2,
         backoff=0.01,
-        mode=mode,
         fsync=False,
     ))
     daemon.start()

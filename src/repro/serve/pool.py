@@ -4,24 +4,20 @@ Workers claim jobs from the :class:`~repro.serve.queue.JobQueue` and
 execute them like the simulator executes speculative threads — assume
 success, recover from anything:
 
-- each attempt runs (by default) in a **child process**, so a per-job
-  wall-clock timeout and a mid-attempt cancellation are hard kills
-  (``terminate``), never hangs;
-- failures classify through :func:`repro.serve.jobs.classify_failure`:
-  transient errors retry with the framework's deterministic jittered
-  exponential backoff (:func:`repro.experiments.framework.backoff_delay`
-  keyed by job id, so herds desynchronise),
+- each job runs through
+  :func:`~repro.experiments.framework.run_resilient`, the attempt
+  runner sweeps and dist workers share.  It owns the per-attempt
+  timeout, the deterministic jittered backoff (keyed by job id, so
+  herds desynchronise) and the :func:`repro.errors.classify_failure`
+  policy: transient failures retry, fatal ones fail at once, and an
   :class:`~repro.errors.InvariantViolation` poison-quarantines the job
-  immediately — a simulator bug re-executes identically, so re-running
-  it would only burn the pool;
+  (a simulator bug re-executes identically);
+- each attempt runs in a **child process** (forked; spawned where
+  ``fork`` is missing), so the attempt's timeout and a mid-attempt
+  cancellation are hard kills (``terminate``), never hangs;
 - a worker whose child dies mid-attempt (OOM-kill, crash) sees EOF on
   the result pipe and treats it as transient — the supervisor outlives
   its workers.
-
-``mode="thread"`` executes attempts in-process (no hard kill; the
-``sleep`` runner and anything polling
-:func:`repro.serve.jobs.current_cancel_event` still cancel
-cooperatively) — useful on platforms without ``fork`` and in tests.
 """
 
 from __future__ import annotations
@@ -33,17 +29,18 @@ import threading
 import time
 from typing import Any, List, Optional
 
-from repro.errors import SimulationTimeout
-from repro.experiments.framework import backoff_delay
-from repro.obs.manifest import RunManifest
-from repro.serve.jobs import (
-    Job,
+from repro.cache import ArtifactCache
+from repro.errors import (
     JobCancelled,
+    SimulationTimeout,
     classify_failure,
-    execute_job_payload,
     rebuild_failure,
-    set_cancel_event,
 )
+from repro.experiments import framework
+from repro.experiments.engine import Point, execute_point
+from repro.experiments.framework import attempt_deadline, run_resilient
+from repro.obs.manifest import RunManifest
+from repro.serve.jobs import Job
 from repro.serve.queue import JobQueue
 
 __all__ = ["WorkerPool"]
@@ -51,18 +48,16 @@ __all__ = ["WorkerPool"]
 
 def _child_main(
     conn: "multiprocessing.connection.Connection",
+    job_id: str,
     runner: str,
     params: Any,
     cache_dir: Optional[str],
 ) -> None:
     """Child-process attempt body: run the job, ship the result back."""
     try:
-        cache = None
-        if cache_dir:
-            from repro.cache import ArtifactCache
-
-            cache = ArtifactCache(cache_dir)
-        payload = execute_job_payload(runner, dict(params), cache)
+        cache = ArtifactCache(cache_dir) if cache_dir else None
+        framework.set_cache(cache)
+        payload = execute_point(Point(job_id, runner, dict(params)), cache)
         conn.send(("ok", payload, None))
     except BaseException as exc:  # ship *everything* to the supervisor
         conn.send(("error", str(exc), type(exc).__name__))
@@ -79,15 +74,13 @@ class WorkerPool:
         cache_dir: Artifact-cache directory shared with child processes
             (None disables payload memoization).
         timeout: Per-attempt wall-clock limit in seconds (None =
-            unbounded; enforced by hard kill in process mode).
+            unbounded; enforced by hard kill).
         retries: Extra attempts after the first, per job, for
             transient failures.
         backoff: Base of the exponential retry backoff in seconds.
         jitter: Jitter fraction of the backoff (deterministically
             seeded by job id; see
             :func:`~repro.experiments.framework.backoff_delay`).
-        mode: ``"process"`` (default where ``fork`` exists) or
-            ``"thread"``.
         telemetry_dir: When set, a provenance
             :class:`~repro.obs.manifest.RunManifest` is written per
             finished job.
@@ -102,7 +95,6 @@ class WorkerPool:
         retries: int = 2,
         backoff: float = 0.05,
         jitter: float = 0.5,
-        mode: Optional[str] = None,
         telemetry_dir: Optional[str] = None,
     ) -> None:
         self.queue = queue
@@ -112,19 +104,9 @@ class WorkerPool:
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.jitter = jitter
-        if mode is None:
-            mode = "process" if hasattr(os, "fork") else "thread"
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown pool mode {mode!r}")
-        self.mode = mode
         self.telemetry_dir = telemetry_dir
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._cache: Optional[Any] = None
-        if cache_dir and mode == "thread":
-            from repro.cache import ArtifactCache
-
-            self._cache = ArtifactCache(cache_dir)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -194,117 +176,58 @@ class WorkerPool:
 
     def _run_job(self, job: Job) -> None:
         """Execute one claimed job to a terminal state."""
-        started = time.perf_counter()
-        cancel = threading.Event()
-        last: Optional[BaseException] = None
-        while True:
-            if job.cancel_requested:
-                self.queue.mark_cancelled(
-                    job, seconds=time.perf_counter() - started
-                )
-                self._write_manifest(job)
-                return
-            try:
-                payload = self._attempt(job, cancel)
-                self.queue.finish(
-                    job, payload,
-                    seconds=time.perf_counter() - started,
-                )
-                self._write_manifest(job)
-                return
-            except JobCancelled:
-                self.queue.mark_cancelled(
-                    job, seconds=time.perf_counter() - started
-                )
-                self._write_manifest(job)
-                return
-            except Exception as exc:
-                last = exc
-                category = classify_failure(exc)
-                seconds = time.perf_counter() - started
-                if category == "poison":
-                    self.queue.fail(
-                        job, error=str(exc),
-                        error_type=type(exc).__name__,
-                        quarantine=True, seconds=seconds,
-                    )
-                    self._write_manifest(job)
-                    return
-                if (
-                    category == "fatal"
-                    or job.attempts > self.retries
-                ):
-                    self.queue.fail(
-                        job, error=str(last),
-                        error_type=type(last).__name__,
-                        seconds=seconds,
-                    )
-                    self._write_manifest(job)
-                    return
-                delay = backoff_delay(
-                    self.backoff, job.attempts - 1,
-                    self.jitter, jitter_key=job.id,
-                )
-                if delay > 0:
-                    time.sleep(delay)
+        retry = False
+
+        def attempt() -> Any:
+            nonlocal retry
+            if retry:
                 self.queue.note_attempt(job)
+            retry = True
+            return self._attempt(job)
+
+        outcome = run_resilient(
+            attempt,
+            timeout=self.timeout,
+            retries=self.retries,
+            backoff=self.backoff,
+            jitter=self.jitter,
+            jitter_key=job.id,
+        )
+        if outcome.ok:
+            self.queue.finish(job, outcome.value, seconds=outcome.seconds)
+        else:
+            error, error_type = str(outcome.error), str(outcome.error_type)
+            category = classify_failure(rebuild_failure(error_type, error))
+            if category == "cancelled":
+                self.queue.mark_cancelled(job, seconds=outcome.seconds)
+            else:
+                self.queue.fail(
+                    job, error=error, error_type=error_type,
+                    quarantine=category == "poison",
+                    seconds=outcome.seconds,
+                )
+        self._write_manifest(job)
 
     # ------------------------------------------------------------------
     # One attempt.
     # ------------------------------------------------------------------
 
-    def _attempt(self, job: Job, cancel: threading.Event) -> Any:
-        if self.mode == "thread":
-            return self._attempt_thread(job, cancel)
-        return self._attempt_process(job, cancel)
-
-    def _attempt_thread(
-        self, job: Job, cancel: threading.Event
-    ) -> Any:
-        """In-process attempt; cancellation is cooperative only."""
+    def _attempt(self, job: Job) -> Any:
+        """Child-process attempt: hard kill on timeout and on cancel."""
         if job.cancel_requested:
             raise JobCancelled("cancelled before the attempt started")
-        set_cancel_event(cancel)
-        watcher = threading.Thread(
-            target=self._watch_cancel, args=(job, cancel), daemon=True
-        )
-        watcher.start()
-        try:
-            return execute_job_payload(job.runner, job.params, self._cache)
-        finally:
-            cancel.set()  # stop the watcher
-            set_cancel_event(None)
-            watcher.join(timeout=1.0)
-            cancel.clear()
-
-    def _watch_cancel(self, job: Job, cancel: threading.Event) -> None:
-        """Mirror ``job.cancel_requested`` into the attempt's event."""
-        while not cancel.is_set():
-            if job.cancel_requested:
-                cancel.set()
-                return
-            time.sleep(0.02)
-
-    def _attempt_process(
-        self, job: Job, cancel: threading.Event
-    ) -> Any:
-        """Child-process attempt: hard timeout and hard cancellation."""
         ctx = multiprocessing.get_context(
             "fork" if hasattr(os, "fork") else "spawn"
         )
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_child_main,
-            args=(child_conn, job.runner, job.params, self.cache_dir),
+            args=(child_conn, job.id, job.runner, job.params, self.cache_dir),
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None and self.timeout > 0
-            else None
-        )
+        deadline = attempt_deadline()
         try:
             while True:
                 if job.cancel_requested:

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.serve.jobs import PRIORITIES, Job, JobState, job_digest
+from repro.experiments.engine import POINT_RUNNERS
+from repro.serve.jobs import PRIORITIES, Job, JobState, check_params, job_digest
 from repro.serve.journal import JobJournal
 from repro.serve.metrics import ServeMetrics
 
@@ -306,12 +307,10 @@ class JobQueue:
                 can never run with (see
                 :func:`~repro.serve.jobs.check_params`).
         """
-        from repro.serve.jobs import JOB_RUNNERS, check_params
-
-        if runner not in JOB_RUNNERS:
+        if runner not in POINT_RUNNERS:
             raise KeyError(
                 f"unknown runner {runner!r}; choose from "
-                f"{sorted(JOB_RUNNERS)}"
+                f"{sorted(POINT_RUNNERS)}"
             )
         if priority not in PRIORITIES:
             raise ValueError(

@@ -42,6 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.experiments.engine import CACHED_RUNNERS
 from repro.serve.jobs import Job, cache_key_fields
 from repro.serve.metrics import ServeMetrics
 from repro.serve.journal import JobJournal
@@ -69,10 +70,6 @@ class ServeConfig:
         cache_dir: Artifact-cache directory (None disables caching).
         telemetry_dir: Per-job provenance manifest directory.
         drain_timeout: Seconds a graceful drain waits for running jobs.
-        mode: Worker execution mode (``process``/``thread``/None=auto).
-        backend: Worker-pool backend knob; same values as ``mode`` and
-            supersedes it when both are set (the name matches the
-            engine's ``--backend`` vocabulary).
         fsync: Whether journal appends fsync (the durability behind
             exactly-once; tests may disable for speed).
     """
@@ -90,8 +87,6 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     telemetry_dir: Optional[str] = None
     drain_timeout: float = 30.0
-    mode: Optional[str] = None
-    backend: Optional[str] = None
     fsync: bool = True
 
 
@@ -137,7 +132,6 @@ class ServeDaemon:
             retries=config.retries,
             backoff=config.backoff,
             jitter=config.jitter,
-            mode=config.backend or config.mode,
             telemetry_dir=config.telemetry_dir,
         )
         self.started_at = time.time()
@@ -150,8 +144,6 @@ class ServeDaemon:
     # ------------------------------------------------------------------
 
     def _cache_probe(self, job: Job) -> Any:
-        from repro.serve.jobs import CACHED_RUNNERS
-
         cache = self._cache
         if cache is None or job.runner not in CACHED_RUNNERS:
             return JobQueue.miss_sentinel()

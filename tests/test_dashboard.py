@@ -303,7 +303,6 @@ class TestAttach:
 
         daemon = ServeDaemon(ServeConfig(
             state_dir=tmp_path / "state", fsync=False, workers=1,
-            mode="thread",
         ))
         daemon.start()
         try:

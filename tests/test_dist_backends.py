@@ -1,8 +1,8 @@
-"""Executor-backend tests: serial/process/async-local equivalence.
+"""Executor-backend tests: serial/process equivalence.
 
-The contract under test: whatever order a backend dispatches (or
-steals) the points in, the result map is identical to the serial
-reference — same keys, same input order, same outcome values.
+The contract under test: whatever order a backend dispatches the
+points in, the result map is identical to the serial reference — same
+keys, same input order, same outcome values.
 """
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist.backend import (
-    AsyncLocalBackend,
     ProcessBackend,
     SerialBackend,
     backend_names,
@@ -19,7 +18,7 @@ from repro.dist.backend import (
 from repro.experiments.engine import ParallelEngine, Point
 from repro.experiments.framework import SweepCheckpoint
 
-BACKENDS = ("serial", "process", "async-local")
+BACKENDS = ("serial", "process")
 
 
 def _sleep_points(durations, fail_at=()):
@@ -45,16 +44,15 @@ def _run(backend, points, workers=3):
 
 
 def test_backends_equal_on_twelve_point_grid():
-    # Twelve points with uneven costs so the stealers actually steal.
+    # Twelve points with uneven costs so completion order varies.
     durations = [0.002 * ((i * 7) % 5) for i in range(12)]
     points = _sleep_points(durations, fail_at=(5,))
     reference, _ = _run("serial", points, workers=1)
-    for name in ("process", "async-local"):
-        outcomes, engine = _run(name, points)
-        assert outcomes == reference, name
-        # Deterministic input order regardless of completion order.
-        assert list(outcomes) == [p.key for p in points], name
-        assert engine.backend_name == name
+    outcomes, engine = _run("process", points)
+    assert outcomes == reference
+    # Deterministic input order regardless of completion order.
+    assert list(outcomes) == [p.key for p in points]
+    assert engine.backend_name == "process"
 
 
 def test_failures_travel_inside_outcomes():
@@ -65,19 +63,20 @@ def test_failures_travel_inside_outcomes():
         assert outcomes["p01"][0] is False, name  # failed, not raised
 
 
-def test_async_local_reports_fleet_dispatch():
-    points = _sleep_points([0.001] * 8)
-    _, engine = _run("async-local", points, workers=2)
-    fleet = engine.fleet
-    assert fleet["tasks"] == 8
-    assert fleet["completed"] == 8
-    assert fleet["lost"] == 0
-    assert sum(fleet["dispatched"].values()) == 8
+@pytest.mark.parametrize("name", BACKENDS)
+def test_poison_point_is_not_retried(name):
+    point = Point(key="bad", runner="sleep",
+                  params={"duration": 0.0, "fail": "poison"})
+    engine = ParallelEngine(jobs=2, backend=name, retries=2, backoff=0.0)
+    outcome = engine.run([point])["bad"]
+    assert outcome.ok is False
+    assert outcome.attempts == 1
+    assert outcome.error_type == "InvariantViolation"
 
 
 def test_checkpoint_prefilter_skips_completed_points():
     points = _sleep_points([0.001] * 6)
-    engine = ParallelEngine(jobs=2, backend="async-local")
+    engine = ParallelEngine(jobs=2, backend="process")
     first = engine.run(points[:4])
     assert all(o.ok for o in first.values())
 
@@ -85,24 +84,29 @@ def test_checkpoint_prefilter_skips_completed_points():
 def test_checkpoint_resume_only_runs_todo(tmp_path):
     points = _sleep_points([0.001] * 6)
     checkpoint = SweepCheckpoint(tmp_path / "sweep.json")
-    engine = ParallelEngine(jobs=2, backend="async-local")
+    engine = ParallelEngine(jobs=2, backend="process")
     engine.run(points[:4], checkpoint=checkpoint)
-    resumed = ParallelEngine(jobs=2, backend="async-local")
-    outcomes = resumed.run(points, checkpoint=checkpoint)
+    resumed = ParallelEngine(jobs=2, backend="process")
+    ran = []
+    outcomes = resumed.run(
+        points, checkpoint=checkpoint,
+        progress=lambda key, outcome, was_resumed: ran.append(
+            (key, was_resumed)
+        ),
+    )
     assert list(outcomes) == [p.key for p in points]
-    # Only the two new points reached the backend.
-    assert resumed.fleet["tasks"] == 2
+    # Resumed keys are reported first; only the two new points ran.
+    assert ran[:4] == [(p.key, True) for p in points[:4]]
+    assert sorted(ran[4:]) == [(p.key, False) for p in points[4:]]
 
 
 def test_backend_registry():
-    assert set(backend_names()) == {
-        "serial", "process", "async-local", "remote"
-    }
+    assert set(backend_names()) == {"serial", "process", "remote"}
     assert isinstance(create_backend("serial"), SerialBackend)
     assert isinstance(create_backend("process"), ProcessBackend)
-    assert isinstance(create_backend("async-local"), AsyncLocalBackend)
-    with pytest.raises(KeyError):
-        create_backend("carrier-pigeon")
+    for name in ("carrier-pigeon", "async-local"):
+        with pytest.raises(KeyError):
+            create_backend(name)
     with pytest.raises(TypeError):
         create_backend("process", workers=3)
 
@@ -116,11 +120,11 @@ def test_backend_registry():
 )
 @settings(max_examples=5, deadline=None)
 def test_property_stealing_order_never_changes_results(durations):
-    """Random heterogeneous grids: the work-stealing backend's result
-    map equals the serial reference bit-for-bit."""
+    """Random heterogeneous grids: the process backend's result map
+    equals the serial reference bit-for-bit, whatever the completion
+    order."""
     points = _sleep_points(durations)
     reference, _ = _run("serial", points, workers=1)
-    stolen, engine = _run("async-local", points, workers=3)
-    assert stolen == reference
-    assert list(stolen) == [p.key for p in points]
-    assert engine.fleet["lost"] == 0
+    fanned, _ = _run("process", points, workers=3)
+    assert fanned == reference
+    assert list(fanned) == [p.key for p in points]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.experiments import SweepCheckpoint
 from repro.faults.campaign import (
@@ -59,6 +61,27 @@ class TestCampaign:
         result = run_campaign(SPEC, crash_keys=(crash_key,))
         assert result.ok, result.failures()
         assert result.outcomes[crash_key].attempts == 2
+
+    @pytest.mark.parametrize("backend", [None, "serial", "process"])
+    def test_crash_budget_is_scoped_to_one_campaign(self, backend):
+        spec = CampaignSpec(
+            workloads=("compress",), rates=(0.05,), scale=0.2,
+            retries=1, backoff=0.0,
+        )
+        crash_key = run_key("compress", 0.05)
+        for _ in range(2):  # the second campaign must crash anew
+            result = run_campaign(
+                spec, crash_keys=(crash_key,), backend=backend
+            )
+            assert result.ok, result.failures()
+            assert result.outcomes[crash_key].attempts == 2
+
+    def test_parallel_outcomes_equal_serial(self):
+        serial = run_campaign(SPEC)
+        parallel = run_campaign(SPEC, jobs=2)
+        assert list(parallel.outcomes) == list(serial.outcomes)
+        for key, outcome in serial.outcomes.items():
+            assert parallel.outcomes[key].value == outcome.value
 
     def test_crash_beyond_retry_budget_fails_gate(self):
         spec = CampaignSpec(

@@ -1,17 +1,26 @@
 """Hardened experiment runner: retries, timeouts, checkpoint/resume."""
 
 import json
+import threading
 import time
 
 import pytest
 
-from repro.errors import SimulationTimeout
+from repro.errors import (
+    ExecutionError,
+    InvariantViolation,
+    JobCancelled,
+    SimulationTimeout,
+    WorkloadError,
+)
 from repro.experiments import (
+    ParallelEngine,
     ResilientOutcome,
     SweepCheckpoint,
-    resilient_sweep,
     run_resilient,
 )
+from repro.experiments.engine import Point
+from repro.experiments.framework import attempt_deadline
 
 
 class TestRunResilient:
@@ -61,6 +70,44 @@ class TestRunResilient:
         with pytest.raises(KeyboardInterrupt):
             run_resilient(interrupted)
 
+    @pytest.mark.parametrize(
+        "exc_type, attempts",
+        [
+            (InvariantViolation, 1),  # poison
+            (WorkloadError, 1),  # fatal
+            (ExecutionError, 1),  # fatal
+            (JobCancelled, 1),  # cancelled
+            (RuntimeError, 3),  # transient
+            (SimulationTimeout, 3),  # transient
+        ],
+    )
+    def test_only_transient_failures_retry(self, exc_type, attempts):
+        calls = []
+
+        def failing():
+            calls.append(1)
+            raise exc_type("boom")
+
+        outcome = run_resilient(failing, retries=2, backoff=0.0)
+        assert not outcome.ok
+        assert outcome.attempts == attempts == len(calls)
+        assert outcome.error_type == exc_type.__name__
+
+    def test_attempt_deadline_published_off_main_thread(self):
+        seen = {}
+
+        def body():
+            seen["outcome"] = run_resilient(attempt_deadline, timeout=5.0)
+
+        before = time.monotonic()
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join()
+        deadline = seen["outcome"].value
+        assert before + 5.0 <= deadline <= time.monotonic() + 5.0
+        assert run_resilient(attempt_deadline).value is None
+        assert attempt_deadline() is None
+
     def test_outcome_round_trip(self):
         outcome = ResilientOutcome(ok=False, attempts=3, error="x",
                                    error_type="RuntimeError")
@@ -96,14 +143,21 @@ class TestSweepCheckpoint:
         assert not path.with_suffix(".json.tmp").exists()
 
 
+def _sleep_point(key, **params):
+    return Point(key=key, runner="sleep",
+                 params={"duration": 0.0, "tag": key, **params})
+
+
 class TestResilientSweep:
+    """A resilient sweep: ``ParallelEngine(jobs=1)`` over sleep points."""
+
     def test_all_tasks_run_and_checkpointed(self, tmp_path):
         ckpt = SweepCheckpoint(tmp_path / "ckpt.json")
-        results = resilient_sweep(
-            {"a": lambda: 1, "b": lambda: 2}, checkpoint=ckpt
+        results = ParallelEngine(jobs=1).run(
+            [_sleep_point("a"), _sleep_point("b")], checkpoint=ckpt
         )
-        assert results["a"].value == 1
-        assert results["b"].value == 2
+        assert results["a"].value == {"slept": 0.0, "tag": "a"}
+        assert results["b"].value == {"slept": 0.0, "tag": "b"}
         assert len(ckpt) == 2
 
     def test_resume_skips_completed_runs(self, tmp_path):
@@ -111,31 +165,25 @@ class TestResilientSweep:
         ckpt = SweepCheckpoint(path)
         ckpt.record("done", ResilientOutcome(ok=True, value="cached"))
 
-        calls = []
         seen = []
 
         def progress(key, outcome, resumed):
             seen.append((key, resumed))
 
-        results = resilient_sweep(
-            {
-                "done": lambda: calls.append("done") or "fresh",
-                "todo": lambda: calls.append("todo") or "new",
-            },
+        results = ParallelEngine(jobs=1).run(
+            # Re-running "done" would fail: it is resumed, not re-run.
+            [_sleep_point("done", fail="poison"), _sleep_point("todo")],
             checkpoint=SweepCheckpoint(path),
             progress=progress,
         )
-        assert calls == ["todo"]  # "done" was resumed, not re-run
         assert results["done"].value == "cached"
-        assert results["todo"].value == "new"
-        assert ("done", True) in seen and ("todo", False) in seen
+        assert results["todo"].value == {"slept": 0.0, "tag": "todo"}
+        assert seen == [("done", True), ("todo", False)]
 
     def test_failed_task_does_not_stop_sweep(self):
-        def broken():
-            raise RuntimeError("boom")
-
-        results = resilient_sweep(
-            {"bad": broken, "good": lambda: "ok"}, retries=0, backoff=0.0
+        engine = ParallelEngine(jobs=1, retries=0, backoff=0.0)
+        results = engine.run(
+            [_sleep_point("bad", fail="transient"), _sleep_point("good")]
         )
         assert not results["bad"].ok
         assert results["good"].ok

@@ -98,6 +98,17 @@ class TestHttpApi:
                 )
                 assert status == 400, (overrides, body)
                 assert "invalid 'simulate' params" in body["error"]
+            for bad in (
+                {"name": "nope"},
+                {"policy": "bogus"},
+                {"scale": "big"},
+                {"scale": True},
+            ):
+                status, body = client.submit(
+                    "simulate", {**point, **bad, "overrides": {}}
+                )
+                assert status == 400, (bad, body)
+                assert "invalid 'simulate' params" in body["error"]
             status, body = client.submit("simulate", point)  # no overrides
             assert status == 400, body
             assert client.request("GET", "/jobs")[1]["jobs"] == []
@@ -208,6 +219,8 @@ class TestDegradation:
             assert final["state"] == "failed"
             assert final["error_type"] == "SimulationTimeout"
             assert final["attempts"] == 2
+            # The retry was journaled and counted before it ran.
+            assert "repro_serve_job_retry_attempts_total 1" in client.metrics()
         finally:
             daemon.stop()
 
