@@ -2,9 +2,10 @@
 """Check documented CLI invocations against the real argparse tree.
 
 Walks the Markdown files (default: ``docs/*.md`` plus the top-level
-``*.md``), extracts every ``repro <command> ...`` / ``python -m repro
-<command> ...`` invocation — fenced code blocks *and* inline code spans
-— and validates it against :func:`repro.cli.make_parser`:
+guides in ``TOP_LEVEL_GUIDES``), extracts every ``repro <command> ...``
+/ ``python -m repro <command> ...`` invocation — fenced code blocks
+*and* inline code spans — and validates it against
+:func:`repro.cli.make_parser`:
 
 - the subcommand must exist (nested subcommands like ``metrics dump``
   are followed one level down);
@@ -34,6 +35,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.cli import make_parser  # noqa: E402
+
+#: Top-level Markdown files that document the current CLI.
+TOP_LEVEL_GUIDES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 #: One documented invocation: ``repro <command> <rest of line>``.
 _INVOCATION = re.compile(
@@ -152,12 +156,13 @@ def main(argv: List[str]) -> int:
     if argv:
         paths: Iterable[Path] = [Path(arg).resolve() for arg in argv]
     else:
-        # CHANGES.md is a PR log and ROADMAP.md sketches future (not yet
-        # existing) commands — neither documents the current CLI.
-        skip = {"CHANGES.md", "ROADMAP.md"}
-        paths = sorted((REPO / "docs").glob("*.md")) + sorted(
-            p for p in REPO.glob("*.md") if p.name not in skip
-        )
+        # The user documentation: docs/ plus the top-level guides.  The
+        # other top-level Markdown files (the change log, the roadmap of
+        # not yet existing commands, change requests and paper notes)
+        # document no current CLI and may quote invocations on purpose.
+        paths = sorted((REPO / "docs").glob("*.md")) + [
+            REPO / name for name in TOP_LEVEL_GUIDES
+        ]
     table = build_command_table()
     checked = 0
     problems: List[str] = []

@@ -9,10 +9,16 @@ invalidate automatically).  See :mod:`repro.cache.store` for the store
 and :mod:`repro.cache.version` for the invalidation scheme.
 """
 
-from repro.cache.store import ArtifactCache, CacheStats, canonical_key_fields
+from repro.cache.store import (
+    ARTIFACT_KINDS,
+    ArtifactCache,
+    CacheStats,
+    canonical_key_fields,
+)
 from repro.cache.version import SCHEMA_VERSION, generator_version
 
 __all__ = [
+    "ARTIFACT_KINDS",
     "ArtifactCache",
     "CacheStats",
     "canonical_key_fields",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-__all__ = ["ArtifactCache", "CacheStats", "canonical_key_fields"]
+__all__ = ["ARTIFACT_KINDS", "ArtifactCache", "CacheStats", "canonical_key_fields"]
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 _MISSING = object()
@@ -66,17 +66,22 @@ def _pickle_dumps(value: Any) -> bytes:
 
 
 def _trace_dumps(trace: Any) -> bytes:
-    # Serialise only the canonical (program, instructions) pair: a trace's
-    # lazily-built indexes depend on access history and would make the
-    # bytes nondeterministic; they are rebuilt on demand after loading.
-    return pickle.dumps((trace.program, trace.insts), protocol=_PICKLE_PROTOCOL)
+    # One columnar artifact per trace: the program, the instruction fields
+    # as per-field lists (``repro.exec.trace.FIELDS`` order) and the
+    # simulator's TraceColumns.  The trace's lazily-built indexes are left
+    # out: they depend on access history and would make the bytes
+    # nondeterministic; they are rebuilt on demand after loading.
+    return pickle.dumps(
+        (trace.program, trace.field_lists(), trace.columns),
+        protocol=_PICKLE_PROTOCOL,
+    )
 
 
 def _trace_loads(blob: bytes) -> Any:
     from repro.exec.trace import Trace
 
-    program, insts = pickle.loads(blob)
-    return Trace(program, insts)
+    program, fields, columns = pickle.loads(blob)
+    return Trace.from_fields(program, fields, columns)
 
 
 def _pairs_dumps(pairs: Any) -> bytes:
@@ -105,12 +110,22 @@ def _json_loads(blob: bytes) -> Any:
 _CODECS: Dict[str, Tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {
     "program": ("pkl", _pickle_dumps, pickle.loads),
     "trace": ("pkl", _trace_dumps, _trace_loads),
-    "columns": ("pkl", _pickle_dumps, pickle.loads),
     "profile": ("pkl", _pickle_dumps, pickle.loads),
     "pairs": ("json", _pairs_dumps, _pairs_loads),
     "baseline": ("json", _json_dumps, _json_loads),
     "point": ("json", _json_dumps, _json_loads),
 }
+
+#: Every artifact kind the cache stores, in codec-table order.
+ARTIFACT_KINDS = tuple(_CODECS)
+
+
+def _check_kind(kind: str) -> None:
+    """Raise ``KeyError`` unless ``kind`` is an artifact kind."""
+    if kind not in _CODECS:
+        raise KeyError(
+            f"unknown artifact kind {kind!r}; choose from {list(_CODECS)}"
+        )
 
 
 @dataclass
@@ -186,10 +201,7 @@ class ArtifactCache:
         """Return the content digest of (schema, generator, kind, fields)."""
         from repro.cache.version import SCHEMA_VERSION, generator_version
 
-        if kind not in _CODECS:
-            raise KeyError(
-                f"unknown artifact kind {kind!r}; choose from {list(_CODECS)}"
-            )
+        _check_kind(kind)
         payload = canonical_key_fields(
             {
                 "schema": SCHEMA_VERSION,
@@ -279,10 +291,7 @@ class ArtifactCache:
         Returns:
             The artifact's on-disk path.
         """
-        if kind not in _CODECS:
-            raise KeyError(
-                f"unknown artifact kind {kind!r}; choose from {list(_CODECS)}"
-            )
+        _check_kind(kind)
         path = self.path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
@@ -296,8 +305,8 @@ class ArtifactCache:
         """Return the cached artifact for ``fields``, building on a miss.
 
         Args:
-            kind: Artifact kind (``program``, ``trace``, ``columns``,
-                ``profile``, ``pairs``, ``baseline`` or ``point``).
+            kind: Artifact kind (``program``, ``trace``, ``profile``,
+                ``pairs``, ``baseline`` or ``point``).
             build: Zero-argument callable producing the artifact.
             **fields: Every knob that influences the artifact's content.
 
@@ -342,8 +351,16 @@ class ArtifactCache:
         return summary
 
     def clear(self, kind: Optional[str] = None) -> int:
-        """Delete cached artifacts (one kind, or everything); returns count."""
-        kinds = [kind] if kind is not None else list(_CODECS)
+        """Delete cached artifacts (one kind, or everything); returns count.
+
+        Raises:
+            KeyError: ``kind`` is not an artifact kind.
+        """
+        if kind is None:
+            kinds = list(_CODECS)
+        else:
+            _check_kind(kind)
+            kinds = [kind]
         removed = 0
         for k in kinds:
             kind_dir = self.root / k

@@ -19,7 +19,10 @@ import hashlib
 from pathlib import Path
 
 #: Bump when the serialised artifact formats change incompatibly.
-SCHEMA_VERSION = 1
+#: Version 2 stores a trace as ``(program, per-field instruction lists,
+#: TraceColumns)`` and drops the separate ``columns`` kind; version-1
+#: entries simply miss, and no decoder for them is kept.
+SCHEMA_VERSION = 2
 
 #: Sub-packages of ``repro`` whose source feeds the generator digest.
 VERSIONED_PACKAGES = (

@@ -88,6 +88,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.cache import ARTIFACT_KINDS
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.errors import ExecutionError, SimulationError
 from repro.isa.assembler import disassemble
@@ -1284,7 +1285,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=_default_cache_dir(),
                    help="cache directory (default: $REPRO_CACHE_DIR or "
                    ".repro-cache)")
-    p.add_argument("--kind", default=None,
+    p.add_argument("--kind", default=None, choices=ARTIFACT_KINDS,
                    help="restrict 'clear' to one artifact kind")
     p.add_argument("--scale", type=float, default=1.0,
                    help="workload scale to warm (with 'warm')")

@@ -691,7 +691,7 @@ class ClusteredProcessor:
         # "Already started": the immediate successor sits exactly at the
         # best CQIP — nothing to do.
         best = candidates[0]
-        if parent.join < len(trace) and trace[parent.join].pc == best.cqip_pc:
+        if parent.join < len(trace) and trace.pc_at(parent.join) == best.cqip_pc:
             self.stats.spawns_skipped_existing += 1
             return 0
 

@@ -10,8 +10,9 @@ indexed by trace position, so the event core's inner loop
 attribute lookups, enum hashing or per-instruction allocation.
 
 Columns are deterministic pure functions of the trace, which makes them
-safe to persist content-addressed in the artifact cache (kind
-``"columns"``) and re-attach to a freshly loaded trace.
+safe to persist content-addressed in the artifact cache: the ``"trace"``
+artifact stores them next to the instruction fields, and a loaded trace
+comes with them attached.
 """
 
 from __future__ import annotations

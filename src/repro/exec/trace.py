@@ -9,7 +9,8 @@ ATOM-based methodology.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
@@ -73,6 +74,13 @@ class DynInst:
         return f"DynInst(pc={self.pc}, op={self.op.value})"
 
 
+#: Instruction fields in stored order: a loaded trace keeps one list per
+#: field, in this order.
+FIELDS = DynInst.__slots__
+
+_FIELD_INDEX = {name: i for i, name in enumerate(FIELDS)}
+
+
 class Trace:
     """A complete dynamic execution of a program.
 
@@ -83,26 +91,91 @@ class Trace:
     - ``register_deps``/``memory_deps``: for each position, the producing
       position of each register source (and of the loaded value), used for
       dataflow timing and the independence/predictability profiles.
+
+    An executed trace holds its :class:`DynInst` list.  A trace loaded
+    from the artifact cache (:meth:`from_fields`) holds one list per
+    instruction field instead and builds the :class:`DynInst` list only
+    when ``insts``, indexing or iteration first asks for it; the pc
+    index, the dependence and register-write indexes and :meth:`pc_at`
+    read the fields directly, so the event core never builds it.
     """
 
     _columns = None  # lazily built / attached TraceColumns
 
     def __init__(self, program: Program, insts: List[DynInst]):
         self.program = program
-        self.insts = insts
+        self._insts: Optional[List[DynInst]] = insts
+        #: Per-field lists in ``FIELDS`` order (loaded traces only; never
+        #: changes once set, so readers need no lock).
+        self._fields: Optional[List[list]] = None
+        self._length = len(insts)
         self._pc_index: Optional[Dict[int, List[int]]] = None
         self._register_deps: Optional[List[Tuple[int, ...]]] = None
         self._memory_deps: Optional[List[int]] = None
         self._register_writes: Optional[Dict[int, Tuple[List[int], List]]] = None
 
+    @classmethod
+    def from_fields(cls, program: Program, fields: List[list], columns) -> "Trace":
+        """A trace over per-field instruction lists (``FIELDS`` order).
+
+        ``columns`` is the trace's stored columnar view; it is installed
+        with :meth:`attach_columns`.
+        """
+        if len(fields) != len(FIELDS):
+            raise ValueError(
+                f"expected {len(FIELDS)} field lists, got {len(fields)}"
+            )
+        trace = cls(program, [])
+        trace._insts = None
+        trace._fields = fields
+        trace._length = len(fields[0])
+        trace.attach_columns(columns)
+        return trace
+
+    @property
+    def insts(self) -> List[DynInst]:
+        """The instruction objects (built on first use for a loaded trace)."""
+        insts = self._insts
+        if insts is None:
+            insts = self._insts = list(map(DynInst, *self._fields))
+        return insts
+
+    def field_lists(self) -> List[list]:
+        """Per-field instruction lists in ``FIELDS`` order.
+
+        A loaded trace returns its stored lists; an executed trace builds
+        fresh lists on each call and keeps none of them.
+        """
+        if self._fields is not None:
+            return self._fields
+        insts = self._insts
+        return [list(map(attrgetter(name), insts)) for name in FIELDS]
+
+    def _rows(self, *names: str) -> Iterator[tuple]:
+        """Per position, the tuple of the fields ``names`` (no copies)."""
+        fields = self._fields
+        if fields is not None:
+            return zip(*(fields[_FIELD_INDEX[name]] for name in names))
+        insts = self._insts
+        return zip(*(map(attrgetter(name), insts) for name in names))
+
     def __len__(self) -> int:
-        return len(self.insts)
+        return self._length
 
     def __getitem__(self, pos: int) -> DynInst:
-        return self.insts[pos]
+        insts = self._insts
+        if insts is None:
+            insts = self.insts
+        return insts[pos]
 
     def __iter__(self):
         return iter(self.insts)
+
+    def pc_at(self, pos: int) -> int:
+        """The pc executed at trace position ``pos``."""
+        if self._fields is not None:
+            return self._fields[0][pos]  # FIELDS[0] is "pc"
+        return self._insts[pos].pc
 
     # ------------------------------------------------------------------
     # pc index.
@@ -112,8 +185,8 @@ class Trace:
     def pc_index(self) -> Dict[int, List[int]]:
         if self._pc_index is None:
             index: Dict[int, List[int]] = {}
-            for pos, inst in enumerate(self.insts):
-                index.setdefault(inst.pc, []).append(pos)
+            for pos, (pc,) in enumerate(self._rows("pc")):
+                index.setdefault(pc, []).append(pos)
             self._pc_index = index
         return self._pc_index
 
@@ -145,18 +218,19 @@ class Trace:
         last_store: Dict[int, int] = {}
         register_deps: List[Tuple[int, ...]] = []
         memory_deps: List[int] = []
-        for pos, inst in enumerate(self.insts):
+        rows = self._rows("op", "dst", "srcs", "addr")
+        for pos, (op, dst, srcs, addr) in enumerate(rows):
             register_deps.append(
-                tuple(last_reg_write.get(reg, -1) for reg in inst.srcs)
+                tuple(last_reg_write.get(reg, -1) for reg in srcs)
             )
-            if inst.op is Opcode.LOAD:
-                memory_deps.append(last_store.get(inst.addr, -1))
+            if op is Opcode.LOAD:
+                memory_deps.append(last_store.get(addr, -1))
             else:
                 memory_deps.append(-1)
-            if inst.dst is not None and inst.dst != 0:
-                last_reg_write[inst.dst] = pos
-            if inst.op is Opcode.STORE:
-                last_store[inst.addr] = pos
+            if dst is not None and dst != 0:
+                last_reg_write[dst] = pos
+            if op is Opcode.STORE:
+                last_store[addr] = pos
         self._register_deps = register_deps
         self._memory_deps = memory_deps
 
@@ -197,13 +271,13 @@ class Trace:
     @property
     def register_writes(self) -> Dict[int, Tuple[List[int], List]]:
         """Per register: (sorted write positions, written values)."""
-        if getattr(self, "_register_writes", None) is None:
+        if self._register_writes is None:
             writes: Dict[int, Tuple[List[int], List]] = {}
-            for pos, inst in enumerate(self.insts):
-                if inst.dst is not None and inst.dst != 0:
-                    entry = writes.setdefault(inst.dst, ([], []))
+            for pos, (dst, value) in enumerate(self._rows("dst", "dst_value")):
+                if dst is not None and dst != 0:
+                    entry = writes.setdefault(dst, ([], []))
                     entry[0].append(pos)
-                    entry[1].append(inst.dst_value)
+                    entry[1].append(value)
             self._register_writes = writes
         return self._register_writes
 
@@ -216,9 +290,9 @@ class Trace:
         """Struct-of-arrays view of the trace (see
         :class:`repro.exec.columns.TraceColumns`).
 
-        Built lazily on first access and memoised on the trace; a
-        cache-restored copy can be installed with :meth:`attach_columns`
-        to skip the build entirely.
+        Built lazily on first access and memoised on the trace; a trace
+        loaded from the artifact cache arrives with its stored copy
+        installed (:meth:`attach_columns`), so it never builds them.
         """
         if self._columns is None:
             from repro.exec.columns import TraceColumns
@@ -232,9 +306,9 @@ class Trace:
         The columns must describe this exact trace; a length mismatch is
         rejected outright, deeper mismatches are the caller's contract.
         """
-        if len(columns) != len(self.insts):
+        if len(columns) != self._length:
             raise ValueError(
                 f"columns length {len(columns)} != trace length "
-                f"{len(self.insts)}"
+                f"{self._length}"
             )
         self._columns = columns

@@ -134,32 +134,18 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
         dataset: Input dataset variant (``train``/``ref``).
 
     Returns:
-        The cached (or freshly executed) :class:`~repro.exec.trace.Trace`.
+        The cached (or freshly executed) :class:`~repro.exec.trace.Trace`;
+        a trace loaded from the cache carries its columnar view.
     """
     if _active_cache is None:
         return load_trace(name, scale, dataset)
-    trace = _active_cache.get_or_create(
+    return _active_cache.get_or_create(
         "trace",
         lambda: load_trace(name, scale, dataset),
         workload=name,
         scale=scale,
         dataset=dataset,
     )
-    if trace._columns is None:
-        # Memoize the columnar view next to the trace: struct-of-arrays
-        # columns are content-determined by the trace's key fields, and
-        # rebuilding them is the dominant per-process warm-up cost of a
-        # sweep, so they are cached as their own artifact kind.
-        trace.attach_columns(
-            _active_cache.get_or_create(
-                "columns",
-                lambda: trace.columns,
-                workload=name,
-                scale=scale,
-                dataset=dataset,
-            )
-        )
-    return trace
 
 
 _pair_memo: Dict[Any, SpawnPairSet] = {}

@@ -7,8 +7,12 @@ from repro.cache import (
     canonical_key_fields,
     generator_version,
 )
+from repro.cmt import simulate, single_thread_cycles
+from repro.exec.columns import TraceColumns
+from repro.exec.trace import FIELDS, DynInst
 from repro.experiments import framework
 from repro.spawning.pairs import SpawnPair, SpawnPairSet, PairKind
+from repro.workloads import load_trace
 
 SCALE = 0.12
 
@@ -113,15 +117,60 @@ class TestRoundTrip:
         assert cache.clear() == 1
         assert cache.disk_summary() == {}
 
-    def test_trace_round_trip_preserves_instructions(self, tmp_path):
+    def test_clear_rejects_unknown_kind(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        with framework.use_cache(cache):
-            first = framework.trace_for("compress", SCALE)
-        framework.load_trace.cache_clear()
-        with framework.use_cache(ArtifactCache(tmp_path)):
-            second = framework.trace_for("compress", SCALE)
-        assert len(first) == len(second)
-        assert [d.pc for d in first] == [d.pc for d in second]
+        cache.get_or_create("pairs", _tiny_pairs, workload="x")
+        for kind in ("colums", "columns"):
+            with pytest.raises(KeyError):
+                cache.clear(kind)
+        assert cache.disk_summary()["pairs"].entries == 1
+
+    def test_trace_round_trip_preserves_instructions(self, tmp_path):
+        # ijpeg carries float results, compress integer-only ones.
+        for name, scale in (("ijpeg", 0.1), ("compress", SCALE)):
+            executed, loaded = _cached_trace_pair(tmp_path, name, scale)
+            assert len(loaded) == len(executed)
+            for pos, (want, got) in enumerate(zip(executed, loaded)):
+                for field in FIELDS:
+                    a, b = getattr(want, field), getattr(got, field)
+                    assert type(a) is type(b), (name, pos, field)
+                    assert a == b, (name, pos, field)
+                assert got.op is want.op
+            floats = sum(isinstance(d.dst_value, float) for d in loaded)
+            branches = sum(isinstance(d.taken, bool) for d in loaded)
+            assert branches > 0
+            if name == "ijpeg":
+                assert floats > 0
+            assert loaded.columns == TraceColumns.build(executed)
+
+    def test_trace_reencodes_to_identical_bytes(self, tmp_path):
+        # The network cache ships blobs verbatim: re-encoding a loaded
+        # trace must reproduce the executed trace's bytes exactly.
+        cache = ArtifactCache(tmp_path)
+        for name, scale in (("ijpeg", 0.1), ("compress", SCALE)):
+            key = cache.key("trace", workload=name, scale=scale)
+            executed = load_trace(name, scale)
+            cache.store("trace", key, executed)
+            blob = cache.read_blob("trace", key)
+            loaded = ArtifactCache(tmp_path).lookup("trace", key)
+            assert loaded is not executed
+            cache.store("trace", key, loaded)
+            assert cache.read_blob("trace", key) == blob
+
+
+def _cached_trace_pair(tmp_path, name, scale):
+    """(freshly executed trace, the same trace loaded off a cold cache)."""
+    directory = tmp_path / f"{name}-{scale}"
+    framework.clear_memos()
+    with framework.use_cache(ArtifactCache(directory)):
+        executed = framework.trace_for(name, scale)
+    framework.clear_memos()
+    fresh = ArtifactCache(directory)
+    with framework.use_cache(fresh):
+        loaded = framework.trace_for(name, scale)
+    framework.clear_memos()
+    assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
+    return executed, loaded
 
 
 class TestFrameworkIntegration:
@@ -135,3 +184,56 @@ class TestFrameworkIntegration:
             assert framework.baseline_cycles("compress", scale=SCALE) == cycles
         assert fresh.stats.disk_hits >= 1
         framework.clear_memos()
+
+
+class TestCachedTraceSimulation:
+    """A trace loaded from the cache simulates off its stored fields."""
+
+    def test_event_core_builds_no_instruction_objects(
+        self, tmp_path, monkeypatch
+    ):
+        name = "compress"
+        configs = [
+            framework.EXPERIMENT_CONFIG.with_(
+                value_predictor=vp, prime_value_predictor=True
+            )
+            for vp in ("perfect", "stride", "fcm")
+        ]
+        fresh = load_trace(name, SCALE)
+        framework.clear_memos()
+        with framework.use_cache(ArtifactCache(tmp_path)):
+            pairs = framework.pair_set_for(name, "profile", SCALE)
+        framework.clear_memos()
+        expected = [simulate(fresh, pairs, config).to_dict() for config in configs]
+        expected_baseline = single_thread_cycles(fresh, configs[0])
+
+        built = []
+        original_init = DynInst.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DynInst, "__init__", counting_init)
+        cache = ArtifactCache(tmp_path)
+        try:
+            with framework.use_cache(cache):
+                trace = framework.trace_for(name, SCALE)
+                got = [
+                    framework.run_policy(name, "profile", config, SCALE).to_dict()
+                    for config in configs
+                ]
+                baseline = framework.baseline_cycles(name, configs[0], SCALE)
+        finally:
+            framework.clear_memos()
+        assert all(config.sim_core == "event" for config in configs)
+        assert cache.stats.disk_hits == 2 and cache.stats.misses == 1
+        assert trace._insts is None and built == []
+        assert got == expected
+        assert baseline == expected_baseline
+
+        # The legacy oracle walks instruction objects, built on demand.
+        monkeypatch.undo()
+        legacy = simulate(trace, pairs, configs[2].with_(sim_core="legacy"))
+        assert trace._insts is not None
+        assert legacy.to_dict() == expected[2]

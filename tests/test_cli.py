@@ -158,6 +158,14 @@ class TestCommands:
         assert payload["wakeup_heap"] is None  # ticking core: no heap
         assert payload["stall_reasons"] == {}
 
+    def test_cache_clear_rejects_unknown_kind(self, capsys, tmp_path):
+        for kind in ("colums", "columns"):
+            with pytest.raises(SystemExit) as info:
+                main(["cache", "clear", "--kind", kind,
+                      "--cache-dir", str(tmp_path / "cache")])
+            assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_profile_rejects_removed_core(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["profile", "compress", "--core", "columnar"])

@@ -102,20 +102,22 @@ class TestSerialization:
     def test_equality_detects_divergence(self, loop_trace, serial_trace):
         assert loop_trace.columns != serial_trace.columns
 
-    def test_columns_cache_kind_round_trip(self, loop_trace, tmp_path):
+    def test_trace_cache_kind_round_trips_columns(self, loop_trace, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         built = cache.get_or_create(
-            "columns", lambda: loop_trace.columns, workload="testloop"
+            "trace", lambda: loop_trace, workload="testloop"
         )
-        assert built == loop_trace.columns
-        # A fresh cache instance must deserialise an equal object.
+        assert built.columns == loop_trace.columns
+        # A fresh cache instance must deserialise equal columns, attached
+        # to the loaded trace rather than rebuilt from it.
         fresh = ArtifactCache(tmp_path / "cache")
         loaded = fresh.get_or_create(
-            "columns",
+            "trace",
             lambda: pytest.fail("expected a cache hit"),
             workload="testloop",
         )
-        assert loaded == loop_trace.columns
+        assert loaded._columns == loop_trace.columns
+        assert len(loaded) == len(loop_trace)
         assert fresh.stats.disk_hits == 1
 
 
