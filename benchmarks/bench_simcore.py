@@ -1,65 +1,86 @@
-"""Simulator-core benchmark — the BENCH_simcore.json source.
+"""Full-scale simulator-core gate: the event core against the legacy oracle.
 
-Measures the event-driven core against the legacy dict-based core:
-cold vs warm columnar-trace builds through the artifact cache, the
-equal-stats grid (every workload × pair scheme × value predictor, plus
-one deterministic fault-injected point, must be bit-identical across
-both cores), and a cold paper-grid sweep (jobs=1, warm traces and
-pairs) timed under each core.  The CLI
-equivalent, which CI runs and archives, is::
+Times the paper grid at scale 1.0 under each core: per workload, one
+single-thread-unit baseline plus {profile, heuristics} x {perfect,
+stride, fcm}, 56 points in all.  Traces, columns and pair sets are
+built first, so only simulation is timed, and each core sweeps the grid
+twice and keeps its faster pass.  The gate: full ``SimulationStats``
+are equal on every point and on one fault-injected point, and the event
+core is at least ``SIMCORE_SPEEDUP_TARGET`` times faster than legacy.
+Writes no file; run it with::
 
-    python -m repro bench --skip-parallel
-
-Run directly with ``pytest benchmarks/bench_simcore.py``.  The ≥4×
-event-core speed-up gate applies at this module's scale (the committed
-``BENCH_simcore.json`` scale); ``--smoke`` CLI runs only enforce the
-correctness and cache gates.
+    PYTHONPATH=src python -m pytest benchmarks/bench_simcore.py -q -s
 """
 
-from repro.experiments.bench import (
-    SIMCORE_SPEEDUP_TARGET,
-    run_simcore_bench,
-    write_simcore_report,
-)
+import time
 
-#: The committed-report scale: the full paper grid, large enough that
-#: the hot loop, not fixed setup costs, dominates the sweep timing
-#: (the speed-up gate is only meaningful at full scale).
-SIMCORE_SCALE = 1.0
+from repro.cmt import simulate
+from repro.experiments import framework
+from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
+from repro.spawning import SpawnPairSet
+from repro.workloads import workload_names
+
+#: Minimum legacy seconds / event seconds over the full-scale grid.
+SIMCORE_SPEEDUP_TARGET = 4.0
+
+SCALE = 1.0
+POLICIES = ("profile", "heuristics")
+PREDICTORS = ("perfect", "stride", "fcm")
 
 
-def test_simcore_bench_gates(tmp_path):
-    report = run_simcore_bench(
-        scale=SIMCORE_SCALE,
-        cache_dir=tmp_path / "cache",
-        enforce_speedup=True,
+def _grid():
+    """``(label, trace, pairs, config)`` for each of the 56 grid points."""
+    base = framework.EXPERIMENT_CONFIG
+    points = []
+    for name in workload_names():
+        trace = framework.trace_for(name, SCALE)
+        trace.columns  # built here: the sweep times simulation only
+        points.append((f"{name}/baseline", trace, SpawnPairSet([]),
+                       base.single_threaded()))
+        for policy in POLICIES:
+            pairs = framework.pair_set_for(name, policy, SCALE)
+            for predictor in PREDICTORS:
+                points.append((f"{name}/{policy}/{predictor}", trace, pairs,
+                               base.with_(value_predictor=predictor)))
+    return points
+
+
+def _sweep(points, core):
+    """Best of two passes; returns (seconds, instructions, stats by label)."""
+    best = float("inf")
+    for _ in range(2):
+        stats = {}
+        start = time.perf_counter()
+        for label, trace, pairs, config in points:
+            stats[label] = simulate(trace, pairs, config.with_(sim_core=core))
+        best = min(best, time.perf_counter() - start)
+    instructions = sum(s.instructions for s in stats.values())
+    return best, instructions, {k: s.to_dict() for k, s in stats.items()}
+
+
+def test_event_core_matches_legacy_and_clears_speedup_target():
+    points = _grid()
+    legacy_s, instructions, legacy = _sweep(points, "legacy")
+    event_s, _, event = _sweep(points, "event")
+    assert [k for k in legacy if event[k] != legacy[k]] == []
+
+    plan = FaultPlan(seed=7, tu_blackout=TUBlackoutFault(
+        rate=0.5, duration=120, slot_cycles=200))
+    trace = framework.trace_for("go", SCALE)
+    pairs = framework.pair_set_for("go", "profile", SCALE)
+    config = framework.EXPERIMENT_CONFIG.with_(value_predictor="stride")
+    legacy_f, event_f = (
+        simulate(trace, pairs, config.with_(sim_core=core),
+                 FaultInjector(plan)).to_dict()
+        for core in ("legacy", "event")
     )
+    assert event_f == legacy_f
 
-    # Correctness: the cores agree on every grid point (including the
-    # fault-injected leg) and on every sweep series.
-    assert report["cores"] == ["legacy", "event"]
-    assert report["equal_results"], report["equal_stats"]["mismatches"]
-    eq = report["equal_stats"]
-    assert eq["fault_injected_points"] >= 1
-    assert eq["points"] == (
-        len(report["workloads"])
-        * len(report["policies"])
-        * len(report["predictors"])
-        + eq["fault_injected_points"]
+    speedup = legacy_s / event_s
+    summary = (
+        f"legacy {legacy_s:.2f}s ({instructions / legacy_s:,.0f} insts/s), "
+        f"event {event_s:.2f}s ({instructions / event_s:,.0f} insts/s), "
+        f"{speedup:.2f}x (target {SIMCORE_SPEEDUP_TARGET}x)"
     )
-
-    # Cache: a warm columnar build is served entirely from the cache.
-    cache = report["columns_cache"]
-    assert cache["cold"]["puts"] > 0
-    assert cache["warm"]["misses"] == 0
-    assert cache["warm_hit_rate"] == 1.0
-
-    # Throughput: the event core clears the speed-up target cold.
-    sweep = report["sweep"]
-    assert set(sweep["speedups"]) == {"event"}
-    assert sweep["speedup"] >= SIMCORE_SPEEDUP_TARGET, sweep
-    assert sweep["event"]["insts_per_sec"] > sweep["legacy"]["insts_per_sec"]
-    assert report["ok"]
-
-    out = write_simcore_report(report, tmp_path / "BENCH_simcore.json")
-    assert out.is_file() and out.stat().st_size > 0
+    print(summary)
+    assert speedup >= SIMCORE_SPEEDUP_TARGET, summary

@@ -5,10 +5,10 @@ the workloads so the full harness completes in minutes; run
 ``python scripts/generate_experiments.py`` for the full-scale sweep that
 produces EXPERIMENTS.md.
 
-``bench_perf.py`` is the odd one out: it benchmarks the experiment
-infrastructure itself (parallel engine + artifact cache) rather than a
-figure, and backs the ``repro bench`` CLI that CI archives as
-``BENCH_parallel.json``.
+``bench_simcore.py`` is the odd one out: it regenerates no figure but
+gates the event simulator core against the legacy oracle at full scale
+(equal stats, at least 4x faster); CI runs it on its own.  The repo's
+performance benchmark is ``perfbench/`` (see docs/benchmarks.md).
 
 Reduced scale perturbs per-benchmark results in a paper-faithful way:
 loops whose trip counts shrink below ~20 fall under the profile policy's

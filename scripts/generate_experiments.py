@@ -54,10 +54,9 @@ python -m repro cache warm --cache-dir .repro-cache
 python -m repro cache stats --cache-dir .repro-cache
 python -m repro cache clear --cache-dir .repro-cache --kind trace
 
-# Measure it (writes BENCH_parallel.json: jobs=1 vs jobs=N wall-clock,
-# cold vs warm cache, hit rates, and an equal-results check):
-python -m repro bench --fig 8 --jobs 4
-python -m repro bench --smoke --jobs 2      # the CI configuration
+# Time it: the repo benchmark runs a cold Figure 8 sweep and a warm
+# Figure 9a sweep end to end (see docs/benchmarks.md):
+python3 perfbench/run.py --workload fig8_cold
 
 # Fault campaigns accept the same knobs:
 python -m repro faults --smoke --jobs 4 --cache-dir .repro-cache
@@ -67,8 +66,9 @@ Guarantees worth knowing:
 
 - `--jobs 1` and `--jobs N` produce **identical** figures.  `--jobs 1`
   runs every point in the calling process (the `serial` backend);
-  parallel results seed the same figure drivers.  `repro bench` asserts
-  this equality on every run.
+  parallel results seed the same figure drivers.
+  `tests/test_engine.py::TestEquivalence` asserts this equality, cold
+  and warm.
 - Cache keys hash the schema version, a digest of the artifact-producing
   source packages, and every configuration knob — editing the simulator
   invalidates exactly the artifacts it produced, automatically.

@@ -43,14 +43,10 @@ Commands
     sweep drains (see ``docs/distributed.md``).
 ``cache {stats,clear,warm}``
     Inspect, empty, or pre-populate the on-disk artifact cache.
-``bench``
-    Benchmark the parallel engine and cache (``BENCH_parallel.json``)
-    and the simulator core (``BENCH_simcore.json``); ``--dist`` adds
-    the distributed-backend benchmark (``BENCH_dist.json``).
 ``serve``
     Run the resilient simulation service (crash-safe journaled job
     queue, admission control, HTTP/JSON API); ``--smoke`` runs the CI
-    gate, ``--bench`` the load/chaos benchmark (``BENCH_serve.json``).
+    gate.
 ``dashboard``
     Serve the live web UI over timelines, event streams, metrics and
     sweep manifests (``docs/dashboard.md``); ``--attach`` polls a
@@ -71,10 +67,8 @@ pair has an error-severity finding, and ``faults`` returns 1 when a
 campaign gate fails — all three are safe to gate CI on.  ``sanitize``
 returns 1 when any speculation invariant is violated and
 ``analyze-deps --strict`` returns 1 when a pair needs synchronisation;
-both are CI gates too.  ``bench``
-returns 1 when the phases disagree on figure results or a sim-core
-gate fails, and ``profile`` returns 1 when a commit invariant is
-violated.  ``serve`` returns 1 when a smoke/bench gate fails or a
+both are CI gates too.  ``profile`` returns 1 when a commit invariant
+is violated.  ``serve`` returns 1 when a smoke check fails or a
 drain ends with jobs still live, ``dashboard`` returns 1 when a smoke
 check or the snapshot's trace validation fails, and ``worker`` returns
 1 when the coordinator connection is lost before a clean shutdown.  Structured
@@ -729,114 +723,12 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import tempfile
-
-    from repro.experiments.bench import (
-        run_bench,
-        run_simcore_bench,
-        write_bench_report,
-        write_simcore_report,
-    )
-
-    figure = _normalize_figure(args.fig)
-    scale = 0.2 if args.smoke and args.scale is None else (args.scale or 0.3)
-    # The committed sim-core report runs the paper grid at full scale:
-    # the speed-up gate only means anything when simulation dominates
-    # the fixed per-run costs.
-    simcore_scale = (
-        0.12 if args.smoke and args.scale is None else (args.scale or 1.0)
-    )
-    progress = (lambda line: print(line, file=sys.stderr))
-
-    def bench(cache_dir: str):
-        parallel = None
-        if not args.skip_parallel:
-            parallel = run_bench(
-                figure=figure,
-                scale=scale,
-                jobs=args.jobs,
-                cache_dir=cache_dir,
-                progress=progress,
-                backend=args.backend,
-            )
-        simcore = None
-        if not args.skip_simcore:
-            simcore = run_simcore_bench(
-                scale=simcore_scale,
-                cache_dir=cache_dir,
-                progress=progress,
-                # At smoke scale the fixed per-run costs dominate, so
-                # only the correctness/cache gates decide pass/fail.
-                enforce_speedup=not args.smoke,
-            )
-        return parallel, simcore
-
-    ok = True
-    if not (args.skip_parallel and args.skip_simcore):
-        if args.cache_dir:
-            report, simcore = bench(args.cache_dir)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-                report, simcore = bench(tmp)
-        if report is not None:
-            path = write_bench_report(report, args.out)
-            print(f"wrote {path} (equal_results={report['equal_results']}, "
-                  f"warm speedup jobs=1 {report['warm_speedup_jobs1']}x, "
-                  f"jobs={report['parallel_jobs']} "
-                  f"{report['warm_speedup_jobsN']}x)")
-            ok = report["equal_results"]
-        if simcore is not None:
-            simcore_path = write_simcore_report(simcore, args.simcore_out)
-            sweep = simcore["sweep"]
-            print(
-                f"wrote {simcore_path} (equal_results="
-                f"{simcore['equal_results']}, cold sweep speedup event "
-                f"{sweep['speedup']}x, warm columns hit rate "
-                f"{simcore['columns_cache']['warm_hit_rate']:.0%})"
-            )
-            ok = ok and simcore["ok"]
-    if args.dist:
-        from repro.dist.bench import run_dist_bench, write_dist_report
-
-        try:
-            fleet_sizes = tuple(
-                int(token)
-                for token in args.workers.split(",")
-                if token.strip() != ""
-            )
-        except ValueError:
-            print(f"bench: bad --workers value {args.workers!r}",
-                  file=sys.stderr)
-            return 2
-        dist = run_dist_bench(
-            figure=_normalize_figure(args.dist_fig),
-            scale=0.12 if args.smoke else 0.25,
-            fleet_sizes=fleet_sizes or ((2,) if args.smoke else (2, 4)),
-            skip_chaos=args.skip_chaos,
-            progress=progress,
-        )
-        dist_path = write_dist_report(dist, args.dist_out)
-        chaos = dist.get("chaos") or {}
-        print(
-            f"wrote {dist_path} (equal_results={dist['equal_results']}"
-            + (
-                f", chaos lost={chaos.get('lost')} "
-                f"requeues={chaos.get('requeues')}"
-                if chaos else ""
-            )
-            + ")"
-        )
-        ok = ok and dist["ok"]
-    return 0 if ok else 1
-
-
 def cmd_serve(args) -> int:
     import tempfile
     from pathlib import Path
 
     if args.smoke:
-        from repro.serve.bench import run_serve_smoke
+        from repro.serve.client import run_serve_smoke
 
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
             report = run_serve_smoke(Path(tmp) / "state")
@@ -850,42 +742,6 @@ def cmd_serve(args) -> int:
         passed = sum(1 for check in report["checks"] if check["ok"])
         print(f"serve smoke: {passed}/{len(report['checks'])} checks, "
               f"{report['jobs']} job(s)")
-        return 0 if report["ok"] else 1
-
-    if args.bench:
-        from repro.serve.bench import run_serve_bench, write_serve_report
-
-        progress = (lambda line: print(line, file=sys.stderr))
-
-        def bench(workdir: str):
-            return run_serve_bench(
-                workdir,
-                clients=args.clients,
-                chaos_jobs=args.chaos_jobs,
-                skip_chaos=args.skip_chaos,
-                progress=progress,
-            )
-
-        if args.workdir:
-            report = bench(args.workdir)
-        else:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-serve-bench-"
-            ) as tmp:
-                report = bench(tmp)
-        path = write_serve_report(report, args.out)
-        chaos = report.get("chaos", {})
-        print(
-            f"wrote {path} (cold p99 "
-            f"{report['cold']['completion']['p99_ms']}ms, hot submit "
-            f"p99 {report['hot']['submit']['p99_ms']}ms, "
-            f"all_cached={report['hot']['all_cached']}"
-            + (
-                f", chaos exactly_once={chaos['exactly_once']}"
-                if chaos else ""
-            )
-            + ")"
-        )
         return 0 if report["ok"] else 1
 
     # Daemon mode: run until a drain (SIGTERM/SIGINT or POST
@@ -1293,51 +1149,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="print per-workload warm progress to stderr")
 
     p = sub.add_parser(
-        "bench",
-        help="benchmark the parallel engine and artifact cache",
-    )
-    p.add_argument("--fig", default="figure8",
-                   help="figure sweep to benchmark (default figure8)")
-    p.add_argument("--scale", type=float, default=None,
-                   help="workload scale (default 0.3; 0.2 with --smoke)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker count of the jobs=N phases "
-                   "(default: CPU count)")
-    p.add_argument("--smoke", action="store_true",
-                   help="small fast benchmark for CI")
-    p.add_argument("--out", default="BENCH_parallel.json",
-                   help="report path (default BENCH_parallel.json)")
-    p.add_argument("--simcore-out", default="BENCH_simcore.json",
-                   help="sim-core report path (default BENCH_simcore.json)")
-    p.add_argument("--skip-simcore", action="store_true",
-                   help="skip the simulator-core benchmark phase")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default: a fresh temp dir)")
-    p.add_argument("--dist", action="store_true",
-                   help="also run the distributed-backend benchmark "
-                   "(serial vs process vs remote fleets, cold vs warm "
-                   "shared cache, kill -9 chaos leg)")
-    p.add_argument("--skip-parallel", action="store_true",
-                   help="skip the parallel-engine phase (combine with "
-                   "--skip-simcore and --dist for the distributed "
-                   "benchmark only)")
-    p.add_argument("--dist-fig", default="figure3",
-                   help="figure sweep of the --dist benchmark "
-                   "(default figure3)")
-    p.add_argument("--dist-out", default="BENCH_dist.json",
-                   help="--dist report path (default BENCH_dist.json)")
-    p.add_argument("--workers", default="",
-                   help="comma-separated remote fleet sizes for --dist "
-                   "(default 2,4; 2 with --smoke)")
-    p.add_argument("--skip-chaos", action="store_true",
-                   help="skip the --dist kill -9 chaos leg")
-    p.add_argument("--backend",
-                   choices=("process", "remote"),
-                   default=None,
-                   help="executor backend of the jobs=N phases "
-                   "(default process)")
-
-    p = sub.add_parser(
         "serve",
         help="resilient simulation service (crash-safe job queue, "
         "admission control, HTTP/JSON API)",
@@ -1376,20 +1187,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="CI gate: exercise one daemon end to end "
                    "(execute/dedup/retry/quarantine/cancel/drain + "
-                   "journal recovery) and exit")
-    p.add_argument("--bench", action="store_true",
-                   help="load + chaos benchmark writing BENCH_serve.json")
-    p.add_argument("--out", default="BENCH_serve.json",
-                   help="bench report path (default BENCH_serve.json)")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent bench clients (default 4)")
-    p.add_argument("--chaos-jobs", type=int, default=12,
-                   help="jobs in flight when the chaos leg kills the "
-                   "daemon (default 12)")
-    p.add_argument("--skip-chaos", action="store_true",
-                   help="skip the kill -9 / restart bench leg")
-    p.add_argument("--workdir", default=None,
-                   help="bench scratch directory (default: temp dir)")
+                   "journal recovery + cache-served resubmit) and exit")
 
     p = sub.add_parser(
         "dashboard",
@@ -1474,7 +1272,6 @@ _COMMANDS = {
     "exp": cmd_exp,
     "worker": cmd_worker,
     "cache": cmd_cache,
-    "bench": cmd_bench,
     "serve": cmd_serve,
     "dashboard": cmd_dashboard,
     "profile": cmd_profile,

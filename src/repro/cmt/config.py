@@ -118,8 +118,8 @@ class ProcessorConfig:
     #: arrays trace columns, ring-buffer issue booking and a batched
     #: event loop with a wakeup heap that jumps the clock over dead
     #: cycles) or "legacy" (the original object-graph core, kept as the
-    #: bit-identical reference for the equal-stats gate and
-    #: BENCH_simcore).
+    #: bit-identical reference for the equal-stats gate and the
+    #: full-scale speed-up gate).
     sim_core: str = "event"
 
     def __post_init__(self) -> None:

@@ -29,7 +29,8 @@ Two interchangeable cores implement the timing model
 - ``"legacy"`` is the original object-graph core (:meth:`run` over
   :meth:`ClusteredProcessor._advance`), kept verbatim as the
   bit-identical reference: the golden-stats fixtures and the
-  ``BENCH_simcore`` equal-stats gate compare the cores over the full
+  equal-stats grid (``tests/test_simcore.py`` and, at full scale,
+  ``benchmarks/bench_simcore.py``) compare the cores over the full
   workload × pair-scheme × predictor grid.
 """
 

@@ -6,9 +6,7 @@ the per-figure sweeps.  Each figure function returns a
 :class:`~repro.experiments.framework.FigureResult` that renders to the same
 rows/series the paper plots.  :mod:`repro.experiments.engine` fans a
 figure's sweep grid across worker processes (sharing the on-disk
-:class:`~repro.cache.ArtifactCache`), and :mod:`repro.experiments.bench`
-measures the whole machinery for ``BENCH_parallel.json`` and the
-simulator core for ``BENCH_simcore.json``.
+:class:`~repro.cache.ArtifactCache`).
 :mod:`repro.experiments.profiler` breaks one experiment point into
 phase timings and cProfile hotspots (``repro profile``).
 """

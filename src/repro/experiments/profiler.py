@@ -3,8 +3,8 @@
 Times the four phases of one experiment point — trace build, columnar
 build, pair selection, simulation — plus a commit-invariant check, and
 (optionally) runs the simulation under :mod:`cProfile` to report the
-top functions by cumulative time.  The JSON view (``--json``) is what
-the sim-core benchmark consumes to attribute a regression to a phase.
+top functions by cumulative time.  The JSON view (``--json``) lets a
+script attribute a regression to a phase.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ PHASES = ("trace_build", "column_build", "pair_selection", "simulate",
           "commit_check")
 
 #: Version of the ``repro profile --json`` report shape.  Bump on any
-#: breaking change to :meth:`ProfileReport.to_dict`; consumers (the
-#: sim-core benchmark, external tooling reading CI artifacts) key their
-#: parsing on it.  Version 2 added the ``wakeup_heap`` section and the
-#: ``stall_reasons`` histogram (event core only; ``None``/empty for the
-#: legacy core).
+#: breaking change to :meth:`ProfileReport.to_dict`; consumers (external
+#: tooling reading CI artifacts) key their parsing on it.  Version 2
+#: added the ``wakeup_heap`` section and the ``stall_reasons`` histogram
+#: (event core only; ``None``/empty for the legacy core).
 PROFILE_SCHEMA_VERSION = 2
 
 
@@ -68,8 +67,8 @@ class ProfileReport:
         """JSON view of the report.
 
         Returns:
-            A JSON-serialisable dict (consumed by the sim-core benchmark
-            and the ``--json`` flag of ``repro profile``).
+            A JSON-serialisable dict (what the ``--json`` flag of
+            ``repro profile`` prints).
         """
         return {
             "schema_version": PROFILE_SCHEMA_VERSION,
@@ -207,8 +206,8 @@ def profile_run(
         sim_core: ``event`` or ``legacy``.
         top: How many functions to keep in the hotspot list.
         with_profile: Run the simulate phase under :mod:`cProfile`
-            (skipping it removes the profiler's overhead, which the
-            benchmark harness wants for honest phase timings).
+            (skipping it removes the profiler's overhead from the phase
+            timings).
         config: Base processor configuration (None = defaults).
 
     Returns:

@@ -13,7 +13,7 @@ object unconditionally, and :data:`NULL_TRACER` (``enabled = False``,
 no-op ``emit``) stands in when tracing is off.  Emission sites in the
 hot loop are guarded by one hoisted boolean, so a run with tracing
 disabled executes the same instruction-for-instruction path as before —
-the equal-stats and BENCH_simcore gates hold unchanged.
+the equal-stats gate holds unchanged.
 
 Event taxonomy (``kind`` strings, dotted ``<subsystem>.<what>``):
 

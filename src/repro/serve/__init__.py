@@ -21,8 +21,8 @@ Layers (one module each):
   deterministic jitter, hard cancellation, quarantine);
 - :mod:`repro.serve.metrics` — the live ``/metrics`` registry;
 - :mod:`repro.serve.server` — the daemon + stdlib HTTP layer;
-- :mod:`repro.serve.bench` — the smoke gate, load generator and chaos
-  benchmark (``BENCH_serve.json``).
+- :mod:`repro.serve.client` — the stdlib HTTP client and the
+  ``repro serve --smoke`` gate.
 """
 
 from repro.errors import JobCancelled, classify_failure

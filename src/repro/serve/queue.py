@@ -8,7 +8,7 @@ job that was queued or running when the process died (re-running a
 half-finished job is recovery — its artifact is content-addressed, so
 the committed result stream stays exactly-once), and compacts the
 journal so "one finish per job per stream" is an invariant the tests
-and the chaos benchmark can assert directly.
+and the smoke gate can assert directly.
 
 Admission control implements graceful degradation:
 
@@ -71,7 +71,7 @@ class RecoveryReport:
         finished: Jobs already terminal in the journal.
         duplicate_finishes: Job ids with more than one finish record in
             a single journal stream — always 0 unless exactly-once was
-            violated (the chaos gate asserts this).
+            violated (the smoke gate and the kill -9 test assert this).
         dropped_tail: 1 when a partial trailing WAL record was dropped.
         quarantined: Corrupt files moved to ``*.corrupt`` during replay.
     """

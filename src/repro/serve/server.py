@@ -27,7 +27,7 @@ On startup the daemon replays the journal: jobs that were queued or
 running when the previous process was killed are re-queued and run
 exactly once more; finished jobs keep their results.  The bound port
 is advertised in ``<state-dir>/endpoint.json`` so clients (and the
-chaos benchmark) can find a daemon started with ``--port 0``.
+kill -9 test) can find a daemon started with ``--port 0``.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ class ServeDaemon:
         }
 
     # ------------------------------------------------------------------
-    # Exactly-once audit (smoke gate + chaos benchmark).
+    # Exactly-once audit (smoke gate).
     # ------------------------------------------------------------------
 
     def audit(self) -> Dict[str, Any]:

@@ -14,6 +14,7 @@ import pytest
 from repro.dist.coordinator import RemoteBackend
 from repro.dist.worker import parse_endpoint
 from repro.experiments.engine import ParallelEngine, Point
+from tests.test_engine import _mini_points
 
 
 def _sleep_points(durations):
@@ -54,6 +55,34 @@ def test_remote_fleet_matches_serial():
     # Both spawned workers actually participated.
     assert set(fleet["dispatched"]) == {"w0", "w1"}
     assert all(count > 0 for count in fleet["dispatched"].values())
+
+
+def test_remote_simulate_matches_serial_and_warm_fleet_misses_nothing(
+    tmp_path,
+):
+    # Real simulation results and cache blobs over the wire: a cold
+    # fleet derives and pushes the artifacts, a fresh fleet on the same
+    # cache directory is served every one of them.
+    points = _mini_points()
+    serial = ParallelEngine(jobs=1, cache_dir=tmp_path / "serial").run(points)
+    cache_dir = tmp_path / "shared"
+    cold = ParallelEngine(jobs=2, backend="remote", workers=2,
+                          cache_dir=cache_dir)
+    remote = cold.run(points)
+    assert list(remote) == list(serial)
+    for key, outcome in serial.items():
+        assert outcome.ok and remote[key].ok
+        assert remote[key].value == outcome.value
+    assert cold.cache_events["puts"] > 0
+
+    warm = ParallelEngine(jobs=2, backend="remote", workers=2,
+                          cache_dir=cache_dir)
+    again = warm.run(points)
+    assert warm.cache_events["misses"] == 0
+    assert warm.fleet["cache"]["pulls"] > 0
+    assert {k: o.value for k, o in again.items()} == {
+        k: o.value for k, o in serial.items()
+    }
 
 
 def test_worker_death_requeues_exactly_once():

@@ -3,12 +3,52 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-import pytest
-
-from repro.serve.bench import ServeClient, _spawn_daemon, _wait_endpoint
+from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServeDaemon
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _spawn_daemon(state_dir):
+    """Start ``python -m repro serve`` on an ephemeral port."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--state-dir", str(state_dir),
+            "--port", "0", "--workers", "2",
+            "--backoff", "0.01",
+        ],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+
+
+def _wait_endpoint(state_dir, proc, timeout=20.0):
+    """Wait for a daemon subprocess to advertise ``endpoint.json``."""
+    endpoint = state_dir / "endpoint.json"
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if proc.poll() is not None:
+            raise RuntimeError(
+                f"serve subprocess exited early (rc={proc.returncode})"
+            )
+        if endpoint.exists():
+            try:
+                data = json.loads(endpoint.read_text())
+                if int(data.get("pid", -1)) == proc.pid:
+                    return data
+            except (ValueError, OSError):
+                pass
+        time.sleep(0.05)
+    raise TimeoutError("serve subprocess never advertised its endpoint")
 
 
 def start_daemon(tmp_path, **overrides):
@@ -284,10 +324,12 @@ class TestCrashRecovery:
         try:
             endpoint = _wait_endpoint(state_dir, proc)
             client = ServeClient(endpoint["host"], int(endpoint["port"]))
+            lanes = ("high", "normal", "normal", "low")
             ids = []
             for index in range(8):
                 status, payload = client.submit(
-                    "sleep", {"duration": 0.25, "tag": f"c{index}"}
+                    "sleep", {"duration": 0.25, "tag": f"c{index}"},
+                    lanes[index % len(lanes)],
                 )
                 assert status == 202
                 ids.append(payload["id"])
@@ -330,8 +372,10 @@ class TestCrashRecovery:
 
 class TestSmokeGate:
     def test_run_serve_smoke_passes(self, tmp_path):
-        from repro.serve.bench import run_serve_smoke
+        from repro.serve.client import run_serve_smoke
 
         report = run_serve_smoke(tmp_path / "smoke")
         failed = [c for c in report["checks"] if not c["ok"]]
         assert report["ok"], f"failed checks: {failed}"
+        assert len(report["checks"]) == 14
+        assert "hot_cache_served" in {c["name"] for c in report["checks"]}

@@ -14,6 +14,7 @@ import pytest
 from repro.cmt import ProcessorConfig, simulate
 from repro.cmt.processor import ClusteredProcessor
 from repro.errors import InvariantViolation, SimulationTimeout
+from repro.experiments import framework
 from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
 from repro.spawning import (
     HeuristicConfig,
@@ -22,6 +23,7 @@ from repro.spawning import (
     heuristic_pairs,
     select_profile_pairs,
 )
+from repro.workloads import workload_names
 
 POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
@@ -34,11 +36,11 @@ def _pairs(trace, policy="profile"):
     return select_profile_pairs(trace, POLICY)
 
 
-def _all_cores(trace, pairs, injector_factory=None, **overrides):
+def _all_cores(trace, pairs, injector_factory=None, base=None, **overrides):
     """Run every core on one point; returns their full stats dicts."""
     results = []
     for core in CORES:
-        config = ProcessorConfig().with_(sim_core=core, **overrides)
+        config = (base or ProcessorConfig()).with_(sim_core=core, **overrides)
         injector = injector_factory() if injector_factory else None
         results.append(simulate(trace, pairs, config, injector).to_dict())
     return results
@@ -136,6 +138,42 @@ class TestEquivalence:
                 injector_factory=lambda: FaultInjector(plan),
             )
         )
+
+
+#: Scale of the paper-grid comparison: small enough for tier-1, large
+#: enough that every workload spawns under both pair schemes.
+GRID_SCALE = 0.12
+
+
+def _grid_point(name, policy, predictor, injector_factory=None):
+    """Every core on one paper-grid point, built as the sweeps build it."""
+    return _all_cores(
+        framework.trace_for(name, GRID_SCALE),
+        framework.pair_set_for(name, policy, GRID_SCALE),
+        injector_factory,
+        base=framework.EXPERIMENT_CONFIG,
+        value_predictor=predictor,
+    )
+
+
+class TestPaperGrid:
+    """The paper grid (8 workloads x pair scheme x predictor) under the
+    sweep's own processor config, plus one fault-injected point."""
+
+    @pytest.mark.parametrize("predictor", ["perfect", "stride", "fcm"])
+    @pytest.mark.parametrize("policy", ["profile", "heuristics"])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_cores_agree(self, name, policy, predictor):
+        _assert_equal(_grid_point(name, policy, predictor))
+
+    def test_cores_agree_under_tu_blackouts(self):
+        plan = FaultPlan(
+            seed=7,
+            tu_blackout=TUBlackoutFault(rate=0.5, duration=120,
+                                        slot_cycles=200),
+        )
+        _assert_equal(_grid_point("go", "profile", "stride",
+                                  lambda: FaultInjector(plan)))
 
 
 class TestEventEdgeCases:
