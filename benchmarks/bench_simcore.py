@@ -2,11 +2,13 @@
 
 Times the paper grid at scale 1.0 under each core: per workload, one
 single-thread-unit baseline plus {profile, heuristics} x {perfect,
-stride, fcm}, 56 points in all.  Traces, columns and pair sets are
-built first, so only simulation is timed, and each core sweeps the grid
-twice and keeps its faster pass.  The gate: full ``SimulationStats``
-are equal on every point and on one fault-injected point, and the event
-core is at least ``SIMCORE_SPEEDUP_TARGET`` times faster than legacy.
+stride, fcm}, 56 points in all.  Traces (which carry their columns
+from the executor) and pair sets are built first, so only simulation is
+timed, and each core sweeps the grid twice and keeps its faster pass.
+The gate: every trace's executor-built columns equal the reference
+derivation ``TraceColumns.build``, full ``SimulationStats`` are equal on
+every point and on one fault-injected point, and the event core is at
+least ``SIMCORE_SPEEDUP_TARGET`` times faster than legacy.
 Writes no file; run it with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_simcore.py -q -s
@@ -15,6 +17,7 @@ Writes no file; run it with::
 import time
 
 from repro.cmt import simulate
+from repro.exec.columns import TraceColumns
 from repro.experiments import framework
 from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
 from repro.spawning import SpawnPairSet
@@ -34,7 +37,8 @@ def _grid():
     points = []
     for name in workload_names():
         trace = framework.trace_for(name, SCALE)
-        trace.columns  # built here: the sweep times simulation only
+        # Full-scale differential check of the one-pass trace build.
+        assert trace.columns == TraceColumns.build(trace), name
         points.append((f"{name}/baseline", trace, SpawnPairSet([]),
                        base.single_threaded()))
         for policy in POLICIES:

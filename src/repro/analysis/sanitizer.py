@@ -265,17 +265,17 @@ def sanitize_events(
                 start_pos=start_pos,
             )
             continue
-        if trace[start_pos].pc != cqip_pc:
+        if trace.pc_at(start_pos) != cqip_pc:
             report._fail(
                 "spawn-target",
                 f"thread {seq} starts at trace[{start_pos}] "
-                f"(pc {trace[start_pos].pc}), not its CQIP pc {cqip_pc}",
+                f"(pc {trace.pc_at(start_pos)}), not its CQIP pc {cqip_pc}",
                 thread=seq,
                 start_pos=start_pos,
                 cqip_pc=cqip_pc,
             )
         if spawn_pos is not None:
-            if not 0 <= spawn_pos < n or trace[spawn_pos].pc != sp_pc:
+            if not 0 <= spawn_pos < n or trace.pc_at(spawn_pos) != sp_pc:
                 report._fail(
                     "spawn-target",
                     f"thread {seq} spawned from trace[{spawn_pos}], which "
@@ -466,7 +466,7 @@ def sanitize_events(
                 if producer < 0 or not int(spawn_pos) <= producer < int(start):
                     continue
                 report._checked("static-may-dependence")
-                dep = (trace[producer].pc, trace[pos].pc)
+                dep = (trace.pc_at(producer), trace.pc_at(pos))
                 if dep not in risk.may_raw:
                     report._fail(
                         "static-may-dependence",

@@ -85,6 +85,7 @@ from typing import List, Optional
 from repro.cache import ARTIFACT_KINDS
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.errors import ExecutionError, SimulationError
+from repro.exec.columns import F_BRANCH, F_LOAD, F_STORE, F_TAKEN
 from repro.isa.assembler import disassemble
 from repro.isa.instructions import Opcode
 from repro.spawning import (
@@ -158,11 +159,19 @@ def cmd_trace(args) -> int:
     )
     if not export:
         trace = load_trace(workload, scale, max_steps=args.max_steps)
-        branches = sum(1 for d in trace if d.taken is not None)
-        taken = sum(1 for d in trace if d.taken)
-        loads = sum(1 for d in trace if d.op is Opcode.LOAD)
-        stores = sum(1 for d in trace if d.op is Opcode.STORE)
-        calls = sum(1 for d in trace if d.op is Opcode.CALL)
+        branches = taken = loads = stores = calls = 0
+        call = Opcode.CALL
+        for bits, op in zip(trace.columns.flags, trace.field("op")):
+            if bits & F_BRANCH:
+                branches += 1
+                if bits & F_TAKEN:
+                    taken += 1
+            elif bits & F_LOAD:
+                loads += 1
+            elif bits & F_STORE:
+                stores += 1
+            elif op is call:
+                calls += 1
         print(f"workload          {workload} (scale {scale})")
         print(f"dynamic length    {len(trace)}")
         print(f"static length     {len(trace.program)}")

@@ -9,6 +9,13 @@ indexed by trace position, so the event core's inner loop
 (:mod:`repro.cmt.event_core`) is all O(1) integer reads with no
 attribute lookups, enum hashing or per-instruction allocation.
 
+The executor builds the columns as it runs (:meth:`Machine.run
+<repro.exec.machine.Machine.run>` tracks the dependence columns in its
+loop and :meth:`TraceColumns.from_execution` adds the per-opcode ones),
+so every trace carries them from birth.  :meth:`TraceColumns.build`
+derives the same columns from a finished trace; it is the reference the
+executor is tested against.
+
 Columns are deterministic pure functions of the trace, which makes them
 safe to persist content-addressed in the artifact cache: the ``"trace"``
 artifact stores them next to the instruction fields, and a loaded trace
@@ -21,10 +28,18 @@ from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.isa.instructions import FU_INDEX, Opcode, fu_class, latency_of
+from repro.exec.trace import FIELDS
+from repro.isa.instructions import (
+    BRANCH_OPS,
+    FU_INDEX,
+    Opcode,
+    fu_class,
+    latency_of,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.trace import Trace
+    from repro.isa.program import Program
 
 #: Flag bits of the ``flags`` column.
 F_BRANCH = 1  #: conditional branch (``DynInst.taken is not None``)
@@ -37,6 +52,20 @@ F_STORE = 16
 LDST_INDEX = FU_INDEX[fu_class(Opcode.LOAD)]
 
 _UNCOND_OPS = (Opcode.JUMP, Opcode.CALL, Opcode.RET)
+
+
+def _static_flags(op: Opcode) -> int:
+    """The flag bits every instance of ``op`` carries (all but ``F_TAKEN``)."""
+    if op in BRANCH_OPS:
+        return F_BRANCH
+    if op in _UNCOND_OPS:
+        return F_UNCOND
+    if op is Opcode.LOAD:
+        return F_LOAD
+    if op is Opcode.STORE:
+        return F_STORE
+    return 0
+
 
 _FIELDS = (
     "pc",
@@ -119,13 +148,60 @@ class TraceColumns:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def from_execution(
+        cls,
+        program: "Program",
+        fields: List[list],
+        mem_dep: List[int],
+        dep_pairs: List[Tuple[Tuple[int, int], ...]],
+        scan_reads: List[Tuple[Tuple[int, int], ...]],
+    ) -> "TraceColumns":
+        """Assemble the columns of an executed trace.
+
+        ``fields`` are the trace's per-field lists (``FIELDS`` order);
+        ``mem_dep``, ``dep_pairs`` and ``scan_reads`` are the dependence
+        columns the executor tracked while it ran.  FU class, latency and
+        the static flag bits are constants of the opcode, so they are
+        looked up once per static pc; only ``F_TAKEN`` varies between
+        instances of one instruction.  Every column is a new object: none
+        shares a list with ``fields``.
+        """
+        named = dict(zip(FIELDS, fields))
+        pcs = named["pc"]
+        ops = [inst.op for inst in program]
+        fu_of = [FU_INDEX[fu_class(op)] for op in ops]
+        lat_of = [latency_of(op) for op in ops]
+        bits_of = [_static_flags(op) for op in ops]
+        return cls(
+            pc=tuple(pcs),
+            flags=tuple(
+                [
+                    bits_of[pc] | F_TAKEN if taken else bits_of[pc]
+                    for pc, taken in zip(pcs, named["taken"])
+                ]
+            ),
+            fu=tuple(map(fu_of.__getitem__, pcs)),
+            lat=tuple(map(lat_of.__getitem__, pcs)),
+            addr=array("q", [-1 if a is None else a for a in named["addr"]]),
+            mem_dep=array("q", mem_dep),
+            dep_pairs=tuple(dep_pairs),
+            scan_reads=tuple(scan_reads),
+            dst_nz=tuple([dst if dst else -1 for dst in named["dst"]]),
+            dst_value=list(named["dst_value"]),
+        )
+
+    @classmethod
     def build(cls, trace: "Trace") -> "TraceColumns":
-        """Derive the columns from ``trace`` (one linear pass)."""
-        insts = trace.insts
+        """Derive the columns from a finished ``trace`` (one linear pass).
+
+        The reference derivation: it reads the trace's field lists and
+        its lazily computed ``register_deps``/``memory_deps`` and derives
+        every fact per instruction, independently of the executor.
+        """
+        named = dict(zip(FIELDS, trace.field_lists()))
         reg_deps = trace.register_deps
         mem_deps = trace.memory_deps
-        n = len(insts)
-        pc: List[int] = [0] * n
+        n = len(trace)
         flags: List[int] = [0] * n
         fu: List[int] = [0] * n
         lat: List[int] = [0] * n
@@ -133,13 +209,13 @@ class TraceColumns:
         dep_pairs: List[Tuple[Tuple[int, int], ...]] = [()] * n
         scan_reads: List[Tuple[Tuple[int, int], ...]] = [()] * n
         dst_nz: List[int] = [-1] * n
-        dst_value: List = [None] * n
-        for pos, inst in enumerate(insts):
-            op = inst.op
-            pc[pos] = inst.pc
+        rows = zip(
+            named["op"], named["dst"], named["srcs"], named["addr"], named["taken"]
+        )
+        for pos, (op, dst, srcs, address, taken) in enumerate(rows):
             bits = 0
-            if inst.taken is not None:
-                bits = F_BRANCH | (F_TAKEN if inst.taken else 0)
+            if taken is not None:
+                bits = F_BRANCH | (F_TAKEN if taken else 0)
             elif op in _UNCOND_OPS:
                 bits = F_UNCOND
             if op is Opcode.LOAD:
@@ -149,10 +225,9 @@ class TraceColumns:
             flags[pos] = bits
             fu[pos] = FU_INDEX[fu_class(op)]
             lat[pos] = latency_of(op)
-            addr[pos] = inst.addr if inst.addr is not None else -1
+            addr[pos] = address if address is not None else -1
             deps = reg_deps[pos]
             if deps:
-                srcs = inst.srcs
                 dep_pairs[pos] = tuple(
                     (producer, srcs[i])
                     for i, producer in enumerate(deps)
@@ -163,11 +238,10 @@ class TraceColumns:
                     for i, reg in enumerate(srcs)
                     if reg != 0
                 )
-            if inst.dst is not None and inst.dst != 0:
-                dst_nz[pos] = inst.dst
-            dst_value[pos] = inst.dst_value
+            if dst is not None and dst != 0:
+                dst_nz[pos] = dst
         return cls(
-            pc=tuple(pc),
+            pc=tuple(named["pc"]),
             flags=tuple(flags),
             fu=tuple(fu),
             lat=tuple(lat),
@@ -176,7 +250,7 @@ class TraceColumns:
             dep_pairs=tuple(dep_pairs),
             scan_reads=tuple(scan_reads),
             dst_nz=tuple(dst_nz),
-            dst_value=dst_value,
+            dst_value=list(named["dst_value"]),
         )
 
     # -- derived indexes ------------------------------------------------

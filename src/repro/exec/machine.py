@@ -4,14 +4,24 @@ The machine executes a :class:`~repro.isa.program.Program` architecturally
 (no timing) and records every retired instruction with operand values,
 memory addresses and branch outcomes — the information the profile analysis,
 value predictors and the trace-driven SpMT simulator need.
+
+:meth:`Machine.run` builds the whole trace in its one execution loop: it
+appends each outcome to the per-field lists of the trace and tracks the
+last writer of every register and the last store to every address, so the
+dependence columns of :class:`~repro.exec.columns.TraceColumns` come out
+of the same loop.  An executed trace therefore carries its fields and
+columns from birth and builds no :class:`~repro.exec.trace.DynInst`
+objects; :meth:`Machine.step` wraps the same interpreter semantics
+(:meth:`Machine._execute`) in one ``DynInst`` per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError, WorkloadError
-from repro.exec.trace import DynInst, Trace
+from repro.exec.columns import TraceColumns
+from repro.exec.trace import FIELDS, DynInst, Trace
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 
@@ -39,146 +49,151 @@ class Machine:
         self.call_stack: List[int] = []
         self.pc = 0
         self.halted = False
+        #: Per static pc: (mnemonic, opcode, dst, srcs, imm, target), so
+        #: the interpreter dispatches on an interned string instead of
+        #: looking enum members up on every executed instruction.
+        self._decoded = [
+            (inst.op.value, inst.op, inst.dst, inst.srcs, inst.imm, inst.target)
+            for inst in program
+        ]
 
-    def _read(self, reg: int):
-        return 0 if reg == 0 else self.regs[reg]
+    def _execute(self) -> tuple:
+        """Execute one instruction; return its outcome in ``FIELDS`` order.
 
-    def _write(self, reg: Optional[int], value) -> None:
-        if reg is not None and reg != 0:
-            if isinstance(value, int):
-                value = _wrap32(value)
-            self.regs[reg] = value
-
-    def step(self) -> DynInst:
-        """Execute one instruction and return its dynamic record."""
+        The one copy of the interpreter semantics: :meth:`step` wraps the
+        outcome in a :class:`DynInst`, :meth:`run` appends it to the
+        trace's field lists.  Branches are ordered by dynamic frequency
+        over the workload suite.
+        """
         if self.halted:
             raise ExecutionError("machine is halted")
-        if not 0 <= self.pc < len(self.program):
-            raise ExecutionError(f"pc {self.pc} outside program")
         pc = self.pc
-        inst = self.program[pc]
-        op = inst.op
-        # Register 0 is hard-wired to zero (``_write`` never touches it),
-        # so the reads need no special case — this is the interpreter's
-        # hottest expression at paper-scale trace lengths.
+        if not 0 <= pc < len(self._decoded):
+            raise ExecutionError(f"pc {pc} outside program")
+        name, op, dst, srcs, imm, target = self._decoded[pc]
+        # Register 0 is hard-wired to zero (writes below never touch it),
+        # so the reads need no special case.
         regs = self.regs
-        src_values = tuple([regs[reg] for reg in inst.srcs])
+        src_values = tuple([regs[reg] for reg in srcs])
         dst_value = None
         addr = None
         taken: Optional[bool] = None
         next_pc = pc + 1
 
-        if op is Opcode.LI:
-            dst_value = inst.imm
-        elif op is Opcode.MOV:
-            dst_value = src_values[0]
-        elif op is Opcode.ADD:
+        if name == "load":
+            addr = int(src_values[0]) + (imm or 0)
+            dst_value = self.memory.get(addr, 0)
+        elif name == "addi":
+            dst_value = src_values[0] + imm
+        elif name == "add":
             dst_value = src_values[0] + src_values[1]
-        elif op is Opcode.SUB:
-            dst_value = src_values[0] - src_values[1]
-        elif op is Opcode.AND:
-            dst_value = src_values[0] & src_values[1]
-        elif op is Opcode.OR:
-            dst_value = src_values[0] | src_values[1]
-        elif op is Opcode.XOR:
+        elif name == "li":
+            dst_value = imm
+        elif name == "store":
+            addr = int(src_values[1]) + (imm or 0)
+            self.memory[addr] = src_values[0]
+        elif name == "andi":
+            dst_value = src_values[0] & imm
+        elif name == "bnez":
+            taken = src_values[0] != 0
+        elif name == "mov":
+            dst_value = src_values[0]
+        elif name == "bge":
+            taken = src_values[0] >= src_values[1]
+        elif name == "bne":
+            taken = src_values[0] != src_values[1]
+        elif name == "blt":
+            taken = src_values[0] < src_values[1]
+        elif name == "jump":
+            next_pc = target
+        elif name == "xor":
             dst_value = src_values[0] ^ src_values[1]
-        elif op is Opcode.SHL:
-            dst_value = src_values[0] << (src_values[1] & 31)
-        elif op is Opcode.SHR:
-            dst_value = (src_values[0] & _MASK) >> (src_values[1] & 31)
-        elif op is Opcode.SLT:
-            dst_value = int(src_values[0] < src_values[1])
-        elif op is Opcode.ADDI:
-            dst_value = src_values[0] + inst.imm
-        elif op is Opcode.ANDI:
-            dst_value = src_values[0] & inst.imm
-        elif op is Opcode.ORI:
-            dst_value = src_values[0] | inst.imm
-        elif op is Opcode.XORI:
-            dst_value = src_values[0] ^ inst.imm
-        elif op is Opcode.SHLI:
-            dst_value = src_values[0] << (inst.imm & 31)
-        elif op is Opcode.SHRI:
-            dst_value = (src_values[0] & _MASK) >> (inst.imm & 31)
-        elif op is Opcode.SLTI:
-            dst_value = int(src_values[0] < inst.imm)
-        elif op is Opcode.MUL:
+        elif name == "call":
+            self.call_stack.append(pc + 1)
+            next_pc = target
+        elif name == "ret":
+            if not self.call_stack:
+                raise ExecutionError(f"pc {pc}: return with empty call stack")
+            next_pc = self.call_stack.pop()
+        elif name == "shri":
+            dst_value = (src_values[0] & _MASK) >> (imm & 31)
+        elif name == "shli":
+            dst_value = src_values[0] << (imm & 31)
+        elif name == "beqz":
+            taken = src_values[0] == 0
+        elif name == "mul":
             dst_value = src_values[0] * src_values[1]
-        elif op is Opcode.DIV:
-            dst_value = 0 if src_values[1] == 0 else int(src_values[0] / src_values[1])
-        elif op is Opcode.REM:
+        elif name == "beq":
+            taken = src_values[0] == src_values[1]
+        elif name == "sub":
+            dst_value = src_values[0] - src_values[1]
+        elif name == "and":
+            dst_value = src_values[0] & src_values[1]
+        elif name == "or":
+            dst_value = src_values[0] | src_values[1]
+        elif name == "shl":
+            dst_value = src_values[0] << (src_values[1] & 31)
+        elif name == "shr":
+            dst_value = (src_values[0] & _MASK) >> (src_values[1] & 31)
+        elif name == "slt":
+            dst_value = int(src_values[0] < src_values[1])
+        elif name == "ori":
+            dst_value = src_values[0] | imm
+        elif name == "xori":
+            dst_value = src_values[0] ^ imm
+        elif name == "slti":
+            dst_value = int(src_values[0] < imm)
+        elif name == "div":
+            dst_value = (
+                0 if src_values[1] == 0 else int(src_values[0] / src_values[1])
+            )
+        elif name == "rem":
             dst_value = (
                 0
                 if src_values[1] == 0
                 else src_values[0] - int(src_values[0] / src_values[1]) * src_values[1]
             )
-        elif op is Opcode.FADD:
+        elif name == "fadd":
             dst_value = float(src_values[0]) + float(src_values[1])
-        elif op is Opcode.FSUB:
+        elif name == "fsub":
             dst_value = float(src_values[0]) - float(src_values[1])
-        elif op is Opcode.FMUL:
+        elif name == "fmul":
             dst_value = float(src_values[0]) * float(src_values[1])
-        elif op is Opcode.FDIV:
+        elif name == "fdiv":
             denom = float(src_values[1])
             dst_value = 0.0 if denom == 0.0 else float(src_values[0]) / denom
-        elif op is Opcode.FCVT:
+        elif name == "fcvt":
             dst_value = float(src_values[0])
-        elif op is Opcode.LOAD:
-            addr = int(src_values[0]) + (inst.imm or 0)
-            dst_value = self.memory.get(addr, 0)
-        elif op is Opcode.STORE:
-            addr = int(src_values[1]) + (inst.imm or 0)
-            self.memory[addr] = src_values[0]
-        elif op is Opcode.BEQ:
-            taken = src_values[0] == src_values[1]
-        elif op is Opcode.BNE:
-            taken = src_values[0] != src_values[1]
-        elif op is Opcode.BLT:
-            taken = src_values[0] < src_values[1]
-        elif op is Opcode.BGE:
-            taken = src_values[0] >= src_values[1]
-        elif op is Opcode.BEQZ:
-            taken = src_values[0] == 0
-        elif op is Opcode.BNEZ:
-            taken = src_values[0] != 0
-        elif op is Opcode.JUMP:
-            next_pc = inst.target
-        elif op is Opcode.CALL:
-            self.call_stack.append(pc + 1)
-            next_pc = inst.target
-        elif op is Opcode.RET:
-            if not self.call_stack:
-                raise ExecutionError(f"pc {pc}: return with empty call stack")
-            next_pc = self.call_stack.pop()
-        elif op is Opcode.NOP:
+        elif name == "nop":
             pass
-        elif op is Opcode.HALT:
+        elif name == "halt":
             self.halted = True
         else:  # pragma: no cover - exhaustive over Opcode
             raise ExecutionError(f"unimplemented opcode {op}")
 
-        if taken is not None and taken:
-            next_pc = inst.target
-        if dst_value is not None:
-            self._write(inst.dst, dst_value)
-            if inst.dst is not None and inst.dst != 0 and isinstance(dst_value, int):
-                dst_value = self.regs[inst.dst]
-
+        if taken:
+            next_pc = target
+        if dst_value is None:
+            dst = None
+        elif dst:
+            if isinstance(dst_value, int):
+                dst_value = _wrap32(dst_value)
+            regs[dst] = dst_value
         self.pc = next_pc
-        return DynInst(
-            pc=pc,
-            op=op,
-            dst=inst.dst if dst_value is not None else None,
-            dst_value=dst_value,
-            srcs=inst.srcs,
-            src_values=src_values,
-            addr=addr,
-            taken=taken,
-            next_pc=next_pc,
-        )
+        return (pc, op, dst, dst_value, srcs, src_values, addr, taken, next_pc)
+
+    def step(self) -> DynInst:
+        """Execute one instruction and return its dynamic record."""
+        return DynInst(*self._execute())
 
     def run(self, max_steps: Optional[int] = None) -> Trace:
         """Execute to HALT, returning the dynamic trace.
+
+        One loop builds the whole trace: the per-field lists (``FIELDS``
+        order) and the register/memory dependence columns, from a
+        last-writer table per register and a last-store table per
+        address.  :meth:`TraceColumns.from_execution` assembles the
+        remaining columns from the field lists and per-opcode constants.
 
         Raises :class:`~repro.errors.WorkloadError` if the program does not
         halt within ``max_steps`` (default :data:`DEFAULT_MAX_STEPS`) —
@@ -186,13 +201,89 @@ class Machine:
         """
         if max_steps is None:
             max_steps = DEFAULT_MAX_STEPS
-        insts: List[DynInst] = []
-        append = insts.append
-        step = self.step
-        for _ in range(max_steps):
-            append(step())
-            if self.halted:
-                return Trace(self.program, insts)
+        fields: List[list] = [[] for _ in FIELDS]
+        (
+            pc_append,
+            op_append,
+            dst_append,
+            dst_value_append,
+            srcs_append,
+            src_values_append,
+            addr_append,
+            taken_append,
+            next_pc_append,
+        ) = [field.append for field in fields]
+        mem_dep: List[int] = []
+        dep_pairs: List[Tuple[Tuple[int, int], ...]] = []
+        scan_reads: List[Tuple[Tuple[int, int], ...]] = []
+        mem_dep_append = mem_dep.append
+        dep_pairs_append = dep_pairs.append
+        scan_reads_append = scan_reads.append
+        # Register 0 is never recorded as written, so its entry stays -1.
+        last_writer = [-1] * 64
+        last_store: Dict[int, int] = {}
+        load, store, halt = Opcode.LOAD, Opcode.STORE, Opcode.HALT
+        execute = self._execute
+        for pos in range(max_steps):
+            (pc, op, dst, dst_value, srcs, src_values, addr, taken,
+             next_pc) = execute()
+            pc_append(pc)
+            op_append(op)
+            dst_append(dst)
+            dst_value_append(dst_value)
+            srcs_append(srcs)
+            src_values_append(src_values)
+            addr_append(addr)
+            taken_append(taken)
+            next_pc_append(next_pc)
+            # Producers of the register reads, in source order:
+            # ``dep_pairs`` keeps (producer, reg) for recorded producers,
+            # ``scan_reads`` keeps (reg, producer) for non-zero registers.
+            if len(srcs) == 2:
+                r0, r1 = srcs
+                p0 = last_writer[r0]
+                p1 = last_writer[r1]
+                if p0 < 0:
+                    dep_pairs_append(((p1, r1),) if p1 >= 0 else ())
+                elif p1 < 0:
+                    dep_pairs_append(((p0, r0),))
+                else:
+                    dep_pairs_append(((p0, r0), (p1, r1)))
+                if not r0:
+                    scan_reads_append(((r1, p1),) if r1 else ())
+                elif not r1:
+                    scan_reads_append(((r0, p0),))
+                else:
+                    scan_reads_append(((r0, p0), (r1, p1)))
+            elif len(srcs) == 1:
+                r0 = srcs[0]
+                p0 = last_writer[r0]
+                dep_pairs_append(((p0, r0),) if p0 >= 0 else ())
+                scan_reads_append(((r0, p0),) if r0 else ())
+            elif srcs:
+                producers = [last_writer[reg] for reg in srcs]
+                dep_pairs_append(
+                    tuple([(p, r) for p, r in zip(producers, srcs) if p >= 0])
+                )
+                scan_reads_append(
+                    tuple([(r, p) for r, p in zip(srcs, producers) if r])
+                )
+            else:
+                dep_pairs_append(())
+                scan_reads_append(())
+            if op is load:
+                mem_dep_append(last_store.get(addr, -1))
+            else:
+                mem_dep_append(-1)
+                if op is store:
+                    last_store[addr] = pos
+            if dst:
+                last_writer[dst] = pos
+            if op is halt:
+                columns = TraceColumns.from_execution(
+                    self.program, fields, mem_dep, dep_pairs, scan_reads
+                )
+                return Trace.from_fields(self.program, fields, columns)
         raise WorkloadError(
             f"program {self.program.name!r} did not halt",
             workload=self.program.name,

@@ -4,12 +4,17 @@ A :class:`Trace` is the interface between the functional front-end and
 everything downstream: the profiler, the spawning-policy analyses and the
 clustered SpMT timing simulator are all trace-driven, mirroring the paper's
 ATOM-based methodology.
+
+A trace is stored as one list per instruction field plus its
+:class:`~repro.exec.columns.TraceColumns`; the executor builds both in
+its one loop and the artifact cache stores both.  :class:`DynInst` is a
+lazy per-instruction view of the fields, built only on request (by the
+legacy simulator core and tests).
 """
 
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Opcode
@@ -74,8 +79,8 @@ class DynInst:
         return f"DynInst(pc={self.pc}, op={self.op.value})"
 
 
-#: Instruction fields in stored order: a loaded trace keeps one list per
-#: field, in this order.
+#: Instruction fields in stored order: a trace keeps one list per field,
+#: in this order.
 FIELDS = DynInst.__slots__
 
 _FIELD_INDEX = {name: i for i, name in enumerate(FIELDS)}
@@ -84,98 +89,82 @@ _FIELD_INDEX = {name: i for i, name in enumerate(FIELDS)}
 class Trace:
     """A complete dynamic execution of a program.
 
-    Provides the two derived views the rest of the system relies on:
+    A trace holds one list per instruction field (``FIELDS`` order) plus
+    its :class:`~repro.exec.columns.TraceColumns`, from birth: the
+    executor (:meth:`repro.exec.machine.Machine.run`) writes both in its
+    one loop, and the artifact cache stores and restores both.  The
+    :class:`DynInst` objects are a lazy view, built only when ``insts``,
+    indexing or iteration first asks for them (the legacy simulator
+    core and tests do); everything else reads the fields or columns.
+
+    Derived views the rest of the system relies on:
 
     - ``positions_of(pc)``: sorted trace positions where ``pc`` executed,
       used by the SpMT simulator to locate the next occurrence of a CQIP.
     - ``register_deps``/``memory_deps``: for each position, the producing
-      position of each register source (and of the loaded value), used for
-      dataflow timing and the independence/predictability profiles.
-
-    An executed trace holds its :class:`DynInst` list.  A trace loaded
-    from the artifact cache (:meth:`from_fields`) holds one list per
-    instruction field instead and builds the :class:`DynInst` list only
-    when ``insts``, indexing or iteration first asks for it; the pc
-    index, the dependence and register-write indexes and :meth:`pc_at`
-    read the fields directly, so the event core never builds it.
+      position of each register source (and of the loaded value), derived
+      lazily from the fields for the legacy oracle and the sanitizer.
     """
 
-    _columns = None  # lazily built / attached TraceColumns
-
-    def __init__(self, program: Program, insts: List[DynInst]):
-        self.program = program
-        self._insts: Optional[List[DynInst]] = insts
-        #: Per-field lists in ``FIELDS`` order (loaded traces only; never
-        #: changes once set, so readers need no lock).
-        self._fields: Optional[List[list]] = None
-        self._length = len(insts)
-        self._pc_index: Optional[Dict[int, List[int]]] = None
-        self._register_deps: Optional[List[Tuple[int, ...]]] = None
-        self._memory_deps: Optional[List[int]] = None
-        self._register_writes: Optional[Dict[int, Tuple[List[int], List]]] = None
-
-    @classmethod
-    def from_fields(cls, program: Program, fields: List[list], columns) -> "Trace":
-        """A trace over per-field instruction lists (``FIELDS`` order).
-
-        ``columns`` is the trace's stored columnar view; it is installed
-        with :meth:`attach_columns`.
-        """
+    def __init__(self, program: Program, fields: List[list], columns):
         if len(fields) != len(FIELDS):
             raise ValueError(
                 f"expected {len(FIELDS)} field lists, got {len(fields)}"
             )
-        trace = cls(program, [])
-        trace._insts = None
-        trace._fields = fields
-        trace._length = len(fields[0])
-        trace.attach_columns(columns)
-        return trace
+        self.program = program
+        #: Per-field lists in ``FIELDS`` order (never change once set, so
+        #: readers need no lock).
+        self._fields = fields
+        self._length = len(fields[0])
+        self._insts: Optional[List[DynInst]] = None
+        self._pc_index: Optional[Dict[int, List[int]]] = None
+        self._register_deps: Optional[List[Tuple[int, ...]]] = None
+        self._memory_deps: Optional[List[int]] = None
+        self._register_writes: Optional[Dict[int, Tuple[List[int], List]]] = None
+        self.attach_columns(columns)
+
+    @classmethod
+    def from_fields(cls, program: Program, fields: List[list], columns) -> "Trace":
+        """The trace over per-field instruction lists and their columns.
+
+        ``fields`` are in ``FIELDS`` order and ``columns`` is their
+        :class:`~repro.exec.columns.TraceColumns` view: what the executor
+        and the artifact cache both hand over.
+        """
+        return cls(program, fields, columns)
 
     @property
     def insts(self) -> List[DynInst]:
-        """The instruction objects (built on first use for a loaded trace)."""
+        """The instruction objects (built from the fields on first use)."""
         insts = self._insts
         if insts is None:
             insts = self._insts = list(map(DynInst, *self._fields))
         return insts
 
     def field_lists(self) -> List[list]:
-        """Per-field instruction lists in ``FIELDS`` order.
+        """Per-field instruction lists in ``FIELDS`` order (not copies)."""
+        return self._fields
 
-        A loaded trace returns its stored lists; an executed trace builds
-        fresh lists on each call and keeps none of them.
-        """
-        if self._fields is not None:
-            return self._fields
-        insts = self._insts
-        return [list(map(attrgetter(name), insts)) for name in FIELDS]
+    def field(self, name: str) -> list:
+        """The list of one instruction field (``FIELDS`` name; not a copy)."""
+        return self._fields[_FIELD_INDEX[name]]
 
     def _rows(self, *names: str) -> Iterator[tuple]:
         """Per position, the tuple of the fields ``names`` (no copies)."""
-        fields = self._fields
-        if fields is not None:
-            return zip(*(fields[_FIELD_INDEX[name]] for name in names))
-        insts = self._insts
-        return zip(*(map(attrgetter(name), insts) for name in names))
+        return zip(*(self.field(name) for name in names))
 
     def __len__(self) -> int:
         return self._length
 
     def __getitem__(self, pos: int) -> DynInst:
-        insts = self._insts
-        if insts is None:
-            insts = self.insts
-        return insts[pos]
+        return self.insts[pos]
 
     def __iter__(self):
         return iter(self.insts)
 
     def pc_at(self, pos: int) -> int:
         """The pc executed at trace position ``pos``."""
-        if self._fields is not None:
-            return self._fields[0][pos]  # FIELDS[0] is "pc"
-        return self._insts[pos].pc
+        return self._fields[0][pos]  # FIELDS[0] is "pc"
 
     # ------------------------------------------------------------------
     # pc index.
@@ -185,7 +174,7 @@ class Trace:
     def pc_index(self) -> Dict[int, List[int]]:
         if self._pc_index is None:
             index: Dict[int, List[int]] = {}
-            for pos, (pc,) in enumerate(self._rows("pc")):
+            for pos, pc in enumerate(self._fields[0]):
                 index.setdefault(pc, []).append(pos)
             self._pc_index = index
         return self._pc_index
@@ -288,16 +277,9 @@ class Trace:
     @property
     def columns(self):
         """Struct-of-arrays view of the trace (see
-        :class:`repro.exec.columns.TraceColumns`).
-
-        Built lazily on first access and memoised on the trace; a trace
-        loaded from the artifact cache arrives with its stored copy
-        installed (:meth:`attach_columns`), so it never builds them.
+        :class:`repro.exec.columns.TraceColumns`), installed at
+        construction.
         """
-        if self._columns is None:
-            from repro.exec.columns import TraceColumns
-
-            self._columns = TraceColumns.build(self)
         return self._columns
 
     def attach_columns(self, columns) -> None:

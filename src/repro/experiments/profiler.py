@@ -1,10 +1,10 @@
 """Profiling harness for the simulator hot path (``repro profile``).
 
-Times the four phases of one experiment point — trace build, columnar
-build, pair selection, simulation — plus a commit-invariant check, and
-(optionally) runs the simulation under :mod:`cProfile` to report the
-top functions by cumulative time.  The JSON view (``--json``) lets a
-script attribute a regression to a phase.
+Times the three phases of one experiment point — trace build (execution
+and columns, one pass), pair selection, simulation — plus a
+commit-invariant check, and (optionally) runs the simulation under
+:mod:`cProfile` to report the top functions by cumulative time.  The
+JSON view (``--json``) lets a script attribute a regression to a phase.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ from repro.cmt.stats import SimulationStats
 from repro.workloads import load_trace
 
 #: Phase keys, in execution order (render order too).
-PHASES = ("trace_build", "column_build", "pair_selection", "simulate",
-          "commit_check")
+PHASES = ("trace_build", "pair_selection", "simulate", "commit_check")
 
 #: Version of the ``repro profile --json`` report shape.  Bump on any
 #: breaking change to :meth:`ProfileReport.to_dict`; consumers (external
 #: tooling reading CI artifacts) key their parsing on it.  Version 2
 #: added the ``wakeup_heap`` section and the ``stall_reasons`` histogram
-#: (event core only; ``None``/empty for the legacy core).
-PROFILE_SCHEMA_VERSION = 2
+#: (event core only; ``None``/empty for the legacy core).  Version 3
+#: dropped the ``column_build`` phase: the executor builds the columns
+#: inside ``trace_build``.
+PROFILE_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -226,11 +227,6 @@ def profile_run(
     start = time.perf_counter()
     trace = load_trace(workload, scale)
     report.phases["trace_build"] = round(time.perf_counter() - start, 4)
-
-    start = time.perf_counter()
-    columns = trace.columns
-    report.phases["column_build"] = round(time.perf_counter() - start, 4)
-    del columns
 
     builder = framework._POLICIES[policy]
     start = time.perf_counter()

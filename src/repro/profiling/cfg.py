@@ -2,15 +2,23 @@
 
 Nodes are basic blocks (identified by their leader pc), edges are observed
 control transfers weighted by traversal frequency — exactly the structure
-the paper builds from its profiling run.
+the paper builds from its profiling run.  The graph is read off the
+trace's ``pc`` and ``flags`` columns and its ``next_pc`` field, so
+profiling builds no per-instruction objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Tuple
 
+from repro.exec.columns import F_BRANCH, F_UNCOND
 from repro.exec.trace import Trace
+
+#: Flag bits of an instruction that ends a basic block: a conditional
+#: branch or an unconditional transfer (JUMP/CALL/RET).
+_CONTROL = F_BRANCH | F_UNCOND
 
 
 @dataclass
@@ -75,36 +83,35 @@ class ControlFlowGraph:
         if len(trace) == 0:
             raise ValueError("cannot build a CFG from an empty trace")
 
-        leaders = {trace[0].pc}
-        for inst in trace:
-            if inst.op.name in ("JUMP", "CALL", "RET") or inst.taken is not None:
-                leaders.add(inst.next_pc)
-                leaders.add(inst.pc + 1)
+        columns = trace.columns
+        pcs = columns.pc
+        flags = columns.flags
+        next_pcs = trace.field("next_pc")
+        n = len(trace)
+        control = [pos for pos, bits in enumerate(flags) if bits & _CONTROL]
+        leaders = {pcs[0]}
+        leaders.update([next_pcs[pos] for pos in control])
+        leaders.update([pcs[pos] + 1 for pos in control])
+
+        # A block ends at a control transfer, before the next leader, or
+        # at the end of the trace.
+        ends = [
+            pos
+            for pos, bits, following in zip(range(n), flags, islice(pcs, 1, None))
+            if bits & _CONTROL or following in leaders
+        ]
+        ends.append(n - 1)
 
         blocks: List[BasicBlock] = []
         by_pc: Dict[int, int] = {}
         edges: Dict[Tuple[int, int], int] = {}
         sequence: List[Tuple[int, int]] = []
 
-        pos = 0
-        n = len(trace)
+        start = 0
         prev_block = -1
-        while pos < n:
-            start = pos
-            start_pc = trace[pos].pc
-            # Extend the block until a control transfer or the next leader.
-            while True:
-                inst = trace[pos]
-                pos += 1
-                is_control = (
-                    inst.taken is not None
-                    or inst.op.name in ("JUMP", "CALL", "RET")
-                )
-                if is_control or pos >= n:
-                    break
-                if trace[pos].pc in leaders:
-                    break
-            size = pos - start
+        for end in ends:
+            size = end + 1 - start
+            start_pc = pcs[start]
             if start_pc in by_pc:
                 bid = by_pc[start_pc]
                 # A later, shorter instance can appear if a new leader was
@@ -121,4 +128,5 @@ class ControlFlowGraph:
                 key = (prev_block, bid)
                 edges[key] = edges.get(key, 0) + 1
             prev_block = bid
+            start = end + 1
         return cls(blocks, edges, sequence, total_instructions=n)

@@ -71,8 +71,10 @@ def profile_pair_dependences(
     none of its register/memory inputs (transitively, within the thread)
     come from the spawn region [SP, CQIP).
     """
-    reg_deps = trace.register_deps
-    mem_deps = trace.memory_deps
+    # (reg, producer) per non-zero register read: register 0 never has a
+    # producer, so it can never tie a thread to the spawn region.
+    reads = trace.columns.scan_reads
+    mem_deps = trace.columns.mem_dep
     sp_positions = trace.positions_of(sp_pc)
     n = len(trace)
 
@@ -108,12 +110,10 @@ def profile_pair_dependences(
         livein_regs: Dict[int, int] = {}
         independent = 0
         for pos in range(cqip_pos, end):
-            inst = trace[pos]
             dep = False
-            for src_i, producer in enumerate(reg_deps[pos]):
+            for reg, producer in reads[pos]:
                 if sp_pos <= producer < cqip_pos:
                     dep = True
-                    reg = inst.srcs[src_i]
                     livein_regs.setdefault(reg, pos)
                 elif producer in dependent:
                     dep = True
@@ -146,11 +146,9 @@ def profile_pair_dependences(
         blocked = set()  # positions poisoned by an unpredictable live-in
         ok = 0
         for pos in range(cqip_pos, end):
-            inst = trace[pos]
             bad = False
-            for src_i, producer in enumerate(reg_deps[pos]):
+            for reg, producer in reads[pos]:
                 if sp_pos <= producer < cqip_pos:
-                    reg = inst.srcs[src_i]
                     if predictability.get(reg, 0.0) < predictability_threshold:
                         bad = True
                 elif producer in blocked:

@@ -72,9 +72,12 @@ def prune_cfg(
         victim = blk.bid
         if victim in kept:
             continue
-        in_edges = [(u, w) for (u, v), w in edges.items() if v == victim and u != victim]
-        out_edges = [(v, w) for (u, v), w in edges.items() if u == victim and v != victim]
-        self_w = edges.get((victim, victim), 0.0)
+        in_edges = [
+            (u, w) for (u, v), w in edges.items() if v == victim and u != victim
+        ]
+        out_edges = [
+            (v, w) for (u, v), w in edges.items() if u == victim and v != victim
+        ]
         exit_total = sum(w for _v, w in out_edges)
         for u, w_in in in_edges:
             if exit_total > 0:

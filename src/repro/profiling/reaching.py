@@ -20,11 +20,16 @@ reach it: ``G_d(x, z) = (N[x, z] - H[x, d] * N[d, z]) * H[z, d]``.
 :class:`EmpiricalReachingProfile` measures the same quantities directly on
 the profile trace with a bounded lookahead; it is the default estimator
 because it makes no Markov assumption (and the paper's selection criteria
-only need pairs within a bounded distance anyway).
+only need pairs within a bounded distance anyway).  It walks the block
+sequence once, backwards, keeping the blocks ordered by their next entry
+so each walk visits only the blocks it reaches; counts and distance sums
+accumulate in Python ints per block pair and are written into the two
+matrices once (distances are integers, so the sums are exact).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -61,33 +66,47 @@ class EmpiricalReachingProfile(ReachingProfile):
         max_lookahead: int = 4096,
     ):
         n = len(cfg)
-        counts = np.zeros((n, n), dtype=np.int64)
-        dist_sum = np.zeros((n, n), dtype=np.float64)
-        occurrences = np.zeros(n, dtype=np.int64)
+        blocks = [bid for bid, _ in cfg.sequence]
+        starts = [pos for _, pos in cfg.sequence]
+        seq_len = len(blocks)
+        occurrences = np.bincount(np.array(blocks, dtype=np.int64), minlength=n)
 
-        sequence = cfg.sequence
-        seq_len = len(sequence)
-        for k in range(seq_len):
-            s, pos_s = sequence[k]
-            occurrences[s] += 1
-            limit = pos_s + max_lookahead
-            seen = {}
-            m = k + 1
-            while m < seq_len:
-                blk, pos = sequence[m]
-                if pos >= limit:
+        # count_rows[s][d]: walks from s that reached d; dist_rows[s][d]:
+        # the sum of their distances.  Python ints, written into the
+        # matrices once at the end.
+        count_rows = [[0] * n for _ in range(n)]
+        dist_rows = [[0] * n for _ in range(n)]
+        # Walking the sequence backwards, ``following[b]`` is the index of
+        # the next entry of block b after the current one (seq_len if
+        # none), and ``order`` lists the blocks by that index, so the
+        # blocks a walk reaches first are a prefix of it.
+        following = [seq_len] * n
+        order = list(range(n))
+        for k in range(seq_len - 1, -1, -1):
+            s = blocks[k]
+            pos_s = starts[k]
+            count_row = count_rows[s]
+            dist_row = dist_rows[s]
+            # The walk from entry k sees the entries before the lookahead
+            # horizon and stops at the source's next entry (a loop
+            # iteration: the self pair, recorded at that distance).
+            stop = bisect_left(starts, pos_s + max_lookahead, k + 1)
+            again = following[s]
+            if again < stop:
+                stop = again
+                count_row[s] += 1
+                dist_row[s] += starts[again] - pos_s
+            for blk in order:
+                m = following[blk]
+                if m >= stop:
                     break
-                if blk == s:
-                    # Self pair: a loop iteration — record and stop (the
-                    # source may only re-appear as the destination).
-                    seen.setdefault(s, pos - pos_s)
-                    break
-                if blk not in seen:
-                    seen[blk] = pos - pos_s
-                m += 1
-            for blk, distance in seen.items():
-                counts[s, blk] += 1
-                dist_sum[s, blk] += distance
+                count_row[blk] += 1
+                dist_row[blk] += starts[m] - pos_s
+            order.remove(s)
+            order.insert(0, s)
+            following[s] = k
+        counts = np.array(count_rows, dtype=np.int64).reshape(n, n)
+        dist_sum = np.array(dist_rows, dtype=np.float64).reshape(n, n)
 
         with np.errstate(invalid="ignore", divide="ignore"):
             prob = counts / np.maximum(occurrences[:, None], 1)

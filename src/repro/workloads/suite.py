@@ -1,8 +1,8 @@
 """Workload registry: build programs and (cached) traces by name.
 
-``load_trace`` memoizes in-process (``functools.lru_cache``); the
-experiment layer adds an on-disk layer on top —
-``repro.experiments.framework.trace_for`` stores traces in the
+``load_trace`` memoizes in-process (``functools.lru_cache`` over the
+full argument tuple); the experiment layer adds an on-disk layer on
+top — ``repro.experiments.framework.trace_for`` stores traces in the
 content-addressed :class:`~repro.cache.ArtifactCache`, keyed by
 (workload, scale, dataset) plus the generating code's digest, so sweeps
 and parallel workers share one functional execution per workload.
@@ -84,6 +84,12 @@ def build_workload(
 
 
 @functools.lru_cache(maxsize=32)
+def _executed_trace(
+    name: str, scale: float, dataset: str, max_steps: Optional[int]
+) -> Trace:
+    return run_program(build_workload(name, scale, dataset), max_steps=max_steps)
+
+
 def load_trace(
     name: str,
     scale: float = 1.0,
@@ -94,8 +100,10 @@ def load_trace(
 
     Traces are deterministic for a given (name, scale, dataset), so caching
     is safe and keeps experiment sweeps from re-running the functional
-    simulation.  ``max_steps`` bounds the functional execution; a workload
-    that does not halt within it raises
+    simulation.  The memo is keyed on the full argument tuple, so every
+    call form (positional, keyword, defaults spelled out or left out)
+    shares one trace.  ``max_steps`` bounds the functional execution; a
+    workload that does not halt within it raises
     :class:`~repro.errors.WorkloadError`.
 
     Args:
@@ -107,4 +115,8 @@ def load_trace(
     Returns:
         The memoized :class:`~repro.exec.Trace`.
     """
-    return run_program(build_workload(name, scale, dataset), max_steps=max_steps)
+    return _executed_trace(name, scale, dataset, max_steps)
+
+
+#: Drops the in-process trace memo (``repro.experiments.framework.clear_memos``).
+load_trace.cache_clear = _executed_trace.cache_clear  # type: ignore[attr-defined]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exec import run_program
 from repro.isa import ProgramBuilder, assemble
-from repro.profiling import ControlFlowGraph, prune_cfg
+from repro.profiling import BasicBlock, ControlFlowGraph, prune_cfg
 from repro.profiling.reaching import (
     EmpiricalReachingProfile,
     MarkovReachingProfile,
@@ -131,3 +131,65 @@ class TestPropertyRandomLoops:
             (trips - 1) / trips, abs=1e-9
         )
         assert profile.dist[head, head] == pytest.approx(body + 2, abs=1e-9)
+
+
+def _brute_force_reaching(cfg, max_lookahead):
+    """Reference estimator: a direct scan of every walk, one numpy scalar
+    update per observed pair, with no reuse between walks."""
+    n = len(cfg)
+    counts = np.zeros((n, n), dtype=np.int64)
+    dist_sum = np.zeros((n, n), dtype=np.float64)
+    occurrences = np.zeros(n, dtype=np.int64)
+    sequence = cfg.sequence
+    for k, (s, pos_s) in enumerate(sequence):
+        occurrences[s] += 1
+        seen = {}
+        for blk, pos in sequence[k + 1:]:
+            if pos >= pos_s + max_lookahead:
+                break
+            if blk == s:
+                seen.setdefault(s, pos - pos_s)
+                break
+            seen.setdefault(blk, pos - pos_s)
+        for blk, distance in seen.items():
+            counts[s, blk] += 1
+            dist_sum[s, blk] += distance
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prob = counts / np.maximum(occurrences[:, None], 1)
+        dist = np.where(counts > 0, dist_sum / np.maximum(counts, 1), np.nan)
+    prob[occurrences == 0, :] = 0.0
+    return prob, dist
+
+
+class TestPropertyRandomSequences:
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=9), min_size=1,
+                       max_size=8),
+        walk=st.lists(st.integers(min_value=0, max_value=7), min_size=1,
+                      max_size=150),
+        max_lookahead=st.integers(min_value=1, max_value=80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_empirical_matches_brute_force(self, sizes, walk, max_lookahead):
+        # Blocks that never occur in the walk must read zero, as must
+        # pairs beyond the lookahead; every value must be bit-identical.
+        n = len(sizes)
+        walk = [blk % n for blk in walk]
+        sequence = []
+        position = 0
+        for blk in walk:
+            sequence.append((blk, position))
+            position += sizes[blk]
+        blocks = [
+            BasicBlock(bid=bid, start_pc=10 * bid, size=size,
+                       count=walk.count(bid))
+            for bid, size in enumerate(sizes)
+        ]
+        edges = {}
+        for edge in zip(walk, walk[1:]):
+            edges[edge] = edges.get(edge, 0) + 1
+        cfg = ControlFlowGraph(blocks, edges, sequence, position)
+        profile = EmpiricalReachingProfile(cfg, max_lookahead=max_lookahead)
+        prob, dist = _brute_force_reaching(cfg, max_lookahead)
+        assert profile.prob.tobytes() == prob.tobytes()
+        assert profile.dist.tobytes() == dist.tobytes()

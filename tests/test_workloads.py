@@ -90,3 +90,29 @@ class TestCharacter:
 
     def test_load_trace_caches(self):
         assert load_trace("compress", SCALE) is load_trace("compress", SCALE)
+
+    def test_load_trace_call_forms_share_one_execution(self, monkeypatch):
+        # The callers mix positional, keyword and defaulted forms; each
+        # must hit the one memoized trace instead of executing again.
+        from repro.workloads import suite
+
+        executed = []
+        real_run = suite.run_program
+
+        def counting_run(program, max_steps=None):
+            executed.append(program.name)
+            return real_run(program, max_steps=max_steps)
+
+        monkeypatch.setattr(suite, "run_program", counting_run)
+        load_trace.cache_clear()
+        try:
+            traces = [
+                load_trace("compress", 0.05),
+                load_trace("compress", 0.05, "train"),
+                load_trace("compress", 0.05, dataset="train"),
+                load_trace("compress", 0.05, max_steps=None),
+            ]
+        finally:
+            load_trace.cache_clear()
+        assert all(trace is traces[0] for trace in traces)
+        assert len(executed) == 1
