@@ -179,10 +179,9 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
 
     # The L1 and gshare hot paths are inlined into the fetch-group loop
     # (their counters cached in locals, flushed on unit switch and on
-    # exit) except when tracing needs the per-access call sites or the
-    # predictor is not plain gshare; geometry and table shapes are
-    # identical across units, so they hoist once.
-    inline_units = not trace_on and config.branch_predictor == "gshare"
+    # exit); gshare only when it is the configured predictor.  Geometry
+    # and table shapes are identical across units, so they hoist once.
+    inline_gshare = config.branch_predictor == "gshare"
     l1_proto = tus[0].l1
     l1_block_words = l1_proto.block_words
     l1_n_sets = l1_proto.n_sets
@@ -197,8 +196,6 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     issue_count: List[int] = []
     fu_stamps: List[List[int]] = []
     fu_counts: List[List[int]] = []
-    l1 = None
-    l1_access = None
     l1_sets: Dict[int, List[int]] = {}
     l1_acc = 0
     l1_miss = 0
@@ -545,27 +542,27 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                     tu._ring_base = floor
                 ring_base = tu._ring_base
                 if tu is not cur_tu:
-                    if inline_units and cur_tu is not None:
+                    if cur_tu is not None:
                         # Write the outgoing unit's cached counters back
                         # before caching the incoming unit's.
                         out_l1 = cur_tu.l1
                         out_l1.accesses = l1_acc
                         out_l1.misses = l1_miss
-                        out_g = cur_tu.gshare
-                        out_g.history = g_history
-                        out_g.predictions = g_pred
-                        out_g.hits = g_hits
+                        if inline_gshare:
+                            out_g = cur_tu.gshare
+                            out_g.history = g_history
+                            out_g.predictions = g_pred
+                            out_g.hits = g_hits
                     cur_tu = tu
                     issue_stamp = tu._issue_stamp
                     issue_count = tu._issue_count
                     fu_stamps = tu._fu_stamp
                     fu_counts = tu._fu_count
                     l1 = tu.l1
-                    l1_access = l1.access
-                    if inline_units:
-                        l1_sets = l1._sets
-                        l1_acc = l1.accesses
-                        l1_miss = l1.misses
+                    l1_sets = l1._sets
+                    l1_acc = l1.accesses
+                    l1_miss = l1.misses
+                    if inline_gshare:
                         gshare = tu.gshare
                         g_counters = gshare.counters
                         g_history = gshare.history
@@ -672,64 +669,53 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
 
                     # Execution latency and resources.
                     if flags & F_LOAD:
-                        if inline_units:
-                            # L1Cache.access, unrolled (LRU within the
-                            # set, write-allocate fills).
-                            block = addr_col[pos] // l1_block_words
-                            set_index = block % l1_n_sets
-                            tag = block // l1_n_sets
-                            ways = l1_sets.get(set_index)
-                            if ways is None:
-                                ways = l1_sets[set_index] = []
-                            l1_acc += 1
-                            if tag in ways:
-                                if ways[0] != tag:
-                                    ways.remove(tag)
-                                    ways.insert(0, tag)
-                                latency = 1 + l1_hit_lat
-                            else:
-                                l1_miss += 1
+                        # L1Cache.access, unrolled (LRU within the set,
+                        # write-allocate fills); a traced miss records
+                        # the line it installs.
+                        block = addr_col[pos] // l1_block_words
+                        set_index = block % l1_n_sets
+                        tag = block // l1_n_sets
+                        ways = l1_sets.get(set_index)
+                        if ways is None:
+                            ways = l1_sets[set_index] = []
+                        l1_acc += 1
+                        if tag in ways:
+                            if ways[0] != tag:
+                                ways.remove(tag)
                                 ways.insert(0, tag)
-                                if len(ways) > l1_assoc:
-                                    ways.pop()
-                                latency = 1 + l1_miss_lat
-                        elif trace_on:
-                            miss_before = l1.misses
-                            latency = 1 + l1_access(addr_col[pos])
-                            if l1.misses != miss_before:
+                            latency = 1 + l1_hit_lat
+                        else:
+                            l1_miss += 1
+                            ways.insert(0, tag)
+                            if len(ways) > l1_assoc:
+                                ways.pop()
+                            latency = 1 + l1_miss_lat
+                            if trace_on:
                                 note_install(
                                     cycle, thread_seq, addr_col[pos], False
                                 )
-                        else:
-                            latency = 1 + l1_access(addr_col[pos])
                         fu = LDST_INDEX
                     elif flags & F_STORE:
-                        if inline_units:
-                            block = addr_col[pos] // l1_block_words
-                            set_index = block % l1_n_sets
-                            tag = block // l1_n_sets
-                            ways = l1_sets.get(set_index)
-                            if ways is None:
-                                ways = l1_sets[set_index] = []
-                            l1_acc += 1
-                            if tag in ways:
-                                if ways[0] != tag:
-                                    ways.remove(tag)
-                                    ways.insert(0, tag)
-                            else:
-                                l1_miss += 1
+                        block = addr_col[pos] // l1_block_words
+                        set_index = block % l1_n_sets
+                        tag = block // l1_n_sets
+                        ways = l1_sets.get(set_index)
+                        if ways is None:
+                            ways = l1_sets[set_index] = []
+                        l1_acc += 1
+                        if tag in ways:
+                            if ways[0] != tag:
+                                ways.remove(tag)
                                 ways.insert(0, tag)
-                                if len(ways) > l1_assoc:
-                                    ways.pop()
-                        elif trace_on:
-                            miss_before = l1.misses
-                            l1_access(addr_col[pos], True)
-                            if l1.misses != miss_before:
+                        else:
+                            l1_miss += 1
+                            ways.insert(0, tag)
+                            if len(ways) > l1_assoc:
+                                ways.pop()
+                            if trace_on:
                                 note_install(
                                     cycle, thread_seq, addr_col[pos], True
                                 )
-                        else:
-                            l1_access(addr_col[pos], True)
                         latency = 1
                         fu = LDST_INDEX
                     else:
@@ -818,7 +804,7 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
 
                     # Control flow shapes the fetch group.
                     if flags & F_BRANCH:
-                        if inline_units:
+                        if inline_gshare:
                             # GsharePredictor.update, unrolled.
                             taken = flags & F_TAKEN != 0
                             index = (pc ^ g_history) & g_mask
@@ -975,14 +961,15 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                 cycle=prev_cycle,
             )
     finally:
-        if inline_units and cur_tu is not None:
+        if cur_tu is not None:
             out_l1 = cur_tu.l1
             out_l1.accesses = l1_acc
             out_l1.misses = l1_miss
-            out_g = cur_tu.gshare
-            out_g.history = g_history
-            out_g.predictions = g_pred
-            out_g.hits = g_hits
+            if inline_gshare:
+                out_g = cur_tu.gshare
+                out_g.history = g_history
+                out_g.predictions = g_pred
+                out_g.hits = g_hits
         proc.event_metrics = {
             "sim_core": "event",
             "batched_waiters": use_waiters,

@@ -204,7 +204,10 @@ class ClusteredProcessor:
         )
         self.stats = SimulationStats()
         self.injector = injector
-        self._tus = [ThreadUnit(i, self.config) for i in range(self.config.num_thread_units)]
+        self._tus = [
+            ThreadUnit(i, self.config)
+            for i in range(self.config.num_thread_units)
+        ]
         for tu in self._tus:
             tu.tracer = self.tracer
         if injector is not None:
@@ -233,11 +236,9 @@ class ClusteredProcessor:
         if self._use_columns:
             self._cols = trace.columns
             self._spawn_pcs = self.runtime.spawn_pcs()
-            self._predict_liveins_impl = self._predict_liveins_cols
         else:
             self._cols = None
             self._spawn_pcs = frozenset()
-            self._predict_liveins_impl = self._predict_liveins
         if self.config.prime_value_predictor and self.config.value_predictor not in (
             "perfect",
             "none",
@@ -789,7 +790,7 @@ class ClusteredProcessor:
         )
         parent.join = occurrence
         tu.free_at = _INFINITY
-        insort(self._order, child, key=lambda t: t.start)
+        insort(self._order, child)  # _Thread orders by ``start``
         self._running += 1
         self._push(child)
         self.stats.spawns += 1
@@ -808,7 +809,12 @@ class ClusteredProcessor:
             self.tracer.emit(
                 EV_THREAD_START, start_cycle, tu=tu.tu_id, thread=child.seq
             )
-        self._predict_liveins_impl(child, chosen, spawn_pos=pos)
+        # Chosen per call: a bound method kept on ``self`` would make
+        # every processor a reference cycle that only the collector frees.
+        if self._use_columns:
+            self._predict_liveins_cols(child, chosen, spawn_pos=pos)
+        else:
+            self._predict_liveins(child, chosen, spawn_pos=pos)
         return self.config.spawn_cost + (spawn_cycle - cycle)
 
     def _injector_drops_spawns(self) -> bool:
@@ -938,68 +944,33 @@ class ClusteredProcessor:
     def _predict_liveins_cols(
         self, child: _Thread, pair: SpawnPair, spawn_pos: int
     ) -> None:
-        """Columnar twin of :meth:`_predict_liveins` (same scan, same
-        predictor call order) over the ``scan_reads``/``dst_nz`` columns.
+        """Event-core twin of :meth:`_predict_liveins`: one pass over the
+        memoized live-ins of the child's scan window.
 
-        ``scan_reads`` already excludes register 0 reads — a build-time
-        restatement of the legacy loop's first ``continue``.
+        :meth:`TraceColumns.livein_window` yields each live-in register
+        once, with its producer, in the order the legacy scan discovers
+        it, so predictor calls, fault draws and events keep the legacy
+        order.  As there, a register-file copy is a free hit that skips
+        the corruption check, and only table predictors count copies and
+        extrapolate by ``lookahead``.  The perfect and none oracles'
+        ``train`` is a no-op, so only table predictors keep the
+        ``(base, actual)`` pairs that commit-time training replays.
         """
-        cols = self._cols
-        trace = self.trace
         vp = self.value_predictor
         injector = self.injector
-        perfect = isinstance(vp, PerfectPredictor)
-        predict_nothing = self.config.value_predictor == "none"
+        kind = self.config.value_predictor
+        table = kind not in ("perfect", "none")
+        perfect = kind == "perfect"
         trace_on = self.tracer.enabled
         if trace_on:
             t_emit = self.tracer.emit
             t_cycle = int(child.start_cycle)
             t_tu = child.tu.tu_id
             t_seq = child.seq
-        start = child.start
-        end = min(child.join, start + self.config.livein_scan_cap)
-        status = child.livein_status
-        # One skip table covers both "defined inside the window" and
-        # "already classified": a register enters it exactly when no
-        # later read of it can be a new live-in.  The producer >= start
-        # skips below deliberately do NOT enter it — the dst column adds
-        # the register once the in-window definition is reached.  A
-        # 64-slot flag array (the ISA has 64 registers) replaces the
-        # legacy core's set: the scan is this method's hot loop.
-        done = bytearray(64)
-        for seen_reg in status:
-            done[seen_reg] = 1
-
-        if injector is None and not trace_on and (perfect or predict_nothing):
-            # Oracle memoized-window path: neither oracle consults
-            # per-read values or emits per-read events, so the live-in
-            # set and producers are all that matter, and the memoized
-            # window classification replaces the scan outright.
-            hits = 0
-            for reg, producer in cols.livein_window(start, end):
-                if done[reg]:
-                    continue
-                if perfect:
-                    status[reg] = _HIT
-                    if producer >= spawn_pos:
-                        hits += 1
-                elif producer < spawn_pos:
-                    status[reg] = _HIT
-                else:
-                    status[reg] = _SYNC
-            if perfect:
-                vp.predictions += hits
-                vp.hits += hits
-            return
-
-        if injector is None and not trace_on:
-            # Table-predictor memoized-window path.  ``predict`` never
-            # writes predictor state and ``record`` is a pure counter,
-            # so the window scan's only order-sensitive effect is the
-            # insertion order of ``livein_actuals`` — commit-time
-            # training replays it into the (mutable, hash-colliding)
-            # tables.  The memoized window comes in first-read source
-            # order, exactly the order the scan would discover regs.
+        lookahead = 1
+        if table:
+            # In-flight instances of the pair (the new one included) set
+            # how far the recurrence must be projected forward.
             pair_key = pair.key()
             lookahead = max(
                 sum(
@@ -1009,180 +980,73 @@ class ClusteredProcessor:
                 ),
                 1,
             )
-            actuals = child.livein_actuals
-            dst_values = cols.dst_value
-            value_at = trace.value_of_register_at
-            record = vp.record
-            predict = vp.predict
-            sp = pair.sp_pc
-            cqip = pair.cqip_pc
-            for reg, producer in cols.livein_window(start, end):
-                if done[reg]:
-                    continue
-                if producer < spawn_pos:
-                    # Register-file copy at spawn: free hit.
-                    status[reg] = _HIT
+        status = child.livein_status
+        actuals = child.livein_actuals
+        dst_values = self._cols.dst_value
+        value_at = self.trace.value_of_register_at
+        record = vp.record
+        start = child.start
+        end = min(child.join, start + self.config.livein_scan_cap)
+        for reg, producer in self._cols.livein_window(start, end):
+            if producer < spawn_pos:
+                # Computed before the spawn fired: the register-file copy
+                # at spawn delivers it for free.
+                status[reg] = _HIT
+                if table:
                     record(True)
-                    continue
+                if trace_on:
+                    t_emit(
+                        EV_PREDICT_HIT, t_cycle, tu=t_tu, thread=t_seq,
+                        reg=reg, source="copy",
+                    )
+                continue
+            # spawn_pos <= producer < start: a value computed between the
+            # SP and the CQIP, not yet known at spawn.
+            if table:
                 actual = dst_values[producer]
                 base = value_at(reg, spawn_pos)
                 actuals[reg] = (base, actual)
-                predicted = predict(sp, cqip, reg, base, lookahead)
-                hit = predicted is not None and predicted == actual
-                record(hit)
-                status[reg] = _HIT if hit else _MISS
-            return
-
-        reads_window = cols.scan_reads[start:end]
-        dst_window = cols.dst_nz[start:end]
-
-        if perfect and injector is None:
-            # Oracle fast path: every live-in is a hit and train() is a
-            # no-op, so the scan only has to find the distinct live-ins
-            # and bump the predictor's counters in one batch.
-            hits = 0
-            for reads, dst in zip(reads_window, dst_window):
-                for reg, producer in reads:
-                    if done[reg] or producer >= start:
-                        continue
-                    done[reg] = 1
-                    status[reg] = _HIT
-                    if producer >= spawn_pos:
-                        # Pre-spawn producers are free register-file
-                        # copies — the oracle only counts in-window ones.
-                        hits += 1
-                        if trace_on:
-                            t_emit(
-                                EV_PREDICT_HIT, t_cycle, tu=t_tu,
-                                thread=t_seq, reg=reg, source="predicted",
-                            )
-                    elif trace_on:
-                        t_emit(
-                            EV_PREDICT_HIT, t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg, source="copy",
-                        )
-                if dst >= 0:
-                    done[dst] = 1
-            vp.predictions += hits
-            vp.hits += hits
-            return
-
-        if predict_nothing and injector is None:
-            # No-predictor fast path: pre-spawn producers are free
-            # register-file copies (not counted), in-window producers
-            # synchronise; nothing is recorded either way.
-            for reads, dst in zip(reads_window, dst_window):
-                for reg, producer in reads:
-                    if done[reg] or producer >= start:
-                        continue
-                    done[reg] = 1
-                    if producer < spawn_pos:
-                        status[reg] = _HIT
-                        if trace_on:
-                            t_emit(
-                                EV_PREDICT_HIT, t_cycle, tu=t_tu,
-                                thread=t_seq, reg=reg, source="copy",
-                            )
-                    else:
-                        status[reg] = _SYNC
-                        if trace_on:
-                            t_emit(
-                                EV_PREDICT_SYNC, t_cycle, tu=t_tu,
-                                thread=t_seq, reg=reg,
-                            )
-                if dst >= 0:
-                    done[dst] = 1
-            return
-
-        table_vp = not perfect and not predict_nothing
-        lookahead = 1
-        if table_vp:
-            # In-flight instances of the pair (only table predictors
-            # extrapolate, so the oracles skip the scan).
-            pair_key = pair.key()
-            lookahead = max(
-                sum(
-                    1
-                    for t in self._order
-                    if t.pair is not None and t.pair.key() == pair_key
-                ),
-                1,
-            )
-        actuals = child.livein_actuals
-        dst_values = cols.dst_value
-        value_at = trace.value_of_register_at
-        record = vp.record
-        for reads, dst in zip(reads_window, dst_window):
-            for reg, producer in reads:
-                if done[reg]:
-                    continue
-                if producer >= start:
-                    continue
-                done[reg] = 1
-                if producer < spawn_pos:
-                    # Computed before the spawn fired: the register-file
-                    # copy at spawn delivers it for free.
-                    status[reg] = _HIT
-                    if table_vp:
-                        record(True)
-                    if trace_on:
-                        t_emit(
-                            EV_PREDICT_HIT, t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg, source="copy",
-                        )
-                    continue
-                # Here spawn_pos <= producer < start, so the producer is a
-                # recorded position (>= 0) between SP and CQIP.  The
-                # (base, actual) observation pair is only reconstructed
-                # for table predictors: the perfect/none oracles' train()
-                # is a no-op, so the legacy core's bookkeeping of it has
-                # no observable effect.
-                if perfect:
-                    status[reg] = _HIT
-                    record(True)
-                    if trace_on:
-                        t_emit(
-                            EV_PREDICT_HIT, t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg, source="predicted",
-                        )
-                elif predict_nothing:
-                    status[reg] = _SYNC
-                    if trace_on:
-                        t_emit(
-                            EV_PREDICT_SYNC, t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg,
-                        )
-                else:
-                    actual = dst_values[producer]
-                    base = value_at(reg, spawn_pos)
-                    actuals[reg] = (base, actual)
-                    predicted = vp.predict(
-                        pair.sp_pc, pair.cqip_pc, reg, base, lookahead
+                predicted = vp.predict(
+                    pair.sp_pc, pair.cqip_pc, reg, base, lookahead
+                )
+                state = (
+                    _HIT if predicted is not None and predicted == actual
+                    else _MISS
+                )
+                record(state == _HIT)
+            elif perfect:
+                state = _HIT
+                record(True)
+            else:
+                state = _SYNC
+            if trace_on:
+                if state == _SYNC:
+                    t_emit(
+                        EV_PREDICT_SYNC, t_cycle, tu=t_tu, thread=t_seq,
+                        reg=reg,
                     )
-                    hit = predicted is not None and predicted == actual
-                    record(hit)
-                    status[reg] = _HIT if hit else _MISS
-                    if trace_on:
-                        t_emit(
-                            EV_PREDICT_HIT if hit else EV_PREDICT_MISS,
-                            t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg, source="predicted",
-                        )
-                if (
-                    injector is not None
-                    and status[reg] == _HIT
-                    and injector.corrupt_livein(child.seq, reg)
-                ):
-                    status[reg] = _MISS
-                    self.stats.liveins_corrupted += 1
-                    self.stats.faults_injected += 1
-                    if trace_on:
-                        t_emit(
-                            EV_LIVEIN_CORRUPT, t_cycle, tu=t_tu, thread=t_seq,
-                            reg=reg,
-                        )
-            if dst >= 0:
-                done[dst] = 1
+                else:
+                    t_emit(
+                        EV_PREDICT_HIT if state == _HIT else EV_PREDICT_MISS,
+                        t_cycle, tu=t_tu, thread=t_seq,
+                        reg=reg, source="predicted",
+                    )
+            if (
+                state == _HIT
+                and injector is not None
+                and injector.corrupt_livein(child.seq, reg)
+            ):
+                # Corrupted in flight: the consumer synchronises with
+                # the producer plus the recovery penalty.
+                state = _MISS
+                self.stats.liveins_corrupted += 1
+                self.stats.faults_injected += 1
+                if trace_on:
+                    t_emit(
+                        EV_LIVEIN_CORRUPT, t_cycle, tu=t_tu, thread=t_seq,
+                        reg=reg,
+                    )
+            status[reg] = state
 
     def _prime_predictor(self) -> None:
         """Train the value-predictor tables from the profiling run.

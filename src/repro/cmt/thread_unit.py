@@ -93,9 +93,10 @@ class ThreadUnit:
     ) -> None:
         """Record an L1 miss installing a line as a ``cache.install`` event.
 
-        Called by the timing cores only when tracing is enabled (they
-        detect the install via the cache's miss counter), so the disabled
-        path never reaches here.
+        Called by the timing cores only when tracing is enabled (the
+        event core from its inlined miss branch, the legacy core when the
+        cache's miss counter moves), so the disabled path never reaches
+        here.
         """
         self.tracer.emit(
             EV_CACHE_INSTALL,

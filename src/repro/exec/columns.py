@@ -256,7 +256,7 @@ class TraceColumns:
     # -- derived indexes ------------------------------------------------
 
     def livein_index(self):
-        """Per-register position index for the oracle live-in scans.
+        """Per-register position index behind :meth:`livein_window`.
 
         Returns ``(reads_of, writes_of, used_regs)``: for each register,
         the ascending trace positions where it is read (per

@@ -17,6 +17,7 @@ objects; :meth:`Machine.step` wraps the same interpreter semantics
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError, WorkloadError
@@ -195,12 +196,27 @@ class Machine:
         address.  :meth:`TraceColumns.from_execution` assembles the
         remaining columns from the field lists and per-opcode constants.
 
+        The loop allocates a few small tuples per instruction and no
+        reference cycles, so the cyclic garbage collector is switched off
+        while it runs (its collections would only rescan those tuples);
+        the caller's collector state is restored on return and on error.
+
         Raises :class:`~repro.errors.WorkloadError` if the program does not
         halt within ``max_steps`` (default :data:`DEFAULT_MAX_STEPS`) —
         runaway loops in a workload are a bug, not data.
         """
         if max_steps is None:
             max_steps = DEFAULT_MAX_STEPS
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(max_steps)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _run(self, max_steps: int) -> Trace:
+        """The execution loop of :meth:`run`."""
         fields: List[list] = [[] for _ in FIELDS]
         (
             pc_append,

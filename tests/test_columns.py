@@ -3,8 +3,11 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache
+from repro.exec import run_program
 from repro.exec.columns import (
     F_BRANCH,
     F_LOAD,
@@ -14,6 +17,7 @@ from repro.exec.columns import (
     TraceColumns,
 )
 from repro.isa.instructions import FU_CLASSES, Opcode, fu_class, latency_of
+from tests.test_property_pipeline import random_program
 
 
 class TestBuild:
@@ -90,6 +94,52 @@ class TestTraceIntegration:
         rebuilt = TraceColumns.build(loop_trace)
         loop_trace.attach_columns(rebuilt)
         assert loop_trace.columns is rebuilt
+
+
+def _scan_livein_window(cols, start, end):
+    """Reference live-in scan of ``[start, end)``: walk the window in
+    order, skip registers already seen or written, and mark each
+    position's destination after its reads."""
+    skip = set()
+    found = []
+    for pos in range(start, end):
+        for reg, producer in cols.scan_reads[pos]:
+            if reg not in skip:
+                skip.add(reg)
+                found.append((reg, producer))
+        if cols.dst_nz[pos] >= 0:
+            skip.add(cols.dst_nz[pos])
+    return tuple(found)
+
+
+class TestLiveinWindow:
+    @given(program=random_program(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_linear_scan(self, program, data):
+        trace = run_program(program, max_steps=100_000)
+        cols = trace.columns
+        n = len(cols)
+        pos = st.integers(min_value=0, max_value=n)
+        k = data.draw(st.integers(min_value=0, max_value=n - 1))
+        # Edge windows: empty (inside and at the end), one instruction,
+        # and running to the end of the trace; then random ones.
+        windows = [(k, k), (n, n), (k, k + 1), (k, n), (0, n)]
+        for _ in range(20):
+            start = data.draw(pos)
+            end = data.draw(st.integers(min_value=start, max_value=n))
+            windows.append((start, end))
+        for start, end in windows:
+            window = cols.livein_window(start, end)
+            assert window == _scan_livein_window(cols, start, end)
+            assert cols.livein_window(start, end) is window  # memoized
+
+    def test_producer_is_last_write_before_window(self, loop_trace):
+        cols = loop_trace.columns
+        n = len(cols)
+        for start in range(0, n, max(n // 40, 1)):
+            for reg, producer in cols.livein_window(start, n):
+                writes = [p for p in range(start) if cols.dst_nz[p] == reg]
+                assert producer == (writes[-1] if writes else -1)
 
 
 class TestSerialization:

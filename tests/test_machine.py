@@ -1,7 +1,10 @@
 """Functional-executor semantics, one behaviour per test."""
 
+import gc
+
 import pytest
 
+from repro.errors import WorkloadError
 from repro.exec import ExecutionError, Machine, run_program
 from repro.exec.machine import _wrap32
 from repro.isa import Opcode, ProgramBuilder
@@ -154,3 +157,55 @@ class TestDeterminism:
         t2 = run_program(program)
         assert [d.pc for d in t1] == [d.pc for d in t2]
         assert [d.dst_value for d in t1] == [d.dst_value for d in t2]
+
+
+
+class TestCollectorState:
+    """``run`` builds the trace with the cyclic collector off and hands
+    the caller's collector state back, also when it raises."""
+
+    @staticmethod
+    def _probed_run(source, enabled, max_steps=None):
+        """Run ``source`` with the collector ``enabled`` or not.
+
+        Returns the collector states seen inside the loop, the state
+        right after ``run`` and the ``WorkloadError`` it raised, if any.
+        """
+        machine = Machine(assemble(source))
+        execute = machine._execute
+        seen = set()
+
+        def probe():
+            seen.add(gc.isenabled())
+            return execute()
+
+        machine._execute = probe
+        prior = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        error = None
+        try:
+            machine.run(max_steps)
+        except WorkloadError as exc:
+            error = exc
+        finally:
+            after = gc.isenabled()
+            (gc.enable if prior else gc.disable)()
+        return seen, after, error
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_off_in_the_loop_and_restored(self, enabled):
+        seen, after, error = self._probed_run(
+            "li r1 3\nloop: addi r1 r1 -1\nbnez r1 loop\nhalt", enabled
+        )
+        assert error is None
+        assert seen == {False}
+        assert after is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_when_the_program_does_not_halt(self, enabled):
+        seen, after, error = self._probed_run(
+            "loop: jump loop\nhalt", enabled, max_steps=5
+        )
+        assert isinstance(error, WorkloadError)
+        assert seen == {False}
+        assert after is enabled

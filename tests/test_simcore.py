@@ -9,13 +9,21 @@ that its clock jumps stay observationally invisible at the watchdog
 boundaries.
 """
 
+import gc
+
 import pytest
 
 from repro.cmt import ProcessorConfig, simulate
 from repro.cmt.processor import ClusteredProcessor
 from repro.errors import InvariantViolation, SimulationTimeout
 from repro.experiments import framework
-from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    LiveinCorruptionFault,
+    TUBlackoutFault,
+)
+from repro.obs.events import EventTracer
 from repro.spawning import (
     HeuristicConfig,
     ProfilePolicyConfig,
@@ -36,13 +44,24 @@ def _pairs(trace, policy="profile"):
     return select_profile_pairs(trace, POLICY)
 
 
-def _all_cores(trace, pairs, injector_factory=None, base=None, **overrides):
-    """Run every core on one point; returns their full stats dicts."""
+def _all_cores(
+    trace, pairs, injector_factory=None, base=None, traced=False, **overrides
+):
+    """Run every core on one point; returns their full stats dicts.
+
+    With ``traced`` each core records its event stream, and each result
+    is a ``(stats dict, event dicts)`` pair.
+    """
     results = []
     for core in CORES:
         config = (base or ProcessorConfig()).with_(sim_core=core, **overrides)
         injector = injector_factory() if injector_factory else None
-        results.append(simulate(trace, pairs, config, injector).to_dict())
+        tracer = EventTracer() if traced else None
+        stats = simulate(trace, pairs, config, injector, tracer).to_dict()
+        if traced:
+            results.append((stats, [e.to_dict() for e in tracer.events]))
+        else:
+            results.append(stats)
     return results
 
 
@@ -139,6 +158,42 @@ class TestEquivalence:
             )
         )
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("vp", ["perfect", "none", "last", "stride", "fcm"])
+    @pytest.mark.parametrize("name", ["ijpeg", "vortex"])
+    def test_traced_event_streams(self, small_traces, name, vp, corrupt):
+        # Live-in prediction emits one event per live-in (copy, hit,
+        # miss, sync, corruption) and L1 misses emit cache installs, so
+        # equal streams pin both cores' discovery order, not just the
+        # counters.
+        trace = small_traces[name]
+        factory = None
+        if corrupt:
+            plan = FaultPlan(
+                seed=5, livein_corruption=LiveinCorruptionFault(rate=0.4)
+            )
+            factory = lambda: FaultInjector(plan)  # noqa: E731
+        results = _all_cores(
+            trace, _pairs(trace), factory, traced=True, value_predictor=vp
+        )
+        stats, events = results[0]
+        assert events, "the traced run emitted no events"
+        if corrupt and vp != "none":  # "none" predicts no live-in to corrupt
+            assert stats["liveins_corrupted"] > 0
+        _assert_equal(results)
+
+    def test_traced_event_streams_bimodal(self, small_traces):
+        trace = small_traces["ijpeg"]
+        _assert_equal(
+            _all_cores(
+                trace,
+                _pairs(trace),
+                traced=True,
+                branch_predictor="bimodal",
+                value_predictor="stride",
+            )
+        )
+
 
 #: Scale of the paper-grid comparison: small enough for tier-1, large
 #: enough that every workload spawns under both pair schemes.
@@ -174,6 +229,31 @@ class TestPaperGrid:
         )
         _assert_equal(_grid_point("go", "profile", "stride",
                                   lambda: FaultInjector(plan)))
+
+
+class TestReferenceCycles:
+    def test_runs_leave_no_cyclic_garbage(self, small_traces):
+        # A finished simulation must be freed by reference counting
+        # alone: trace builds run with the cyclic collector off, so a
+        # processor left in a cycle (its completion list, issue rings
+        # and caches) would outlive the next build and raise peak RSS.
+        trace = small_traces["ijpeg"]
+        pairs = _pairs(trace)
+        plan = FaultPlan.uniform(0.1, seed=3)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for core in CORES:
+                config = ProcessorConfig(sim_core=core, value_predictor="fcm")
+                simulate(trace, pairs, config)
+                simulate(
+                    trace, pairs, config, FaultInjector(plan), EventTracer()
+                )
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestEventEdgeCases:
