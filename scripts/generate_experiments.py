@@ -65,8 +65,9 @@ python -m repro faults --smoke --jobs 4 --cache-dir .repro-cache
 Guarantees worth knowing:
 
 - `--jobs 1` and `--jobs N` produce **identical** figures.  `--jobs 1`
-  runs every point in the calling process (the `serial` backend);
-  parallel results seed the same figure drivers.
+  runs every point in the calling process (the `serial` backend); either
+  way the figure driver reads the recorded point payloads of the runs
+  its figure declares in `figures.RUNS`.
   `tests/test_engine.py::TestEquivalence` asserts this equality, cold
   and warm.
 - Cache keys hash the schema version, a digest of the artifact-producing

@@ -1,9 +1,9 @@
 """Content-addressed on-disk artifact cache with an in-process LRU front.
 
 The cache memoizes the expensive derived inputs of an experiment sweep —
-assembled programs, sequential traces, profile/pair selections, baseline
-cycle counts, and whole simulation points — so that repeated sweeps (and
-parallel workers attacking the same sweep) never re-derive an artifact.
+sequential traces, spawning-pair selections, baseline cycle counts, and
+whole simulation points — so that repeated sweeps (and parallel workers
+attacking the same sweep) never re-derive an artifact.
 
 Keys are blake2b digests of a canonical JSON encoding of
 ``(schema version, generator version, artifact kind, key fields)``; the
@@ -61,10 +61,6 @@ def canonical_key_fields(fields: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _pickle_dumps(value: Any) -> bytes:
-    return pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-
-
 def _trace_dumps(trace: Any) -> bytes:
     # One columnar artifact per trace: the program, the instruction fields
     # as per-field lists (``repro.exec.trace.FIELDS`` order) and the
@@ -108,9 +104,7 @@ def _json_loads(blob: bytes) -> Any:
 
 #: kind -> (file extension, dumps, loads).
 _CODECS: Dict[str, Tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {
-    "program": ("pkl", _pickle_dumps, pickle.loads),
     "trace": ("pkl", _trace_dumps, _trace_loads),
-    "profile": ("pkl", _pickle_dumps, pickle.loads),
     "pairs": ("json", _pairs_dumps, _pairs_loads),
     "baseline": ("json", _json_dumps, _json_loads),
     "point": ("json", _json_dumps, _json_loads),
@@ -305,8 +299,8 @@ class ArtifactCache:
         """Return the cached artifact for ``fields``, building on a miss.
 
         Args:
-            kind: Artifact kind (``program``, ``trace``, ``profile``,
-                ``pairs``, ``baseline`` or ``point``).
+            kind: Artifact kind (``trace``, ``pairs``, ``baseline`` or
+                ``point``).
             build: Zero-argument callable producing the artifact.
             **fields: Every knob that influences the artifact's content.
 

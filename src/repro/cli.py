@@ -18,8 +18,6 @@ Commands
     Run a spawning policy and print (optionally save) the pair table.
 ``simulate <workload>``
     Simulate the clustered processor and print the stats and speed-up.
-``figure <name>``
-    Regenerate one figure of the paper (e.g. ``figure3``).
 ``lint <workload>``
     Run the static workload linter (``repro.analysis.lint``).
 ``validate-pairs <workload>``
@@ -34,9 +32,10 @@ Commands
 ``faults``
     Run a fault-injection campaign and print the degradation report.
 ``exp``
-    Reproduce a figure through the parallel engine (``--jobs``,
-    ``--backend``, ``--workers``, ``--cache-dir``, ``--checkpoint``,
-    ``--telemetry``).
+    Reproduce a figure of the paper (e.g. ``--fig 3``) through the
+    parallel engine (``--jobs``, ``--backend``, ``--workers``,
+    ``--cache-dir``, ``--checkpoint``, ``--telemetry``); ``--jobs 1``
+    runs every point in this process.
 ``worker``
     Distributed sweep worker: connect to a coordinator
     (``--connect host:port``) and execute stolen points until the
@@ -618,17 +617,6 @@ def cmd_faults(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_figure(args) -> int:
-    from repro.experiments.figures import ALL_FIGURES
-
-    if args.name not in ALL_FIGURES:
-        print(f"unknown figure {args.name!r}; pick from "
-              f"{', '.join(ALL_FIGURES)}", file=sys.stderr)
-        return 2
-    print(ALL_FIGURES[args.name](args.scale).render())
-    return 0
-
-
 def _normalize_figure(token: str) -> str:
     """Map ``8``/``5a``/``figure8`` to the figure-driver name."""
     token = token.strip().lower()
@@ -1093,10 +1081,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="backend parallelism (default: --jobs)")
 
-    p = sub.add_parser("figure", help="regenerate a paper figure")
-    p.add_argument("name", help="figure2 .. figure12 (a/b variants)")
-    p.add_argument("--scale", type=float, default=1.0)
-
     p = sub.add_parser(
         "exp",
         help="reproduce a figure through the parallel engine",
@@ -1272,7 +1256,6 @@ _COMMANDS = {
     "pairs": cmd_pairs,
     "simulate": cmd_simulate,
     "timeline": cmd_timeline,
-    "figure": cmd_figure,
     "lint": cmd_lint,
     "validate-pairs": cmd_validate_pairs,
     "analyze-deps": cmd_analyze_deps,

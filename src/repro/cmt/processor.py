@@ -1100,11 +1100,14 @@ class ClusteredProcessor:
     def _prime_predictor_cols(self) -> None:
         """Columnar twin of :meth:`_prime_predictor` (same training order).
 
-        The training sequence is a pure function of the trace, the pair
-        set, and the priming parameters, so it is memoized on the trace
-        columns and replayed into the (fresh) predictor on repeat
-        simulations of the same workload/policy cell — only the
-        ``train`` calls themselves re-run.
+        A sample's training registers are the live-ins of its CQIP
+        window (``TraceColumns.livein_pairs``, in the scan's discovery
+        order) whose producer lies at or after the spawn.  The training
+        sequence is a pure function of the trace, the pair set, and the
+        priming parameters, so it is memoized on the trace columns and
+        replayed into the (fresh) predictor on repeat simulations of the
+        same workload/policy cell — only the ``train`` calls themselves
+        re-run.
         """
         trace = self.trace
         cols = self._cols
@@ -1128,8 +1131,7 @@ class ClusteredProcessor:
             return
         sequence = []
         record = sequence.append
-        scan_reads = cols.scan_reads
-        dst_nz = cols.dst_nz
+        livein_pairs = cols.livein_pairs
         dst_values = cols.dst_value
         value_at = trace.value_of_register_at
         length = len(trace)
@@ -1152,23 +1154,12 @@ class ClusteredProcessor:
                         c_pos + min(int(pair.expected_distance) + 1,
                                     config.livein_scan_cap),
                     )
-                    written = set()
-                    seen = set()
-                    for pos in range(c_pos, end):
-                        for reg, producer in scan_reads[pos]:
-                            if reg in written or reg in seen:
-                                continue
-                            if producer >= c_pos or producer < s_pos:
-                                continue
-                            seen.add(reg)
-                            base = value_at(reg, s_pos)
+                    for reg, producer in livein_pairs(c_pos, end):
+                        if producer >= s_pos:
                             record((
-                                pair.sp_pc, pair.cqip_pc, reg, base,
-                                dst_values[producer],
+                                pair.sp_pc, pair.cqip_pc, reg,
+                                value_at(reg, s_pos), dst_values[producer],
                             ))
-                        dst = dst_nz[pos]
-                        if dst >= 0:
-                            written.add(dst)
         cols._prime_cache[cache_key] = sequence
         train = vp.train
         for sp_pc, cqip_pc, reg, base, actual in sequence:

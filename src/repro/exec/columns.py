@@ -256,7 +256,7 @@ class TraceColumns:
     # -- derived indexes ------------------------------------------------
 
     def livein_index(self):
-        """Per-register position index behind :meth:`livein_window`.
+        """Per-register position index behind :meth:`livein_pairs`.
 
         Returns ``(reads_of, writes_of, used_regs)``: for each register,
         the ascending trace positions where it is read (per
@@ -285,6 +285,20 @@ class TraceColumns:
         return index
 
     def livein_window(self, start: int, end: int):
+        """:meth:`livein_pairs` of ``[start, end)``, memoized per window.
+
+        Spawn windows repeat heavily across repeated simulations of one
+        trace; a caller that visits each window once calls
+        :meth:`livein_pairs` and leaves the memo alone.
+        """
+        window = self._livein_windows.get((start, end))
+        if window is None:
+            window = self._livein_windows[(start, end)] = self.livein_pairs(
+                start, end
+            )
+        return window
+
+    def livein_pairs(self, start: int, end: int):
         """Live-in ``(reg, producer)`` pairs of ``[start, end)``.
 
         A register is live-in when its first in-window read precedes its
@@ -294,13 +308,7 @@ class TraceColumns:
         first-read source order, ties broken by operand rank within the
         instruction — the discovery order of a linear window scan, which
         live-in prediction replays into order-sensitive predictor state.
-        A pure function of the window, so results are memoized: spawn
-        windows repeat heavily across repeated simulations of one trace.
         """
-        memo = self._livein_windows
-        window = memo.get((start, end))
-        if window is not None:
-            return window
         reads_of, writes_of, used_regs = self.livein_index()
         scan_reads = self.scan_reads
         last = end - 1
@@ -325,9 +333,7 @@ class TraceColumns:
                     break
             found.append((first_read, rank, reg, producer))
         found.sort()
-        window = tuple((item[2], item[3]) for item in found)
-        memo[(start, end)] = window
-        return window
+        return tuple((item[2], item[3]) for item in found)
 
     # -- protocol -------------------------------------------------------
 

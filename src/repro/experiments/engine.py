@@ -13,7 +13,8 @@ Workers share the on-disk :class:`~repro.cache.ArtifactCache` when one
 is configured, so traces/pairs/baselines are derived once per sweep and
 whole point results are memoized across runs.  A
 :class:`~repro.experiments.framework.SweepCheckpoint` integrates for
-resume: completed point keys are skipped on restart.
+resume: a completed point is skipped on restart unless its checkpoint
+entry was recorded for other params.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cache import ArtifactCache
 from repro.errors import InvariantViolation, SimulationTimeout
 from repro.experiments import figures as figures_mod
 from repro.experiments import framework
 from repro.experiments.framework import (
-    EXPERIMENT_CONFIG,
     FigureResult,
     ResilientOutcome,
     SweepCheckpoint,
 )
+from repro.obs.manifest import config_digest
 
 __all__ = [
     "Point",
@@ -66,23 +67,6 @@ class Point:
 # Point runners.  Top-level functions (pickle-safe); each returns a
 # JSON-serialisable payload so outcomes survive checkpoints and caches.
 # ----------------------------------------------------------------------
-
-
-def _runner_simulate(
-    name: str, policy: str, scale: float, overrides: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Simulate one (workload, policy, configuration) figure point."""
-    config = EXPERIMENT_CONFIG.with_(**overrides)
-    stats = framework.run_policy(name, policy, config, scale)
-    baseline = framework.baseline_cycles(name, config, scale)
-    return {
-        "cycles": stats.cycles,
-        "baseline": baseline,
-        "speedup": baseline / stats.cycles if stats.cycles else 0.0,
-        "avg_active_threads": stats.avg_active_threads,
-        "avg_thread_size": stats.avg_thread_size,
-        "value_hit_rate": stats.value_hit_rate,
-    }
 
 
 def _runner_campaign(
@@ -149,7 +133,7 @@ def _runner_sleep(
 #: boundary).  ``sleep`` is the uncached, deterministic workload the
 #: distributed tests, the serve daemon's smoke gate and the benchmarks use.
 POINT_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
-    "simulate": _runner_simulate,
+    "simulate": framework.simulate_point,
     "campaign": _runner_campaign,
     "sleep": _runner_sleep,
 }
@@ -299,10 +283,12 @@ class ParallelEngine:
     def _run_dispatch(self, points, checkpoint, progress):
         """Execute the sweep through the executor backend.
 
-        Resumed checkpoint keys are emitted first; the remaining to-do
-        points go to the backend, whose serialized ``emit`` calls land
-        results, checkpoint records, cache deltas and worker
-        attribution, and report progress right after each point.
+        Checkpoint entries not recorded for other params (see
+        :func:`_params_digest`) are resumed and emitted first; the
+        remaining to-do points go to the backend, whose serialized
+        ``emit`` calls land results, checkpoint records, cache deltas
+        and worker attribution, and report progress right after each
+        point.
         """
         from repro.dist.backend import ExecutionPlan, create_backend
 
@@ -312,10 +298,14 @@ class ParallelEngine:
             else self.backend
         )
         results: Dict[str, ResilientOutcome] = {}
+        digests: Dict[str, str] = {}
         todo: List[Point] = []
         for point in points:
-            if checkpoint is not None and point.key in checkpoint:
-                outcome = checkpoint.get(point.key)
+            outcome = None
+            if checkpoint is not None:
+                digests[point.key] = _params_digest(point)
+                outcome = checkpoint.get(point.key, digests[point.key])
+            if outcome is not None:
                 results[point.key] = outcome
                 if progress is not None:
                     progress(point.key, outcome, True)
@@ -345,7 +335,7 @@ class ParallelEngine:
                     self._point_deltas[key] = delta
                 self._worker_ids[key] = worker_id
                 if checkpoint is not None:
-                    checkpoint.record(key, outcome)
+                    checkpoint.record(key, outcome, digests[key])
                 if progress is not None:
                     progress(key, outcome, False)
 
@@ -413,6 +403,18 @@ class ParallelEngine:
         )
 
 
+def _params_digest(point: Point) -> str:
+    """Digest of what a point's payload depends on: runner and params.
+
+    Point keys leave out parameters such as the scale or a campaign's
+    seed, so a checkpoint entry recorded under another digest re-runs.  A
+    campaign's ``crash_key`` is left out: it makes the first attempt
+    crash, and the retry returns the payload the point has without it.
+    """
+    params = {k: v for k, v in point.params.items() if k != "crash_key"}
+    return config_digest({"runner": point.runner, "params": params})
+
+
 def _point_provenance(point: Point):
     """Return the (seed, fault_plan) a point's manifest should record.
 
@@ -438,96 +440,10 @@ def _point_provenance(point: Point):
 
 
 # ----------------------------------------------------------------------
-# Figure sweeps: enumerate the (workload, policy, overrides) grid of a
-# figure, run it through an engine, seed the figure memos with the
-# results, and let the unchanged figure driver assemble its table.  A
-# point the grid misses is simply computed serially by the driver — the
-# result is identical either way.
+# Figure sweeps: expand a figure's declared runs (``figures.RUNS``) into
+# points, run them through an engine, record the payloads for the figure
+# driver, and let the driver assemble its table from them.
 # ----------------------------------------------------------------------
-
-
-def _grid(figure: str, names: Sequence[str]) -> List[Tuple[str, str, Dict[str, Any]]]:
-    """(workload, policy, config-overrides) combos one figure sweeps."""
-    from repro.experiments.figures import _removal
-
-    combos: List[Tuple[str, str, Dict[str, Any]]] = []
-
-    def add(policy: str, names=names, **overrides: Any) -> None:
-        for name in names:
-            combos.append((name, policy, dict(overrides)))
-
-    if figure in ("figure3", "figure4"):
-        add("profile")
-    elif figure == "figure5a":
-        for cycles in (None, 50, 200):
-            add("profile", removal_cycles=cycles)
-    elif figure == "figure5b":
-        for occurrences in (1, 8, 16):
-            add("profile", removal_cycles=50, removal_occurrences=occurrences)
-    elif figure == "figure6":
-        for name in names:
-            for reassign in (False, True):
-                combos.append(
-                    (name, "profile",
-                     {"removal_cycles": _removal(name), "reassign": reassign})
-                )
-    elif figure == "figure7a":
-        for name in names:
-            combos.append((name, "profile", {"removal_cycles": _removal(name)}))
-    elif figure == "figure7b":
-        for name in names:
-            for min_size in (None, 32):
-                combos.append(
-                    (name, "profile",
-                     {"removal_cycles": _removal(name),
-                      "min_thread_size": min_size})
-                )
-    elif figure == "figure8":
-        add("profile")
-        add("heuristics")
-    elif figure == "figure9a":
-        for vp in ("stride", "fcm"):
-            for policy in ("profile", "heuristics"):
-                add(policy, value_predictor=vp)
-    elif figure == "figure9b":
-        for policy, vp in (
-            ("profile", "perfect"),
-            ("profile", "stride"),
-            ("heuristics", "perfect"),
-            ("heuristics", "stride"),
-        ):
-            add(policy, value_predictor=vp)
-    elif figure == "figure10a":
-        for vp in ("stride", "fcm"):
-            for policy in ("profile-independent", "profile-predictable"):
-                add(policy, value_predictor=vp)
-    elif figure == "figure10b":
-        for policy in ("profile-independent", "profile-predictable", "profile"):
-            add(policy, value_predictor="stride")
-    elif figure == "figure11":
-        for policy in ("profile", "heuristics"):
-            for overhead in (0, 8):
-                add(policy, value_predictor="stride", init_overhead=overhead)
-    elif figure == "figure12":
-        for vp, overhead in (("perfect", 0), ("stride", 0), ("stride", 8)):
-            for policy in ("profile", "heuristics"):
-                add(
-                    policy,
-                    num_thread_units=4,
-                    value_predictor=vp,
-                    init_overhead=overhead,
-                )
-    # figure2 / heuristic_breakdown / profile_input_sensitivity bypass the
-    # run memo (pairs-only or direct simulate calls) -> empty grid; the
-    # driver runs them in-process.
-    seen = set()
-    unique: List[Tuple[str, str, Dict[str, Any]]] = []
-    for name, policy, overrides in combos:
-        fingerprint = (name, policy, tuple(sorted(overrides.items(), key=str)))
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            unique.append((name, policy, overrides))
-    return unique
 
 
 def _overrides_tag(overrides: Dict[str, Any]) -> str:
@@ -537,34 +453,37 @@ def _overrides_tag(overrides: Dict[str, Any]) -> str:
 
 
 def figure_points(figure: str, scale: float = 1.0) -> List[Point]:
-    """Pickle-safe point specs covering one figure's sweep grid.
+    """Pickle-safe point specs covering one figure's declared runs.
 
     Args:
         figure: Figure driver name (``figure3`` ... ``figure12``).
         scale: Workload size multiplier.
 
     Returns:
-        One :class:`Point` per (workload, policy, configuration) the
-        figure consumes; empty for drivers that bypass the run memo.
+        One :class:`Point` per run in ``figures.RUNS[figure]`` and
+        workload, run by run; empty for drivers that declare no runs
+        (``figure2`` and the extensions simulate in-process).
     """
     if figure not in figures_mod.ALL_FIGURES:
         raise KeyError(
             f"unknown figure {figure!r}; pick from "
             f"{', '.join(figures_mod.ALL_FIGURES)}"
         )
-    return [
-        Point(
-            key=f"{figure}|{name}|{policy}|{_overrides_tag(overrides)}",
-            runner="simulate",
-            params={
-                "name": name,
-                "policy": policy,
-                "scale": scale,
-                "overrides": overrides,
-            },
-        )
-        for name, policy, overrides in _grid(figure, framework.suite(scale))
-    ]
+    points = []
+    for label in figures_mod.RUNS.get(figure, ()):
+        for name in framework.suite(scale):
+            policy, overrides = figures_mod.run_spec(figure, label, name)
+            points.append(Point(
+                key=f"{figure}|{name}|{policy}|{_overrides_tag(overrides)}",
+                runner="simulate",
+                params={
+                    "name": name,
+                    "policy": policy,
+                    "scale": scale,
+                    "overrides": overrides,
+                },
+            ))
+    return points
 
 
 def run_figure(
@@ -576,11 +495,11 @@ def run_figure(
 ) -> FigureResult:
     """Reproduce one figure through the parallel engine.
 
-    The figure's grid points run via ``engine`` (parallel, cached,
-    checkpointed); successful payloads seed the figure-driver memos, and
-    the unchanged driver assembles the :class:`FigureResult`.  Any point
-    that failed (or is missing from the grid) is recomputed serially by
-    the driver, so the output matches the serial path exactly.
+    The figure's points run via ``engine`` (parallel, cached,
+    checkpointed); successful payloads are recorded with
+    ``figures.seed_run`` and the driver assembles the
+    :class:`FigureResult` from them.  A point that failed is simulated
+    again by the driver, so the output matches the serial path exactly.
 
     Args:
         figure: Figure driver name.
@@ -601,14 +520,7 @@ def run_figure(
     )
     with framework.use_cache(engine.cache):
         for point in points:
-            outcome = outcomes.get(point.key)
-            if outcome is not None and outcome.ok and isinstance(outcome.value, dict):
-                config = EXPERIMENT_CONFIG.with_(**point.params["overrides"])
-                figures_mod.seed_run(
-                    point.params["name"],
-                    point.params["policy"],
-                    config,
-                    scale,
-                    outcome.value,
-                )
+            outcome = outcomes[point.key]
+            if outcome.ok:
+                figures_mod.seed_run(**point.params, payload=outcome.value)
         return figures_mod.ALL_FIGURES[figure](scale)

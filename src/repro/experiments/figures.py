@@ -6,24 +6,28 @@ groups of the original figure.  Paper-quoted aggregates are attached as
 ``paper_reference`` so EXPERIMENTS.md can show paper-vs-measured side by
 side.
 
+The simulation runs of Figures 3-12 are declared once, in :data:`RUNS`.
+The parallel engine expands that table into sweep points
+(:func:`~repro.experiments.engine.figure_points`) and records their
+payloads with :func:`seed_run`; the drivers read the same table back,
+one :func:`~repro.experiments.framework.simulate_point` payload per run
+and workload, and simulate only a payload nobody recorded.
+
 All functions take ``scale`` (workload size multiplier) so the benchmark
 harness can run reduced sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from repro.cmt import ProcessorConfig
-from repro.cmt.stats import SimulationStats
+from repro.experiments import framework
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
     FigureResult,
     baseline_cycles,
     pair_set_for,
-    run_policy,
-    seed_baseline,
     suite,
 )
 from repro.metrics import (
@@ -32,91 +36,150 @@ from repro.metrics import (
     weighted_harmonic_mean,
 )
 
-
-@dataclass(frozen=True)
-class SeededStats:
-    """The slice of :class:`SimulationStats` the figure drivers consume.
-
-    The parallel engine computes points in worker processes and ships
-    their results back as plain numbers; seeding the run memo with this
-    lightweight view lets the unchanged figure drivers assemble their
-    tables without re-simulating.
-    """
-
-    cycles: int
-    avg_active_threads: float
-    avg_thread_size: float
-    value_hit_rate: float
-
-
-_run_memo: Dict[Tuple[str, str, ProcessorConfig, float], Any] = {}
-
-
-def cached_run(
-    name: str,
-    policy: str,
-    config: ProcessorConfig,
-    scale: float = 1.0,
-) -> SimulationStats:
-    """Memoised simulation (figures share many configurations).
-
-    Args:
-        name: Workload name.
-        policy: Spawning policy name.
-        config: Full processor configuration of the run.
-        scale: Workload size multiplier.
-
-    Returns:
-        The run's statistics — a full :class:`SimulationStats`, or a
-        :class:`SeededStats` view when the parallel engine pre-seeded
-        this point (attribute-compatible for every figure driver).
-    """
-    key = (name, policy, config, scale)
-    if key not in _run_memo:
-        _run_memo[key] = run_policy(name, policy, config, scale)
-    return _run_memo[key]
-
-
-def seed_run(
-    name: str,
-    policy: str,
-    config: ProcessorConfig,
-    scale: float,
-    payload: Dict[str, Any],
-) -> None:
-    """Pre-populate the run memo from a parallel-engine point payload.
-
-    ``payload`` is the dict a ``simulate`` point runner returns (cycles,
-    baseline, averages, hit rate); the baseline memo is seeded too.
-    """
-    _run_memo[(name, policy, config, scale)] = SeededStats(
-        cycles=int(payload["cycles"]),
-        avg_active_threads=float(payload["avg_active_threads"]),
-        avg_thread_size=float(payload["avg_thread_size"]),
-        value_hit_rate=float(payload["value_hit_rate"]),
-    )
-    seed_baseline(name, config, scale, int(payload["baseline"]))
-
-
-def clear_run_memo() -> None:
-    """Drop every memoised (and seeded) simulation result."""
-    _run_memo.clear()
-
-
-def _speedups(
-    policy: str, config: ProcessorConfig, scale: float
-) -> List[float]:
-    result = []
-    for name in suite():
-        stats = cached_run(name, policy, config, scale)
-        result.append(baseline_cycles(name, config, scale) / stats.cycles)
-    return result
+#: Config overrides of a run: a dict, or a function of the workload name.
+Overrides = Union[Dict[str, Any], Callable[[str], Dict[str, Any]]]
 
 
 def _removal(name: str, cycles: int = 50) -> int:
     """Per-benchmark alone-threshold: the paper uses 200 for compress
     (its ~30 selected pairs disappear under the aggressive setting)."""
     return 200 if name == "compress" else cycles
+
+
+def _with_removal(**overrides: Any) -> Callable[[str], Dict[str, Any]]:
+    """Overrides adding the workload's alone-threshold (:func:`_removal`)."""
+    return lambda name: {"removal_cycles": _removal(name), **overrides}
+
+
+#: Grid figure -> run label -> (spawning policy, config overrides).  A
+#: label is the figure's series name, except in Figures 8 and 11, whose
+#: series are ratios of two runs.  Every run covers the whole suite.
+RUNS: Dict[str, Dict[str, Tuple[str, Overrides]]] = {
+    "figure3": {"speedup": ("profile", {})},
+    "figure4": {"active_threads": ("profile", {})},
+    "figure5a": {
+        "no_removal": ("profile", {"removal_cycles": None}),
+        "removal_50": ("profile", {"removal_cycles": 50}),
+        "removal_200": ("profile", {"removal_cycles": 200}),
+    },
+    "figure5b": {
+        f"occurrences_{n}": (
+            "profile", {"removal_cycles": 50, "removal_occurrences": n}
+        )
+        for n in (1, 8, 16)
+    },
+    "figure6": {
+        "removal_50": ("profile", _with_removal(reassign=False)),
+        "reassign": ("profile", _with_removal(reassign=True)),
+    },
+    "figure7a": {"thread_size": ("profile", _with_removal())},
+    "figure7b": {
+        "no_min_size": ("profile", _with_removal(min_thread_size=None)),
+        "min_size_32": ("profile", _with_removal(min_thread_size=32)),
+    },
+    "figure8": {"profile": ("profile", {}), "heuristics": ("heuristics", {})},
+    "figure9a": {
+        f"{vp}_{policy}": (policy, {"value_predictor": vp})
+        for vp in ("stride", "fcm")
+        for policy in ("profile", "heuristics")
+    },
+    "figure9b": {
+        "perfect_profile": ("profile", {"value_predictor": "perfect"}),
+        "stride_profile": ("profile", {"value_predictor": "stride"}),
+        "perfect_heur": ("heuristics", {"value_predictor": "perfect"}),
+        "stride_heur": ("heuristics", {"value_predictor": "stride"}),
+    },
+    "figure10a": {
+        f"{vp}_{order}": (f"profile-{order}", {"value_predictor": vp})
+        for vp in ("stride", "fcm")
+        for order in ("independent", "predictable")
+    },
+    "figure10b": {
+        "independent": ("profile-independent", {"value_predictor": "stride"}),
+        "predictable": ("profile-predictable", {"value_predictor": "stride"}),
+        "distance": ("profile", {"value_predictor": "stride"}),
+    },
+    "figure11": {
+        f"{policy}_{overhead}": (
+            policy, {"value_predictor": "stride", "init_overhead": overhead}
+        )
+        for policy in ("profile", "heuristics")
+        for overhead in (0, 8)
+    },
+    "figure12": {
+        f"{label}_{policy}": (
+            policy,
+            {"num_thread_units": 4, "value_predictor": vp,
+             "init_overhead": overhead},
+        )
+        for label, vp, overhead in (
+            ("perfect", "perfect", 0),
+            ("stride", "stride", 0),
+            ("stride_overhead", "stride", 8),
+        )
+        for policy in ("profile", "heuristics")
+    },
+}
+
+
+def run_spec(figure: str, label: str, name: str) -> Tuple[str, Dict[str, Any]]:
+    """Return the (policy, config overrides) of run ``label`` of
+    ``figure`` on workload ``name``."""
+    policy, overrides = RUNS[figure][label]
+    return policy, overrides(name) if callable(overrides) else dict(overrides)
+
+
+_run_memo: Dict[Tuple[str, str, ProcessorConfig, float], Dict[str, Any]] = {}
+
+
+def _memo_key(
+    name: str, policy: str, scale: float, overrides: Dict[str, Any]
+) -> Tuple[str, str, ProcessorConfig, float]:
+    # Keyed on the full configuration: runs whose overrides spell the
+    # same configuration differently share one payload.
+    return (name, policy, EXPERIMENT_CONFIG.with_(**overrides), scale)
+
+
+def seed_run(
+    name: str,
+    policy: str,
+    scale: float,
+    overrides: Dict[str, Any],
+    payload: Dict[str, Any],
+) -> None:
+    """Record a point payload computed elsewhere (by the parallel engine).
+
+    The arguments are a ``simulate`` point's params plus the payload
+    :func:`~repro.experiments.framework.simulate_point` returned for it.
+    """
+    _run_memo[_memo_key(name, policy, scale, overrides)] = payload
+
+
+def clear_run_memo() -> None:
+    """Drop every memoised (and seeded) point payload."""
+    _run_memo.clear()
+
+
+def _payloads(figure: str, label: str, scale: float) -> List[Dict[str, Any]]:
+    """The point payloads of one run of ``figure``, in suite order."""
+    payloads = []
+    for name in suite():
+        policy, overrides = run_spec(figure, label, name)
+        key = _memo_key(name, policy, scale, overrides)
+        if key not in _run_memo:
+            _run_memo[key] = framework.simulate_point(
+                name, policy, scale, overrides
+            )
+        payloads.append(_run_memo[key])
+    return payloads
+
+
+def _series(figure: str, field: str, scale: float) -> Dict[str, List[float]]:
+    """One series per run of ``figure``: ``field`` of every payload."""
+    return {
+        label: [payload[field] for payload in _payloads(figure, label, scale)]
+        for label in RUNS[figure]
+    }
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +232,12 @@ def figure3(scale: float = 1.0) -> FigureResult:
     Returns:
         Per-benchmark speed-ups over single-threaded execution.
     """
-    config = EXPERIMENT_CONFIG
-    values = _speedups("profile", config, scale)
+    payloads = _payloads("figure3", "speedup", scale)
+    values = [payload["speedup"] for payload in payloads]
     # whmean weights each speed-up by its baseline cycle count: the
     # speed-up of the suite run back to back, robust to small
     # benchmarks dominating the unweighted Hmean.
-    weights = [
-        float(baseline_cycles(name, config, scale)) for name in suite()
-    ]
+    weights = [float(payload["baseline"]) for payload in payloads]
     return FigureResult(
         figure="Figure 3",
         title="Speed-up over single-thread: 16 TUs, profile policy, perfect VP",
@@ -199,17 +260,13 @@ def figure4(scale: float = 1.0) -> FigureResult:
     Returns:
         Per-benchmark average active-thread counts.
     """
-    config = EXPERIMENT_CONFIG
-    values = [
-        cached_run(name, "profile", config, scale).avg_active_threads
-        for name in suite()
-    ]
+    series = _series("figure4", "avg_active_threads", scale)
     return FigureResult(
         figure="Figure 4",
         title="Average number of active threads (16 TUs, perfect VP)",
         benchmarks=list(suite()),
-        series={"active_threads": values},
-        summary={"amean": arithmetic_mean(values)},
+        series=series,
+        summary={"amean": arithmetic_mean(series["active_threads"])},
         paper_reference={"amean": 7.5},
     )
 
@@ -227,14 +284,7 @@ def figure5a(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups under no removal and the 50/200-cycle schemes.
     """
-    series: Dict[str, List[float]] = {}
-    for label, cycles in (("no_removal", None), ("removal_50", 50), ("removal_200", 200)):
-        values = []
-        for name in suite():
-            config = EXPERIMENT_CONFIG.with_(removal_cycles=cycles)
-            stats = cached_run(name, "profile", config, scale)
-            values.append(baseline_cycles(name, config, scale) / stats.cycles)
-        series[label] = values
+    series = _series("figure5a", "speedup", scale)
     return FigureResult(
         figure="Figure 5a",
         title="Pair removal after N cycles executing alone (perfect VP)",
@@ -255,16 +305,7 @@ def figure5b(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups with 1/8/16 alone-occurrences before removal.
     """
-    series: Dict[str, List[float]] = {}
-    for occurrences in (1, 8, 16):
-        values = []
-        for name in suite():
-            config = EXPERIMENT_CONFIG.with_(
-                removal_cycles=50, removal_occurrences=occurrences
-            )
-            stats = cached_run(name, "profile", config, scale)
-            values.append(baseline_cycles(name, config, scale) / stats.cycles)
-        series[f"occurrences_{occurrences}"] = values
+    series = _series("figure5b", "speedup", scale)
     return FigureResult(
         figure="Figure 5b",
         title="Delayed removal: occurrences before cancelling (50-cycle scheme)",
@@ -288,16 +329,7 @@ def figure6(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups with and without the reassign policy.
     """
-    series: Dict[str, List[float]] = {"removal_50": [], "reassign": []}
-    for name in suite():
-        for label, reassign in (("removal_50", False), ("reassign", True)):
-            config = EXPERIMENT_CONFIG.with_(
-                removal_cycles=_removal(name), reassign=reassign
-            )
-            stats = cached_run(name, "profile", config, scale)
-            series[label].append(
-                baseline_cycles(name, config, scale) / stats.cycles
-            )
+    series = _series("figure6", "speedup", scale)
     return FigureResult(
         figure="Figure 6",
         title="Reassigning an SP to its next CQIP vs plain 50-cycle removal",
@@ -321,16 +353,13 @@ def figure7a(scale: float = 1.0) -> FigureResult:
     Returns:
         Per-benchmark average committed-thread sizes.
     """
-    values = []
-    for name in suite():
-        config = EXPERIMENT_CONFIG.with_(removal_cycles=_removal(name))
-        values.append(cached_run(name, "profile", config, scale).avg_thread_size)
+    series = _series("figure7a", "avg_thread_size", scale)
     return FigureResult(
         figure="Figure 7a",
         title="Average dynamic thread size (removal policy active)",
         benchmarks=list(suite()),
-        series={"thread_size": values},
-        summary={"amean": arithmetic_mean(values)},
+        series=series,
+        summary={"amean": arithmetic_mean(series["thread_size"])},
         notes="paper: mostly below the 32-instruction selection minimum "
         "because overlapping spawns shrink threads",
     )
@@ -345,16 +374,7 @@ def figure7b(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups with and without the minimum-size constraint.
     """
-    series: Dict[str, List[float]] = {"no_min_size": [], "min_size_32": []}
-    for name in suite():
-        for label, min_size in (("no_min_size", None), ("min_size_32", 32)):
-            config = EXPERIMENT_CONFIG.with_(
-                removal_cycles=_removal(name), min_thread_size=min_size
-            )
-            stats = cached_run(name, "profile", config, scale)
-            series[label].append(
-                baseline_cycles(name, config, scale) / stats.cycles
-            )
+    series = _series("figure7b", "speedup", scale)
     return FigureResult(
         figure="Figure 7b",
         title="Enforcing a minimum dynamic thread size of 32",
@@ -378,16 +398,12 @@ def figure8(scale: float = 1.0) -> FigureResult:
     Returns:
         Per-benchmark ratio of heuristic to profile cycle counts.
     """
-    config = EXPERIMENT_CONFIG
-    ratios = []
-    weights = []
-    for name in suite():
-        profile = cached_run(name, "profile", config, scale)
-        heur = cached_run(name, "heuristics", config, scale)
-        ratios.append(heur.cycles / profile.cycles)
-        # Weight each ratio by the profile run's cycle count: whmean is
-        # then the whole-suite ratio of heuristic to profile time.
-        weights.append(float(profile.cycles))
+    profile = _payloads("figure8", "profile", scale)
+    heur = _payloads("figure8", "heuristics", scale)
+    ratios = [h["cycles"] / p["cycles"] for p, h in zip(profile, heur)]
+    # Weight each ratio by the profile run's cycle count: whmean is
+    # then the whole-suite ratio of heuristic to profile time.
+    weights = [float(p["cycles"]) for p in profile]
     return FigureResult(
         figure="Figure 8",
         title="Speed-up of the profile policy over combined heuristics",
@@ -415,17 +431,7 @@ def figure9a(scale: float = 1.0) -> FigureResult:
     Returns:
         Hit ratios per predictor (stride/fcm) and policy.
     """
-    series: Dict[str, List[float]] = {}
-    for vp in ("stride", "fcm"):
-        for policy in ("profile", "heuristics"):
-            label = f"{vp}_{policy}"
-            values = []
-            for name in suite():
-                config = EXPERIMENT_CONFIG.with_(value_predictor=vp)
-                values.append(
-                    cached_run(name, policy, config, scale).value_hit_rate
-                )
-            series[label] = values
+    series = _series("figure9a", "value_hit_rate", scale)
     return FigureResult(
         figure="Figure 9a",
         title="Live-in value-prediction hit ratio (16KB predictors)",
@@ -446,15 +452,7 @@ def figure9b(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups under perfect vs stride prediction per policy.
     """
-    series: Dict[str, List[float]] = {}
-    for label, policy, vp in (
-        ("perfect_profile", "profile", "perfect"),
-        ("stride_profile", "profile", "stride"),
-        ("perfect_heur", "heuristics", "perfect"),
-        ("stride_heur", "heuristics", "stride"),
-    ):
-        config = EXPERIMENT_CONFIG.with_(value_predictor=vp)
-        series[label] = _speedups(policy, config, scale)
+    series = _series("figure9b", "speedup", scale)
     return FigureResult(
         figure="Figure 9b",
         title="Speed-ups with the stride value predictor",
@@ -480,17 +478,7 @@ def figure10a(scale: float = 1.0) -> FigureResult:
     Returns:
         Hit ratios per predictor and CQIP-ordering criterion.
     """
-    series: Dict[str, List[float]] = {}
-    for vp in ("stride", "fcm"):
-        for policy in ("profile-independent", "profile-predictable"):
-            label = f"{vp}_{policy.split('-')[1]}"
-            values = []
-            for name in suite():
-                config = EXPERIMENT_CONFIG.with_(value_predictor=vp)
-                values.append(
-                    cached_run(name, policy, config, scale).value_hit_rate
-                )
-            series[label] = values
+    series = _series("figure10a", "value_hit_rate", scale)
     return FigureResult(
         figure="Figure 10a",
         title="Hit ratio under independent/predictable CQIP ordering",
@@ -510,12 +498,7 @@ def figure10b(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups of the independent/predictable/distance criteria.
     """
-    config = EXPERIMENT_CONFIG.with_(value_predictor="stride")
-    series = {
-        "independent": _speedups("profile-independent", config, scale),
-        "predictable": _speedups("profile-predictable", config, scale),
-        "distance": _speedups("profile", config, scale),
-    }
+    series = _series("figure10b", "speedup", scale)
     return FigureResult(
         figure="Figure 10b",
         title="Speed-up of the independent/predictable ordering (stride VP)",
@@ -540,22 +523,16 @@ def figure11(scale: float = 1.0) -> FigureResult:
     Returns:
         Per-benchmark ratio of zero-overhead to 8-cycle cycles.
     """
-    series: Dict[str, List[float]] = {"profile": [], "heuristics": []}
-    for policy in ("profile", "heuristics"):
-        for name in suite():
-            fast = cached_run(
-                name,
-                policy,
-                EXPERIMENT_CONFIG.with_(value_predictor="stride"),
-                scale,
+    series = {
+        policy: [
+            fast["cycles"] / slow["cycles"]
+            for fast, slow in zip(
+                _payloads("figure11", f"{policy}_0", scale),
+                _payloads("figure11", f"{policy}_8", scale),
             )
-            slow = cached_run(
-                name,
-                policy,
-                EXPERIMENT_CONFIG.with_(value_predictor="stride", init_overhead=8),
-                scale,
-            )
-            series[policy].append(fast.cycles / slow.cycles)
+        ]
+        for policy in ("profile", "heuristics")
+    }
     return FigureResult(
         figure="Figure 11",
         title="Slow-down from an 8-cycle thread-initialisation overhead",
@@ -580,17 +557,7 @@ def figure12(scale: float = 1.0) -> FigureResult:
     Returns:
         Speed-ups per (predictor, overhead, policy) combination.
     """
-    series: Dict[str, List[float]] = {}
-    for label, vp, overhead in (
-        ("perfect", "perfect", 0),
-        ("stride", "stride", 0),
-        ("stride_overhead", "stride", 8),
-    ):
-        for policy in ("profile", "heuristics"):
-            config = EXPERIMENT_CONFIG.with_(
-                num_thread_units=4, value_predictor=vp, init_overhead=overhead
-            )
-            series[f"{label}_{policy}"] = _speedups(policy, config, scale)
+    series = _series("figure12", "speedup", scale)
     return FigureResult(
         figure="Figure 12",
         title="Average speed-ups with 4 thread units",
@@ -735,7 +702,3 @@ ALL_FIGURES = {
     "profile_input_sensitivity": profile_input_sensitivity,
 }
 
-
-def run_all(scale: float = 1.0) -> List[FigureResult]:
-    """Regenerate and return every figure (for the EXPERIMENTS generator)."""
-    return [fn(scale) for fn in ALL_FIGURES.values()]

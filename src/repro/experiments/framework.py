@@ -7,6 +7,10 @@ many configurations do not repeat work:
 - ``pair_set_for(name, policy, scale)`` — spawning pairs under a policy;
 - ``baseline_cycles(name, config, scale)`` — the single-threaded run.
 
+``simulate_point`` combines them into the payload of one figure point;
+it is the parallel engine's ``simulate`` runner and what a figure driver
+calls for a point the engine did not run.
+
 Experiment-wide defaults live here too.  Two deliberate deviations from
 the paper's raw parameters (documented in DESIGN.md/EXPERIMENTS.md):
 the profile pass uses 99% CFG coverage and a 4096-instruction distance cap
@@ -151,7 +155,9 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
 _pair_memo: Dict[Any, SpawnPairSet] = {}
 
 
-def pair_set_for(name: str, policy: str = "profile", scale: float = 1.0) -> SpawnPairSet:
+def pair_set_for(
+    name: str, policy: str = "profile", scale: float = 1.0
+) -> SpawnPairSet:
     """Cached spawning-pair selection for a workload under a policy.
 
     Args:
@@ -189,10 +195,6 @@ def pair_set_for(name: str, policy: str = "profile", scale: float = 1.0) -> Spaw
 _baseline_memo: Dict[Any, int] = {}
 
 
-def _baseline_key(name: str, config: Optional[ProcessorConfig], scale: float):
-    return (name, (config or EXPERIMENT_CONFIG).single_threaded(), scale)
-
-
 def baseline_cycles(
     name: str, config: Optional[ProcessorConfig] = None, scale: float = 1.0
 ) -> int:
@@ -208,10 +210,9 @@ def baseline_cycles(
     Returns:
         Cycle count of the one-thread-unit execution.
     """
-    memo_key = _baseline_key(name, config, scale)
+    single = (config or EXPERIMENT_CONFIG).single_threaded()
+    memo_key = (name, single, scale)
     if memo_key not in _baseline_memo:
-        single = memo_key[1]
-
         def compute() -> int:
             return simulate(trace_for(name, scale), SpawnPairSet([]), single).cycles
 
@@ -226,21 +227,6 @@ def baseline_cycles(
                 config=_config_knobs(single),
             )
     return _baseline_memo[memo_key]
-
-
-def seed_baseline(
-    name: str, config: Optional[ProcessorConfig], scale: float, cycles: int
-) -> None:
-    """Pre-populate the baseline memo (parallel engine result seeding).
-
-    Args:
-        name: Workload name.
-        config: Configuration whose ``single_threaded()`` reduction keys
-            the memo entry (None means the experiment default).
-        scale: Workload size multiplier.
-        cycles: The baseline cycle count to record.
-    """
-    _baseline_memo[_baseline_key(name, config, scale)] = cycles
 
 
 def clear_memos() -> None:
@@ -280,26 +266,34 @@ def run_policy(
     )
 
 
-def speedup(
-    name: str,
-    policy: str = "profile",
-    config: Optional[ProcessorConfig] = None,
-    scale: float = 1.0,
-) -> float:
-    """Speed-up over the single-threaded execution.
+def simulate_point(
+    name: str, policy: str, scale: float, overrides: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Simulate one (workload, policy, configuration) figure point.
 
     Args:
         name: Workload name.
         policy: One of :func:`policy_names`.
-        config: Processor configuration (None = experiment default).
         scale: Workload size multiplier.
+        overrides: :class:`~repro.cmt.ProcessorConfig` fields that differ
+            from :data:`EXPERIMENT_CONFIG`.
 
     Returns:
-        ``baseline_cycles / policy_cycles`` for the run.
+        The JSON-able point payload: ``cycles``, ``baseline`` (the
+        single-threaded cycles), ``speedup``, ``avg_active_threads``,
+        ``avg_thread_size`` and ``value_hit_rate``.
     """
-    config = config or EXPERIMENT_CONFIG
+    config = EXPERIMENT_CONFIG.with_(**overrides)
     stats = run_policy(name, policy, config, scale)
-    return baseline_cycles(name, config, scale) / stats.cycles
+    baseline = baseline_cycles(name, config, scale)
+    return {
+        "cycles": stats.cycles,
+        "baseline": baseline,
+        "speedup": baseline / stats.cycles if stats.cycles else 0.0,
+        "avg_active_threads": stats.avg_active_threads,
+        "avg_thread_size": stats.avg_thread_size,
+        "value_hit_rate": stats.value_hit_rate,
+    }
 
 
 @dataclass
@@ -564,7 +558,9 @@ class SweepCheckpoint:
 
     A killed campaign restarts from the checkpoint: completed keys are
     skipped, half-finished runs simply re-run.  The file maps run key to
-    a :class:`ResilientOutcome` dict.
+    a :class:`ResilientOutcome` dict plus the ``digest`` of the params
+    it was computed for (the engine does not resume an entry recorded
+    under another digest, so a run key reused with other params re-runs).
 
     A corrupt or truncated checkpoint file (e.g. the machine died while
     an older non-atomic writer held it, or the disk lied) is never
@@ -600,14 +596,29 @@ class SweepCheckpoint:
     def __len__(self) -> int:
         return len(self._outcomes)
 
-    def get(self, key: str) -> Optional[ResilientOutcome]:
-        """Return the recorded outcome for ``key`` (None if absent)."""
-        data = self._outcomes.get(key)
-        return None if data is None else ResilientOutcome.from_dict(data)
+    def get(
+        self, key: str, digest: Optional[str] = None
+    ) -> Optional[ResilientOutcome]:
+        """Return the recorded outcome for ``key`` (None if absent).
 
-    def record(self, key: str, outcome: ResilientOutcome) -> None:
-        """Record the outcome under ``key`` and flush the store atomically."""
-        self._outcomes[key] = outcome.to_dict()
+        With ``digest``, an entry recorded under another digest counts as
+        absent; one recorded without a digest (by a :meth:`record` call
+        that gave none, or by an older version) matches any.
+        """
+        data = self._outcomes.get(key)
+        if data is None or data.get("digest") not in (None, digest):
+            return None
+        return ResilientOutcome.from_dict(data)
+
+    def record(
+        self, key: str, outcome: ResilientOutcome, digest: Optional[str] = None
+    ) -> None:
+        """Record ``outcome`` under ``key`` and flush the store atomically.
+
+        ``digest`` identifies the params the outcome was computed for
+        (see :meth:`get`); the entry replaces any earlier one.
+        """
+        self._outcomes[key] = {**outcome.to_dict(), "digest": digest}
         self._flush()
 
     def discard(self, key: str) -> None:

@@ -112,10 +112,10 @@ class TestCommands:
         assert "rejected" in capsys.readouterr().out
 
     def test_figure_unknown_name(self, capsys):
-        assert main(["figure", "figure99"]) == 2
+        assert main(["exp", "--fig", "figure99"]) == 2
 
     def test_figure_runs_tiny_scale(self, capsys):
-        assert main(["figure", "figure2", "--scale", "0.1"]) == 0
+        assert main(["exp", "--fig", "2", "--jobs", "1", "--scale", "0.1"]) == 0
         assert "Figure 2" in capsys.readouterr().out
 
     def test_profile_renders_phases_and_hotspots(self, capsys):

@@ -144,6 +144,30 @@ class TestCheckpointResume:
             k: o.value for k, o in results.items()
         }
 
+    def test_figure_checkpoint_reruns_points_of_another_scale(self, tmp_path):
+        # Point keys carry no scale: a checkpoint written at one scale
+        # must not answer for another.
+        store = tmp_path / "figure3.json"
+        run_figure("figure3", 0.08, checkpoint=SweepCheckpoint(store))
+        framework.clear_memos()
+        resumed = []
+        result = run_figure(
+            "figure3", SCALE, checkpoint=SweepCheckpoint(store),
+            progress=lambda key, outcome, was: resumed.append(was),
+        )
+        assert len(resumed) == len(framework.suite()) and not any(resumed)
+        framework.clear_memos()
+        assert result.render() == run_figure("figure3", SCALE).render()
+
+        # The stale entries were overwritten: the next run resumes all.
+        resumed.clear()
+        again = run_figure(
+            "figure3", SCALE, checkpoint=SweepCheckpoint(store),
+            progress=lambda key, outcome, was: resumed.append(was),
+        )
+        assert len(resumed) == len(framework.suite()) and all(resumed)
+        assert again.render() == result.render()
+
     def test_failed_outcome_round_trips_checkpoint(self, tmp_path):
         store = SweepCheckpoint(tmp_path / "c.json")
         outcome = ResilientOutcome(
@@ -156,20 +180,36 @@ class TestCheckpointResume:
 
 
 class TestSeeding:
-    def test_seeded_stats_feed_figure_driver(self):
-        payload = {
-            "cycles": 100,
-            "baseline": 400,
-            "speedup": 4.0,
-            "avg_active_threads": 2.0,
-            "avg_thread_size": 10.0,
-            "value_hit_rate": 0.9,
-        }
-        figures.seed_run(
-            "compress", "profile", framework.EXPERIMENT_CONFIG, SCALE, payload
-        )
-        stats = figures.cached_run(
-            "compress", "profile", framework.EXPERIMENT_CONFIG, SCALE
-        )
-        assert stats.cycles == 100
-        assert framework.baseline_cycles("compress", scale=SCALE) == 400
+    def test_every_grid_figure_assembles_from_seeded_points(self, monkeypatch):
+        """A driver reads exactly the points ``figure_points`` declares."""
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("figure driver simulated a point")
+
+        monkeypatch.setattr(framework, "simulate_point", no_simulation)
+        monkeypatch.setattr(framework, "simulate", no_simulation)
+        for figure in figures.RUNS:
+            framework.clear_memos()
+            points = figure_points(figure, SCALE)
+            runs = len(figures.RUNS[figure])
+            assert len(points) == runs * len(framework.suite()), figure
+            speedups = {}
+            for index, point in enumerate(points):
+                cycles, baseline = 100 + index, 400 + 3 * index
+                payload = {
+                    "cycles": cycles,
+                    "baseline": baseline,
+                    "speedup": baseline / cycles,
+                    "avg_active_threads": 2.0 + index,
+                    "avg_thread_size": 10.0 + index,
+                    "value_hit_rate": 0.5,
+                }
+                figures.seed_run(**point.params, payload=payload)
+                speedups[point.params["name"]] = payload["speedup"]
+            result = figures.ALL_FIGURES[figure](SCALE)
+            for label, values in result.series.items():
+                assert len(values) == len(result.benchmarks), (figure, label)
+            if figure == "figure3":
+                assert result.series["speedup"] == [
+                    speedups[name] for name in result.benchmarks
+                ]

@@ -9,7 +9,7 @@ from repro.experiments.framework import (
     pair_set_for,
     policy_names,
     run_policy,
-    speedup,
+    simulate_point,
     suite,
 )
 from repro.experiments import figures
@@ -43,9 +43,10 @@ class TestFramework:
     def test_baseline_and_speedup_consistent(self):
         base = baseline_cycles("compress", EXPERIMENT_CONFIG, SCALE)
         stats = run_policy("compress", "profile", EXPERIMENT_CONFIG, SCALE)
-        assert speedup("compress", "profile", EXPERIMENT_CONFIG, SCALE) == (
-            pytest.approx(base / stats.cycles)
-        )
+        payload = simulate_point("compress", "profile", SCALE, {})
+        assert payload["baseline"] == base
+        assert payload["cycles"] == stats.cycles
+        assert payload["speedup"] == pytest.approx(base / stats.cycles)
 
 
 class TestFigureResult:

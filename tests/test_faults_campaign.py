@@ -1,5 +1,6 @@
 """Fault-campaign tests: gates, resume, crash survival, CLI wiring."""
 
+import dataclasses
 import json
 
 import pytest
@@ -105,6 +106,24 @@ class TestCampaign:
         assert second.resumed == len(SPEC.workloads) * len(SPEC.rates) - 1
         for key in first.outcomes:
             assert second.outcomes[key].value == first.outcomes[key].value
+
+    def test_checkpoint_of_another_seed_reruns(self, tmp_path):
+        # Run keys carry no seed: a checkpoint written under one seed
+        # must not answer for another.
+        spec = CampaignSpec(
+            workloads=("compress",), rates=(0.05,), seed=1, scale=0.2,
+            retries=1, backoff=0.0,
+        )
+        reseeded = dataclasses.replace(spec, seed=99)
+        path = tmp_path / "campaign.json"
+        run_campaign(spec, checkpoint=SweepCheckpoint(path))
+        second = run_campaign(reseeded, checkpoint=SweepCheckpoint(path))
+        assert second.resumed == 0
+        fresh = run_campaign(reseeded)
+        key = run_key("compress", 0.05)
+        assert second.outcomes[key].value == fresh.outcomes[key].value
+        third = run_campaign(reseeded, checkpoint=SweepCheckpoint(path))
+        assert third.resumed == 1
 
     def test_render_mentions_gates(self):
         result = run_campaign(SPEC)
