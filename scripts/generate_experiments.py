@@ -44,11 +44,6 @@ python -m repro exp --fig 8 --jobs 4 --cache-dir .repro-cache
 # The serial reference path (bit-identical output, same cache):
 python -m repro exp --fig 8 --jobs 1 --cache-dir .repro-cache
 
-# A long sweep you might have to kill: give it a checkpoint file.
-# Re-running the same command resumes — completed points are skipped.
-python -m repro exp --fig 12 --jobs 4 --cache-dir .repro-cache \\
-    --checkpoint fig12.ckpt.json --verbose
-
 # Pre-derive traces and pair tables, inspect, or empty the cache:
 python -m repro cache warm --cache-dir .repro-cache
 python -m repro cache stats --cache-dir .repro-cache
@@ -74,10 +69,11 @@ Guarantees worth knowing:
   source packages, and every configuration knob — editing the simulator
   invalidates exactly the artifacts it produced, automatically.
 - Cache writes are atomic, so any number of workers (or concurrent
-  sweeps) can share one `--cache-dir`.
-- `--checkpoint` stores one JSON record per completed point; resuming
-  replays recorded outcomes and only runs what is missing.  The
-  checkpoint is orthogonal to the cache (results vs artifacts).
+  sweeps) can share one `--cache-dir`.  An artifact that does not
+  decode (torn by a crash) counts as a miss and is rebuilt.
+- A killed sweep resumes from the cache: re-running the same command
+  serves every completed point from its stored payload (`--verbose`
+  marks it `resumed`) and runs only what is missing.
 
 ## Fault-injection methodology (extension)
 

@@ -16,7 +16,8 @@ key, so invalidation is automatic and stale entries are merely unused.
 Writes are atomic (temp file + ``os.replace``) so concurrent workers can
 share one cache directory; a duplicate write of the same key is
 byte-identical by construction (serialisation is canonical), so the race
-is benign.
+is benign.  An artifact that does not decode (a file torn by a crash or a
+full disk) is a miss: the rebuild overwrites it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ _MISSING = object()
 #: Pickle protocol pinned for byte-stable artifacts across interpreter
 #: minor versions that share the protocol.
 _PICKLE_PROTOCOL = 4
+
+#: What a codec raises on a truncated or corrupt artifact (JSON and
+#: UTF-8 errors are ``ValueError``s).
+_UNDECODABLE = (EOFError, ValueError, pickle.UnpicklingError)
 
 
 def _canonical(value: Any) -> Any:
@@ -218,7 +223,11 @@ class ArtifactCache:
     # ------------------------------------------------------------------
 
     def lookup(self, kind: str, key: str) -> Any:
-        """Return ``(kind, key)`` or the ``_MISSING`` sentinel; no build."""
+        """Return ``(kind, key)`` or the ``_MISSING`` sentinel; no build.
+
+        An on-disk artifact that does not decode counts as missing, so
+        :meth:`get_or_create` rebuilds it and :meth:`store` overwrites it.
+        """
         memo_key = (kind, key)
         if memo_key in self._memory:
             self._memory.move_to_end(memo_key)
@@ -226,7 +235,10 @@ class ArtifactCache:
             return self._memory[memo_key]
         path = self.path(kind, key)
         if path.exists():
-            value = _CODECS[kind][2](path.read_bytes())
+            try:
+                value = _CODECS[kind][2](path.read_bytes())
+            except _UNDECODABLE:
+                return _MISSING
             self.stats.disk_hits += 1
             self._remember(memo_key, value)
             return value

@@ -7,9 +7,10 @@ Every cache key embeds two version components:
 - :func:`generator_version` — a blake2b digest over the source text of
   every package that can influence a derived artifact (ISA, functional
   executor, workload generators, profiler, spawning policies, timing
-  simulator, predictors, memory model).  Editing any of those files
-  changes the digest, so stale artifacts simply miss and are rebuilt —
-  no manual cache flush is ever required after a code change.
+  simulator, predictors, memory model, fault models, and the experiment
+  code that builds pair sets and point payloads).  Editing any of those
+  files changes the digest, so stale artifacts simply miss and are
+  rebuilt — no manual cache flush is ever required after a code change.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ VERSIONED_PACKAGES = (
     "predictors",
     "mem",
     "faults",
+    "experiments",
 )
 
 

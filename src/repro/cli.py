@@ -34,8 +34,9 @@ Commands
 ``exp``
     Reproduce a figure of the paper (e.g. ``--fig 3``) through the
     parallel engine (``--jobs``, ``--backend``, ``--workers``,
-    ``--cache-dir``, ``--checkpoint``, ``--telemetry``); ``--jobs 1``
-    runs every point in this process.
+    ``--cache-dir``, ``--telemetry``); ``--jobs 1`` runs every point in
+    this process, and a re-run on the same ``--cache-dir`` resumes every
+    completed point.
 ``worker``
     Distributed sweep worker: connect to a coordinator
     (``--connect host:port``) and execute stolen points until the
@@ -566,7 +567,6 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    from repro.experiments.framework import SweepCheckpoint
     from repro.faults.campaign import CampaignSpec, run_campaign
 
     if args.smoke:
@@ -593,10 +593,8 @@ def cmd_faults(args) -> int:
             timeout=args.timeout,
             retries=args.retries,
         )
-    checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     result = run_campaign(
         spec,
-        checkpoint=checkpoint,
         crash_keys=tuple(args.inject_crash or ()),
         progress=(lambda line: print(line, file=sys.stderr))
         if args.verbose
@@ -632,7 +630,6 @@ def _default_cache_dir() -> str:
 
 def cmd_exp(args) -> int:
     from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.framework import SweepCheckpoint
     from repro.experiments.engine import ParallelEngine, run_figure
 
     figure = _normalize_figure(args.fig)
@@ -649,16 +646,13 @@ def cmd_exp(args) -> int:
         backend=args.backend,
         workers=args.workers,
     )
-    checkpoint = SweepCheckpoint(args.checkpoint) if args.checkpoint else None
     progress = None
     if args.verbose:
         def progress(key, outcome, resumed):
             state = ("resumed" if resumed
                      else "ok" if outcome.ok else "FAILED")
             print(f"  {key}: {state}", file=sys.stderr)
-    result = run_figure(
-        figure, args.scale, engine, checkpoint=checkpoint, progress=progress
-    )
+    result = run_figure(figure, args.scale, engine, progress=progress)
     print(result.render())
     if engine.cache is not None:
         events = engine.cache_events
@@ -674,8 +668,7 @@ def cmd_exp(args) -> int:
             f"fleet [{engine.backend_name}]: "
             f"{fleet.get('completed', 0)}/{fleet.get('tasks', 0)} tasks, "
             f"lost={fleet.get('lost', 0)}, "
-            f"requeues={fleet.get('requeues', 0)}, "
-            f"steals={sum(fleet.get('steals', {}).values())}",
+            f"requeues={fleet.get('requeues', 0)}",
             file=sys.stderr,
         )
     return 0
@@ -1055,8 +1048,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="per-run wall-clock limit in seconds")
     p.add_argument("--retries", type=int, default=2,
                    help="retry budget per run")
-    p.add_argument("--checkpoint",
-                   help="JSON checkpoint file; completed runs are resumed")
     p.add_argument("--report", help="write the JSON degradation report here")
     p.add_argument("--smoke", action="store_true",
                    help="small fixed campaign for CI (overrides sweep args)")
@@ -1068,7 +1059,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel worker processes (default 1 = serial)")
     p.add_argument("--cache-dir", default=None,
-                   help="artifact-cache directory shared by the workers")
+                   help="artifact-cache directory shared by the workers; "
+                   "a re-run on it resumes completed runs")
     p.add_argument("--telemetry", default=None, metavar="DIR",
                    help="write per-run provenance manifests (config "
                    "digest, fault seed, wall time) plus a campaign "
@@ -1092,9 +1084,8 @@ def make_parser() -> argparse.ArgumentParser:
                    "bit-identical serial path)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--cache-dir", default=None,
-                   help="on-disk artifact cache shared across runs")
-    p.add_argument("--checkpoint",
-                   help="JSON checkpoint file; completed points resume")
+                   help="on-disk artifact cache shared across runs; a "
+                   "re-run on it resumes completed points")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-point wall-clock limit in seconds")
     p.add_argument("--retries", type=int, default=2,

@@ -2,12 +2,11 @@
 
 The parallel engine used to be welded to one ``ProcessPoolExecutor``;
 this module turns "how do the points actually run" into a protocol.  A
-:class:`Backend` receives the *to-do* points (the engine already
-filtered checkpoint-resumed keys), an :class:`ExecutionPlan` (timeouts,
-retry budget, cache location, worker count), and an *emit* callback; it
-must call ``emit(key, outcome_dict, cache_delta, worker_id)`` exactly
-once per point, in any order, and may not raise per-point failures —
-those travel inside the outcome dict, exactly as
+:class:`Backend` receives the sweep's points, an :class:`ExecutionPlan`
+(timeouts, retry budget, cache location, worker count), and an *emit*
+callback; it must call ``emit(key, outcome_dict, cache_delta,
+worker_id)`` exactly once per point, in any order, and may not raise
+per-point failures — those travel inside the outcome dict, exactly as
 :func:`~repro.experiments.framework.run_resilient` reports them.
 
 Built-in backends:
@@ -54,7 +53,7 @@ EmitFn = Callable[[str, Dict[str, Any], Dict[str, int], str], None]
 
 @dataclass
 class ExecutionPlan:
-    """Everything a backend needs to execute a sweep's to-do points.
+    """Everything a backend needs to execute a sweep's points.
 
     Attributes:
         timeout: Per-point wall-clock limit in seconds (None unbounded).
@@ -86,7 +85,7 @@ class Backend(ABC):
     Contract: :meth:`execute` calls ``emit`` exactly once per to-do
     point and returns only when every point was emitted; ``emit`` calls
     must be serialised (never concurrent), because the engine updates
-    its checkpoint and progress state inside the callback.
+    its result and progress state inside the callback.
     """
 
     #: Registry name of the backend (e.g. ``"remote"``).
@@ -102,8 +101,7 @@ class Backend(ABC):
         """Execute every point, reporting each through ``emit``.
 
         Args:
-            points: The to-do points (checkpoint-resumed keys already
-                removed by the engine); keys are unique.
+            points: The sweep's points; keys are unique.
             plan: Execution parameters (timeouts, cache, workers).
             emit: Per-point result callback (see :data:`EmitFn`).
         """

@@ -15,7 +15,7 @@ wrongly-buried worker is counted and dropped.
 :class:`RemoteBackend` packages the coordinator for the engine: it
 spawns a local fleet of ``repro worker`` subprocesses against an
 ephemeral port, waits for the sweep to drain, and reports fleet-level
-telemetry (per-worker dispatch/steal counters, task-latency histogram,
+telemetry (per-worker dispatch counters, task-latency histogram,
 cache-channel traffic) through a
 :class:`~repro.obs.registry.MetricsRegistry`.
 """

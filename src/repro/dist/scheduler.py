@@ -3,11 +3,10 @@
 Sweep points are wildly uneven — a full-scale ``gcc`` simulation costs
 an order of magnitude more than ``compress`` — so fixed round-robin
 assignment leaves workers idle behind one long tail job.  The scheduler
-here is pull-based: tasks are seeded **longest-job-first** (cost priors
-come from the per-point ``seconds`` recorded in earlier sweeps'
-telemetry manifests, see :class:`CostModel`), and an idle worker
-*steals* the next task from the global deque (or, when per-worker
-deques were pre-seeded, from the back of the busiest victim's deque).
+here is pull-based: tasks are seeded **longest-job-first** into one
+global deque (cost priors come from the per-point ``seconds`` recorded
+in earlier sweeps' telemetry manifests, see :class:`CostModel`), and an
+idle worker *steals* the next task from its front.
 
 Every grant is tracked as a **lease** until the worker reports the
 result; a worker declared dead (heartbeat silence, socket EOF, or a
@@ -35,13 +34,12 @@ class CostModel:
 
     Attributes:
         priors: Point key -> expected seconds (from earlier telemetry).
-        default_cost: Estimate for a point never seen before; unseen
-            points sort *after* known-expensive ones but keep their
-            submission order among themselves.
+            A point never seen before costs 0.0: unseen points sort
+            *after* known ones but keep their submission order among
+            themselves.
     """
 
     priors: Dict[str, float] = field(default_factory=dict)
-    default_cost: float = 0.0
 
     @classmethod
     def from_manifests(
@@ -75,28 +73,22 @@ class CostModel:
 
     def estimate(self, key: str) -> float:
         """Return the expected cost in seconds of the point ``key``."""
-        return self.priors.get(key, self.default_cost)
+        return self.priors.get(key, 0.0)
 
 
 class WorkStealingScheduler:
     """Leased, work-stealing task dispatch with exactly-once completion.
 
     Tasks are any objects with a unique ``key`` attribute (the engine's
-    :class:`~repro.experiments.engine.Point`).  When ``workers`` are
-    known up front the tasks are dealt into per-worker deques by
-    longest-processing-time greedy assignment (each task goes to the
-    currently least-loaded worker, in longest-job-first order); a worker
-    that drains its own deque steals from the back of the busiest
-    victim.  When the fleet joins late (the remote backend), everything
-    sits in the global deque in longest-job-first order and every idle
-    worker steals from its front.
+    :class:`~repro.experiments.engine.Point`).  They sit in one global
+    deque in longest-job-first order, and every idle worker steals from
+    its front; the fleet may join late (the remote backend).
 
     All methods are thread-safe: the remote coordinator calls them from
     one handler thread per connection.
 
     Args:
         tasks: The sweep's task objects; keys must be unique.
-        workers: Worker ids known up front (may be empty).
         cost: Cost priors ordering the seeding (None = submission
             order, which a default :class:`CostModel` preserves).
     """
@@ -104,11 +96,10 @@ class WorkStealingScheduler:
     def __init__(
         self,
         tasks: Sequence[Any],
-        workers: Sequence[str] = (),
         cost: Optional[CostModel] = None,
     ) -> None:
         self._lock = threading.RLock()
-        self._cost = cost or CostModel()
+        cost = cost or CostModel()
         self._tasks: Dict[str, Any] = {}
         for task in tasks:
             if task.key in self._tasks:
@@ -117,30 +108,17 @@ class WorkStealingScheduler:
         order = {task.key: index for index, task in enumerate(tasks)}
         # Longest-job-first; submission order breaks ties so the seeding
         # stays deterministic for equal (or absent) priors.
-        seeded = sorted(
-            self._tasks,
-            key=lambda key: (-self._cost.estimate(key), order[key]),
+        self._global: Deque[str] = deque(
+            sorted(
+                self._tasks,
+                key=lambda key: (-cost.estimate(key), order[key]),
+            )
         )
-        self._global: Deque[str] = deque()
-        self._queues: Dict[str, Deque[str]] = {}
         self._leases: Dict[str, str] = {}  # key -> worker id
         self._completed: Set[str] = set()
-        self.steals: Dict[str, int] = {}
         self.dispatched: Dict[str, int] = {}
         self.requeues = 0
         self.duplicate_finishes = 0
-        if workers:
-            for worker in workers:
-                self._queues[worker] = deque()
-                self.steals.setdefault(worker, 0)
-                self.dispatched.setdefault(worker, 0)
-            loads = {worker: 0.0 for worker in workers}
-            for key in seeded:
-                target = min(loads, key=lambda w: (loads[w], w))
-                self._queues[target].append(key)
-                loads[target] += max(self._cost.estimate(key), 1e-9)
-        else:
-            self._global.extend(seeded)
 
     # ------------------------------------------------------------------
     # Dispatch.
@@ -149,46 +127,26 @@ class WorkStealingScheduler:
     def register(self, worker: str) -> None:
         """Register a (possibly late-joining) worker id."""
         with self._lock:
-            self._queues.setdefault(worker, deque())
-            self.steals.setdefault(worker, 0)
             self.dispatched.setdefault(worker, 0)
 
     def next_task(self, worker: str) -> Optional[Any]:
-        """Grant ``worker`` its next task, stealing when it has none.
+        """Grant ``worker`` the task at the global deque's front.
 
-        Order of preference: the worker's own deque front, then the
-        global deque front, then the *back* of the busiest victim's
-        deque (a steal).  The granted task is leased to ``worker`` until
-        :meth:`complete` or :meth:`requeue_worker` releases it.
+        The granted task is leased to ``worker`` until :meth:`complete`
+        or :meth:`requeue_worker` releases it.
 
         Args:
             worker: The requesting worker's id.
 
         Returns:
-            The task object, or None when nothing is stealable right
-            now (tasks may still be leased elsewhere — see
-            :meth:`done`).
+            The task object, or None when nothing is queued right now
+            (tasks may still be leased elsewhere — see :meth:`done`).
         """
         with self._lock:
             self.register(worker)
-            own = self._queues[worker]
-            key: Optional[str] = None
-            if own:
-                key = own.popleft()
-            elif self._global:
-                key = self._global.popleft()
-                self.steals[worker] += 1
-            else:
-                victim = max(
-                    (w for w in self._queues if w != worker),
-                    key=lambda w: (len(self._queues[w]), w),
-                    default=None,
-                )
-                if victim is not None and self._queues[victim]:
-                    key = self._queues[victim].pop()
-                    self.steals[worker] += 1
-            if key is None:
+            if not self._global:
                 return None
+            key = self._global.popleft()
             self._leases[key] = worker
             self.dispatched[worker] += 1
             return self._tasks[key]
@@ -223,10 +181,6 @@ class WorkStealingScheduler:
     def requeue_worker(self, worker: str) -> List[str]:
         """Requeue a dead worker's leases at the global deque's front.
 
-        The worker's still-queued (never granted) tasks are moved to the
-        back of the global deque so other workers can steal them; only
-        the in-flight leases count as requeues.
-
         Args:
             worker: The worker declared dead.
 
@@ -241,9 +195,6 @@ class WorkStealingScheduler:
                 del self._leases[key]
                 self._global.appendleft(key)
                 self.requeues += 1
-            queued = self._queues.pop(worker, None)
-            if queued:
-                self._global.extend(queued)
             return lost
 
     # ------------------------------------------------------------------
@@ -255,13 +206,6 @@ class WorkStealingScheduler:
         with self._lock:
             return sorted(
                 key for key, owner in self._leases.items() if owner == worker
-            )
-
-    def pending(self) -> int:
-        """Return how many tasks are queued and unleased."""
-        with self._lock:
-            return len(self._global) + sum(
-                len(q) for q in self._queues.values()
             )
 
     def outstanding(self) -> int:
@@ -283,8 +227,8 @@ class WorkStealingScheduler:
 
         Returns:
             A JSON-able dict: totals, lost count (0 after a completed
-            sweep), per-worker dispatch/steal counts, requeues and
-            duplicate finishes.
+            sweep), per-worker dispatch counts, requeues and duplicate
+            finishes.
         """
         with self._lock:
             return {
@@ -294,5 +238,4 @@ class WorkStealingScheduler:
                 "requeues": self.requeues,
                 "duplicate_finishes": self.duplicate_finishes,
                 "dispatched": dict(sorted(self.dispatched.items())),
-                "steals": dict(sorted(self.steals.items())),
             }

@@ -16,7 +16,6 @@ from repro.experiments.framework import (
     EXPERIMENT_PROFILE_CONFIG,
     FigureResult,
     ResilientOutcome,
-    SweepCheckpoint,
     backoff_delay,
     baseline_cycles,
     pair_set_for,
@@ -35,7 +34,6 @@ __all__ = [
     "ProfileReport",
     "profile_run",
     "ResilientOutcome",
-    "SweepCheckpoint",
     "backoff_delay",
     "baseline_cycles",
     "figure_points",

@@ -11,10 +11,10 @@ results in deterministic input order regardless of completion order.
 
 Workers share the on-disk :class:`~repro.cache.ArtifactCache` when one
 is configured, so traces/pairs/baselines are derived once per sweep and
-whole point results are memoized across runs.  A
-:class:`~repro.experiments.framework.SweepCheckpoint` integrates for
-resume: a completed point is skipped on restart unless its checkpoint
-entry was recorded for other params.
+whole point results are memoized across runs.  The cache is also how a
+killed sweep resumes: re-run with the same cache directory, every
+completed point comes back from its ``point`` artifact, whose key covers
+the point's params and the generator source.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from repro.cache import ArtifactCache
 from repro.errors import InvariantViolation, SimulationTimeout
 from repro.experiments import figures as figures_mod
 from repro.experiments import framework
-from repro.experiments.framework import (
-    FigureResult,
-    ResilientOutcome,
-    SweepCheckpoint,
-)
-from repro.obs.manifest import config_digest
+from repro.experiments.framework import FigureResult, ResilientOutcome
 
 __all__ = [
     "Point",
@@ -41,6 +36,7 @@ __all__ = [
     "figure_points",
     "run_figure",
     "execute_point",
+    "point_key_fields",
     "POINT_RUNNERS",
     "CACHED_RUNNERS",
 ]
@@ -51,7 +47,7 @@ class Point:
     """One pickle-safe unit of sweep work.
 
     Args:
-        key: Stable identifier (checkpoint key and result-ordering key).
+        key: Stable identifier (result-ordering and progress key).
         runner: Name of a registered runner in :data:`POINT_RUNNERS`.
         params: Keyword arguments of the runner — JSON-able primitives
             only, so a point can cross a process boundary and key the
@@ -65,7 +61,7 @@ class Point:
 
 # ----------------------------------------------------------------------
 # Point runners.  Top-level functions (pickle-safe); each returns a
-# JSON-serialisable payload so outcomes survive checkpoints and caches.
+# JSON-serialisable payload so it can be stored in the artifact cache.
 # ----------------------------------------------------------------------
 
 
@@ -143,6 +139,26 @@ POINT_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 CACHED_RUNNERS = ("simulate", "campaign")
 
 
+def point_key_fields(runner: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Return the ``point`` artifact-cache key fields of a runner call.
+
+    Every param keys the artifact except a campaign's ``crash_key``: it
+    only makes the first attempt crash, and the retry returns the payload
+    the point has without it.  Sweeps (:func:`execute_point`) and the
+    serve daemon's cache probe both key through here, so they share
+    artifacts.
+
+    Args:
+        runner: Name of a runner in :data:`CACHED_RUNNERS`.
+        params: The runner's keyword arguments.
+
+    Returns:
+        The key fields: ``runner`` plus the params that shape the payload.
+    """
+    fields = {k: v for k, v in params.items() if k != "crash_key"}
+    return {"runner": runner, **fields}
+
+
 def execute_point(point: Point, cache: Optional[ArtifactCache] = None) -> Any:
     """Run one point, memoizing its payload in the artifact cache.
 
@@ -157,12 +173,14 @@ def execute_point(point: Point, cache: Optional[ArtifactCache] = None) -> Any:
     if cache is None or point.runner not in CACHED_RUNNERS:
         return runner(**point.params)
     return cache.get_or_create(
-        "point", lambda: runner(**point.params), runner=point.runner, **point.params
+        "point",
+        lambda: runner(**point.params),
+        **point_key_fields(point.runner, point.params),
     )
 
 
 class ParallelEngine:
-    """Fan experiment points across an executor backend, with resume.
+    """Fan experiment points across an executor backend.
 
     Args:
         jobs: Worker count; ``None`` means ``os.cpu_count()``.  ``jobs=1``
@@ -223,10 +241,10 @@ class ParallelEngine:
             "misses": 0,
             "puts": 0,
         }
-        #: fleet summary of the last run (work-stealing/cache counters).
+        #: fleet summary of the last run (scheduler/cache counters).
         self.fleet: Dict[str, Any] = {}
         #: point key -> cache-counter delta of that point's execution
-        #: (only points actually run this sweep; resumed points absent).
+        #: (empty without a cache directory).
         self._point_deltas: Dict[str, Dict[str, int]] = {}
         #: point key -> id of the worker that executed it.
         self._worker_ids: Dict[str, str] = {}
@@ -254,16 +272,15 @@ class ParallelEngine:
     def run(
         self,
         points: Sequence[Point],
-        checkpoint: Optional[SweepCheckpoint] = None,
         progress: Optional[Callable[[str, ResilientOutcome, bool], None]] = None,
     ) -> Dict[str, ResilientOutcome]:
         """Execute every point; results keyed and ordered as submitted.
 
         Args:
             points: Point specs; keys must be unique.
-            checkpoint: Optional resume store — completed keys are
-                loaded, not re-run, and fresh completions are recorded.
-            progress: ``progress(key, outcome, resumed)`` per point.
+            progress: ``progress(key, outcome, resumed)`` per point, as
+                it lands; ``resumed`` is true when the artifact cache
+                served the point's payload whole (hits and no miss).
 
         Returns:
             Mapping of point key to outcome, in the order of ``points``
@@ -273,22 +290,19 @@ class ParallelEngine:
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate point keys in sweep")
         started = time.perf_counter()
-        results = self._run_dispatch(points, checkpoint, progress)
+        results = self._run_dispatch(points, progress)
         if self.telemetry_dir is not None:
             self._write_telemetry(
                 points, results, time.perf_counter() - started
             )
         return results
 
-    def _run_dispatch(self, points, checkpoint, progress):
+    def _run_dispatch(self, points, progress):
         """Execute the sweep through the executor backend.
 
-        Checkpoint entries not recorded for other params (see
-        :func:`_params_digest`) are resumed and emitted first; the
-        remaining to-do points go to the backend, whose serialized
-        ``emit`` calls land results, checkpoint records, cache deltas
-        and worker attribution, and report progress right after each
-        point.
+        The backend's serialized ``emit`` calls land results, cache
+        deltas and worker attribution, and report progress right after
+        each point.
         """
         from repro.dist.backend import ExecutionPlan, create_backend
 
@@ -298,50 +312,35 @@ class ParallelEngine:
             else self.backend
         )
         results: Dict[str, ResilientOutcome] = {}
-        digests: Dict[str, str] = {}
-        todo: List[Point] = []
-        for point in points:
-            outcome = None
-            if checkpoint is not None:
-                digests[point.key] = _params_digest(point)
-                outcome = checkpoint.get(point.key, digests[point.key])
-            if outcome is not None:
-                results[point.key] = outcome
-                if progress is not None:
-                    progress(point.key, outcome, True)
-            else:
-                todo.append(point)
-        if todo:
-            plan = ExecutionPlan(
-                timeout=self.timeout,
-                retries=self.retries,
-                backoff=self.backoff,
-                workers=min(self.workers, len(todo)),
-                cache_dir=self.cache_dir,
-                cache=self.cache,
-                telemetry_dir=self.telemetry_dir,
-            )
+        plan = ExecutionPlan(
+            timeout=self.timeout,
+            retries=self.retries,
+            backoff=self.backoff,
+            workers=min(self.workers, len(points)),
+            cache_dir=self.cache_dir,
+            cache=self.cache,
+            telemetry_dir=self.telemetry_dir,
+        )
 
-            def emit(
-                key: str,
-                outcome_dict: Dict[str, Any],
-                delta: Dict[str, int],
-                worker_id: str,
-            ) -> None:
-                outcome = ResilientOutcome.from_dict(outcome_dict)
-                results[key] = outcome
-                self._note_cache_delta(delta)
-                if delta:
-                    self._point_deltas[key] = delta
-                self._worker_ids[key] = worker_id
-                if checkpoint is not None:
-                    checkpoint.record(key, outcome, digests[key])
-                if progress is not None:
-                    progress(key, outcome, False)
+        def emit(
+            key: str,
+            outcome_dict: Dict[str, Any],
+            delta: Dict[str, int],
+            worker_id: str,
+        ) -> None:
+            outcome = ResilientOutcome.from_dict(outcome_dict)
+            results[key] = outcome
+            self._note_cache_delta(delta)
+            if delta:
+                self._point_deltas[key] = delta
+            self._worker_ids[key] = worker_id
+            if progress is not None:
+                hits = delta.get("memory_hits", 0) + delta.get("disk_hits", 0)
+                progress(key, outcome, hits > 0 and not delta.get("misses"))
 
-            backend.execute(todo, plan, emit)
-            self.fleet = backend.fleet_summary()
-        missing = [p.key for p in todo if p.key not in results]
+        backend.execute(points, plan, emit)
+        self.fleet = backend.fleet_summary()
+        missing = [p.key for p in points if p.key not in results]
         if missing:
             raise RuntimeError(
                 f"backend {self.backend_name!r} never emitted "
@@ -401,18 +400,6 @@ class ParallelEngine:
             cache=dict(self.cache_events),
             extra=extra,
         )
-
-
-def _params_digest(point: Point) -> str:
-    """Digest of what a point's payload depends on: runner and params.
-
-    Point keys leave out parameters such as the scale or a campaign's
-    seed, so a checkpoint entry recorded under another digest re-runs.  A
-    campaign's ``crash_key`` is left out: it makes the first attempt
-    crash, and the retry returns the payload the point has without it.
-    """
-    params = {k: v for k, v in point.params.items() if k != "crash_key"}
-    return config_digest({"runner": point.runner, "params": params})
 
 
 def _point_provenance(point: Point):
@@ -490,22 +477,21 @@ def run_figure(
     figure: str,
     scale: float = 1.0,
     engine: Optional[ParallelEngine] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
     progress: Optional[Callable[[str, ResilientOutcome, bool], None]] = None,
 ) -> FigureResult:
     """Reproduce one figure through the parallel engine.
 
-    The figure's points run via ``engine`` (parallel, cached,
-    checkpointed); successful payloads are recorded with
-    ``figures.seed_run`` and the driver assembles the
-    :class:`FigureResult` from them.  A point that failed is simulated
-    again by the driver, so the output matches the serial path exactly.
+    The figure's points run via ``engine`` (parallel and cached: a re-run
+    on the same cache directory resumes every completed point);
+    successful payloads are recorded with ``figures.seed_run`` and the
+    driver assembles the :class:`FigureResult` from them.  A point that
+    failed is simulated again by the driver, so the output matches the
+    serial path exactly.
 
     Args:
         figure: Figure driver name.
         scale: Workload size multiplier.
         engine: Engine to run on (default: serial, uncached).
-        checkpoint: Optional resume store for the point sweep.
         progress: Per-point progress callback.
 
     Returns:
@@ -513,11 +499,7 @@ def run_figure(
     """
     engine = engine or ParallelEngine(jobs=1)
     points = figure_points(figure, scale)
-    outcomes = (
-        engine.run(points, checkpoint=checkpoint, progress=progress)
-        if points
-        else {}
-    )
+    outcomes = engine.run(points, progress=progress) if points else {}
     with framework.use_cache(engine.cache):
         for point in points:
             outcome = outcomes[point.key]

@@ -21,15 +21,12 @@ because our synthetic traces lack SpecInt's cold-code tail, so the paper's
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import signal
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.cmt import ProcessorConfig, simulate
 from repro.cmt.stats import SimulationStats
@@ -372,7 +369,7 @@ def suite(scale: float = 1.0) -> Sequence[str]:
 
 # ----------------------------------------------------------------------
 # Hardened execution: the one attempt runner (wall-clock limits, retries,
-# failure classification) and checkpoints.
+# failure classification).
 # ----------------------------------------------------------------------
 
 #: Per-thread deadline of the attempt running under :func:`run_resilient`.
@@ -436,8 +433,8 @@ class ResilientOutcome:
     attempts: int = 0
     error: Optional[str] = None
     error_type: Optional[str] = None
-    #: Wall-clock seconds spent across every attempt (telemetry; 0.0 in
-    #: checkpoints written before the field existed).
+    #: Wall-clock seconds spent across every attempt (telemetry; 0.0 when
+    #: the encoded outcome carries no ``seconds``).
     seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -551,82 +548,3 @@ def run_resilient(
                 time.sleep(
                     backoff_delay(backoff, attempt - 1, jitter, jitter_key)
                 )
-
-
-class SweepCheckpoint:
-    """JSON store of completed sweep runs, written atomically per record.
-
-    A killed campaign restarts from the checkpoint: completed keys are
-    skipped, half-finished runs simply re-run.  The file maps run key to
-    a :class:`ResilientOutcome` dict plus the ``digest`` of the params
-    it was computed for (the engine does not resume an entry recorded
-    under another digest, so a run key reused with other params re-runs).
-
-    A corrupt or truncated checkpoint file (e.g. the machine died while
-    an older non-atomic writer held it, or the disk lied) is never
-    fatal: the bad file is quarantined to ``<path>.corrupt`` and the
-    sweep restarts from an empty store, re-running everything instead
-    of crashing.  ``quarantined`` holds the quarantine path when that
-    happened.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._outcomes: Dict[str, Dict[str, Any]] = {}
-        self.quarantined: Optional[Path] = None
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-                if not isinstance(data, dict):
-                    raise ValueError(
-                        f"checkpoint root is {type(data).__name__}, "
-                        "expected an object"
-                    )
-                self._outcomes = data
-            except (json.JSONDecodeError, ValueError, UnicodeDecodeError):
-                self.quarantined = self.path.with_suffix(
-                    self.path.suffix + ".corrupt"
-                )
-                os.replace(self.path, self.quarantined)
-                self._outcomes = {}
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._outcomes
-
-    def __len__(self) -> int:
-        return len(self._outcomes)
-
-    def get(
-        self, key: str, digest: Optional[str] = None
-    ) -> Optional[ResilientOutcome]:
-        """Return the recorded outcome for ``key`` (None if absent).
-
-        With ``digest``, an entry recorded under another digest counts as
-        absent; one recorded without a digest (by a :meth:`record` call
-        that gave none, or by an older version) matches any.
-        """
-        data = self._outcomes.get(key)
-        if data is None or data.get("digest") not in (None, digest):
-            return None
-        return ResilientOutcome.from_dict(data)
-
-    def record(
-        self, key: str, outcome: ResilientOutcome, digest: Optional[str] = None
-    ) -> None:
-        """Record ``outcome`` under ``key`` and flush the store atomically.
-
-        ``digest`` identifies the params the outcome was computed for
-        (see :meth:`get`); the entry replaces any earlier one.
-        """
-        self._outcomes[key] = {**outcome.to_dict(), "digest": digest}
-        self._flush()
-
-    def discard(self, key: str) -> None:
-        """Forget a recorded run (it will re-run on the next sweep)."""
-        if self._outcomes.pop(key, None) is not None:
-            self._flush()
-
-    def _flush(self) -> None:
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self._outcomes, indent=1, sort_keys=True))
-        os.replace(tmp, self.path)

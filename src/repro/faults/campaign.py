@@ -1,8 +1,9 @@
 """Fault-injection campaigns: sweep fault rates, report degradation.
 
 A campaign runs every requested workload at every fault rate through the
-hardened experiment runner (per-run wall-clock timeout, bounded retry,
-checkpoint/resume) and reports speed-up versus fault rate — the
+hardened experiment runner (per-run wall-clock timeout, bounded retry;
+with a cache directory, a re-run resumes completed runs from the
+artifact cache) and reports speed-up versus fault rate — the
 "degradation curve" of each workload.  Two built-in gates make the
 campaign CI-friendly, like ``repro lint``:
 
@@ -23,7 +24,6 @@ from repro.cmt import simulate
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
     ResilientOutcome,
-    SweepCheckpoint,
     baseline_cycles,
     pair_set_for,
 )
@@ -33,7 +33,7 @@ from repro.workloads import load_trace, workload_names
 
 
 def run_key(workload: str, rate: float) -> str:
-    """Return the stable checkpoint key of one (workload, rate) run."""
+    """Return the stable key of one (workload, rate) run."""
     return f"{workload}@{rate:g}"
 
 
@@ -190,7 +190,7 @@ class CampaignResult:
             f"{totals['fault_cycles_lost']} cycles lost"
         )
         if self.resumed:
-            lines.append(f"resumed {self.resumed} runs from checkpoint")
+            lines.append(f"resumed {self.resumed} runs from the cache")
         failures = self.failures()
         if failures:
             lines.append("FAILURES:")
@@ -309,7 +309,6 @@ def _campaign_points(
 
 def run_campaign(
     spec: CampaignSpec,
-    checkpoint: Optional[SweepCheckpoint] = None,
     crash_keys: Tuple[str, ...] = (),
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
@@ -318,12 +317,10 @@ def run_campaign(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> CampaignResult:
-    """Execute a campaign, resuming completed runs from ``checkpoint``.
+    """Execute a campaign, resuming completed runs from ``cache_dir``.
 
     Args:
         spec: The campaign's sweep parameters.
-        checkpoint: Optional resume store; completed run keys are
-            loaded instead of re-run.
         crash_keys: Run keys whose *first* attempt raises an injected
             crash — a deterministic way to exercise (and test) the
             retry path end to end.
@@ -332,7 +329,8 @@ def run_campaign(
             :class:`~repro.experiments.engine.ParallelEngine` the runs
             go through; 1 (the default) runs them in this process.
         cache_dir: Optional artifact-cache directory shared by the
-            reference computation and every worker.
+            reference computation and every worker; a run whose payload
+            it already holds is resumed, not re-run.
         telemetry_dir: When set, write one provenance manifest per run
             (config digest, derived fault seed, attempts, wall time)
             plus a campaign rollup into this directory.
@@ -388,7 +386,7 @@ def run_campaign(
 
     _CRASHED.clear()
     points = _campaign_points(spec, result.reference, crash_keys)
-    result.outcomes = engine.run(points, checkpoint=checkpoint, progress=note)
+    result.outcomes = engine.run(points, progress=note)
     if telemetry_dir is not None:
         _write_campaign_telemetry(
             telemetry_dir, spec, result, engine,

@@ -92,14 +92,14 @@ class FaultInjector:
         return draw < self.spawn_drop_rate
 
     def corrupt_livein(self, thread_seq: int, reg: int) -> bool:
-        """Return True when ``reg``'s predicted live-in for ``thread_seq`` is corrupted."""
+        """Return True when live-in ``reg`` of thread ``thread_seq`` is corrupted."""
         if self.corrupt_rate == 0.0:
             return False
         draw = _keyed_u01(self.plan.seed, "livein", (thread_seq, reg))
         return draw < self.corrupt_rate
 
     def forward_delay(self, thread_seq: int, reg: int, producer: int) -> int:
-        """Return extra cycles delaying ``producer``'s forward of ``reg`` to ``thread_seq``."""
+        """Return extra cycles delaying the forward of ``reg`` to ``thread_seq``."""
         if self.forward_rate == 0.0:
             return 0
         key = (thread_seq, reg, producer)

@@ -3,7 +3,7 @@
 Every model carries a ``rate`` in [0, 1]; a plan whose rates are all zero
 is inert — the injector never fires and the simulation is cycle-for-cycle
 identical to running with no injector at all (tested).  Plans serialise
-to/from JSON so a campaign checkpoint fully describes its runs.
+to/from JSON and round-trip exactly.
 """
 
 from __future__ import annotations

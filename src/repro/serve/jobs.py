@@ -199,8 +199,3 @@ def _check_simulate(
     if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
         raise ValueError(f"scale must be a number, not {scale!r}")
     EXPERIMENT_CONFIG.with_(**overrides)
-
-
-def cache_key_fields(job: Job) -> Dict[str, Any]:
-    """Return the artifact-cache key fields of a cacheable job."""
-    return {"runner": job.runner, **job.params}

@@ -14,8 +14,7 @@ kill can produce:
   the original file is quarantined to ``<path>.corrupt`` for forensics
   and replay keeps the valid prefix;
 - a **corrupt snapshot**: quarantined the same way, recovery restarts
-  from the WAL alone (mirroring the hardened
-  :class:`~repro.experiments.framework.SweepCheckpoint`).
+  from the WAL alone.
 
 ``rotate`` compacts the pair: it atomically writes a new snapshot of
 the folded state and truncates the WAL, bounding recovery time and

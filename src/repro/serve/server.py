@@ -42,8 +42,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.experiments.engine import CACHED_RUNNERS
-from repro.serve.jobs import Job, cache_key_fields
+from repro.experiments.engine import CACHED_RUNNERS, point_key_fields
+from repro.serve.jobs import Job
 from repro.serve.metrics import ServeMetrics
 from repro.serve.journal import JobJournal
 from repro.serve.pool import WorkerPool
@@ -149,7 +149,7 @@ class ServeDaemon:
             return JobQueue.miss_sentinel()
         from repro.cache.store import _MISSING
 
-        key = cache.key("point", **cache_key_fields(job))
+        key = cache.key("point", **point_key_fields(job.runner, job.params))
         value = cache.lookup("point", key)
 
         if value is _MISSING:

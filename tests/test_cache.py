@@ -1,5 +1,7 @@
 """Artifact-cache tests: determinism, invalidation, persistence."""
 
+import json
+
 import pytest
 
 from repro.cache import (
@@ -67,6 +69,18 @@ class TestKeys:
     def test_generator_version_is_stable(self):
         assert generator_version() == generator_version()
         assert len(generator_version()) == 16
+
+    def test_payload_and_policy_builders_are_versioned(self):
+        # Editing the code that builds a cached artifact must change the
+        # generator digest, or stale artifacts stay in use.
+        from repro.cache.version import VERSIONED_PACKAGES
+        from repro.experiments.engine import CACHED_RUNNERS, POINT_RUNNERS
+
+        builders = [POINT_RUNNERS[name] for name in CACHED_RUNNERS]
+        builders += list(framework._POLICIES.values())
+        for builder in builders:
+            package = builder.__module__.split(".")[1]
+            assert package in VERSIONED_PACKAGES, builder.__module__
 
 
 class TestRoundTrip:
@@ -156,6 +170,66 @@ class TestRoundTrip:
             assert loaded is not executed
             cache.store("trace", key, loaded)
             assert cache.read_blob("trace", key) == blob
+
+
+class TestCorruptArtifacts:
+    """An artifact that does not decode is a miss, rebuilt in place."""
+
+    def test_truncated_point_is_rebuilt_and_overwritten(self, tmp_path):
+        payload = {"cycles": 7, "speedup": 1.5}
+        ArtifactCache(tmp_path).get_or_create(
+            "point", lambda: payload, runner="simulate"
+        )
+        (path,) = (tmp_path / "point").iterdir()
+        path.write_bytes(path.read_bytes()[:-3])  # torn write
+
+        fresh = ArtifactCache(tmp_path)
+        value = fresh.get_or_create(
+            "point", lambda: payload, runner="simulate"
+        )
+        assert value == payload
+        assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
+        assert json.loads(path.read_text()) == payload
+
+    def test_truncated_trace_is_rebuilt_and_overwritten(self, tmp_path):
+        def build():
+            return load_trace("compress", SCALE)
+
+        fields = {"workload": "compress", "scale": SCALE}
+        ArtifactCache(tmp_path).get_or_create("trace", build, **fields)
+        (path,) = (tmp_path / "trace").iterdir()
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+
+        fresh = ArtifactCache(tmp_path)
+        rebuilt = fresh.get_or_create("trace", build, **fields)
+        assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
+        assert path.read_bytes() == blob
+        reloaded = ArtifactCache(tmp_path).get_or_create(
+            "trace", build, **fields
+        )
+        assert len(reloaded) == len(rebuilt)
+
+    def test_campaign_passes_over_a_truncated_point(self, tmp_path):
+        from repro.faults.campaign import CampaignSpec, run_campaign, run_key
+
+        spec = CampaignSpec(
+            workloads=("compress",), rates=(0.0, 0.05), scale=0.1,
+            retries=1, backoff=0.0,
+        )
+        first = run_campaign(spec, cache_dir=str(tmp_path))
+        torn = first.outcomes[run_key("compress", 0.0)].value
+        (path,) = [
+            p for p in (tmp_path / "point").iterdir()
+            if json.loads(p.read_text()) == torn
+        ]
+        path.write_bytes(path.read_bytes()[:10])
+
+        second = run_campaign(spec, cache_dir=str(tmp_path))
+        assert second.ok, second.failures()
+        assert second.resumed == 1
+        assert json.loads(path.read_text()) == torn
+        framework.clear_memos()
 
 
 def _cached_trace_pair(tmp_path, name, scale):

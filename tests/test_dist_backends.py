@@ -16,7 +16,6 @@ from repro.dist.backend import (
     create_backend,
 )
 from repro.experiments.engine import ParallelEngine, Point
-from repro.experiments.framework import SweepCheckpoint
 
 BACKENDS = ("serial", "process")
 
@@ -79,25 +78,6 @@ def test_checkpoint_prefilter_skips_completed_points():
     engine = ParallelEngine(jobs=2, backend="process")
     first = engine.run(points[:4])
     assert all(o.ok for o in first.values())
-
-
-def test_checkpoint_resume_only_runs_todo(tmp_path):
-    points = _sleep_points([0.001] * 6)
-    checkpoint = SweepCheckpoint(tmp_path / "sweep.json")
-    engine = ParallelEngine(jobs=2, backend="process")
-    engine.run(points[:4], checkpoint=checkpoint)
-    resumed = ParallelEngine(jobs=2, backend="process")
-    ran = []
-    outcomes = resumed.run(
-        points, checkpoint=checkpoint,
-        progress=lambda key, outcome, was_resumed: ran.append(
-            (key, was_resumed)
-        ),
-    )
-    assert list(outcomes) == [p.key for p in points]
-    # Resumed keys are reported first; only the two new points ran.
-    assert ran[:4] == [(p.key, True) for p in points[:4]]
-    assert sorted(ran[4:]) == [(p.key, False) for p in points[4:]]
 
 
 def test_backend_registry():

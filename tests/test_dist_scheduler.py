@@ -1,4 +1,4 @@
-"""Work-stealing scheduler tests: seeding, stealing, leases, exactly-once."""
+"""Work-stealing scheduler tests: seeding, leases, exactly-once."""
 
 from dataclasses import dataclass
 
@@ -38,35 +38,6 @@ def test_unknown_costs_keep_submission_order():
     assert grants == ["c", "a", "b"]
 
 
-def test_upfront_workers_get_lpt_balanced_deques():
-    # LPT greedy: 10 -> w0, 9 -> w1, 5 -> w1 (load 9 < 10... no: 9+5=14),
-    # actually 5 goes to the least-loaded worker at that moment.
-    cost = CostModel(priors={"a": 10.0, "b": 9.0, "c": 5.0, "d": 4.0})
-    sched = WorkStealingScheduler(
-        _tasks("a", "b", "c", "d"), workers=("w0", "w1"), cost=cost
-    )
-    # w0 gets a(10) then d(4); w1 gets b(9) then c(5).
-    assert sched.next_task("w0").key == "a"
-    assert sched.next_task("w1").key == "b"
-    assert sched.next_task("w1").key == "c"
-    assert sched.next_task("w0").key == "d"
-
-
-def test_idle_worker_steals_from_busiest_victim_back():
-    cost = CostModel(priors={"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0})
-    sched = WorkStealingScheduler(
-        _tasks("a", "b", "c", "d"), workers=("w0", "w1"), cost=cost
-    )
-    # Seeding: w0 = [a, d], w1 = [b, c].  Drain w0, then it must steal
-    # from the BACK of w1's deque (the cheapest of the victim's work).
-    assert sched.next_task("w0").key == "a"
-    assert sched.next_task("w0").key == "d"
-    stolen = sched.next_task("w0")
-    assert stolen.key == "c"
-    assert sched.steals["w0"] == 1
-    assert sched.next_task("w1").key == "b"
-
-
 def test_complete_is_exactly_once():
     sched = WorkStealingScheduler(_tasks("a"))
     sched.next_task("w0")
@@ -88,27 +59,6 @@ def test_requeue_worker_preserves_front_order():
     assert sched.next_task("w1").key == "a"
     assert sched.next_task("w1").key == "b"
     assert sched.next_task("w1").key == "c"
-
-
-def test_requeue_worker_rescues_its_unleased_queue():
-    # A dead worker's still-queued tasks must return to the global
-    # deque, not vanish with its per-worker deque.
-    sched = WorkStealingScheduler(
-        _tasks("a", "b", "c", "d"), workers=("w0", "w1")
-    )
-    granted = sched.next_task("w0")
-    sched.requeue_worker("w0")  # lease "a" plus one queued task
-    assert sched.requeues == 1
-    survivors = set()
-    while True:
-        task = sched.next_task("w1")
-        if task is None:
-            break
-        survivors.add(task.key)
-        sched.complete("w1", task.key)
-    assert granted.key in survivors
-    assert survivors == {"a", "b", "c", "d"}
-    assert sched.done()
 
 
 def test_late_duplicate_after_requeue_is_dropped():
@@ -155,7 +105,7 @@ def test_property_any_interleaving_completes_exactly_once(
         priors={key: costs[i] for i, key in enumerate(keys)}
     )
     workers = [f"w{i}" for i in range(n_workers)]
-    sched = WorkStealingScheduler(_tasks(*keys), workers=workers, cost=cost)
+    sched = WorkStealingScheduler(_tasks(*keys), cost=cost)
 
     dead = set()
     finished = []

@@ -10,7 +10,6 @@ from repro.experiments.engine import (
     figure_points,
     run_figure,
 )
-from repro.experiments.framework import ResilientOutcome, SweepCheckpoint
 
 SCALE = 0.12
 
@@ -112,21 +111,22 @@ class TestEquivalence:
 
 
 class TestCheckpointResume:
+    """A killed sweep resumes from the point artifacts of its cache dir."""
+
     def test_resume_mid_sweep_under_jobs_4(self, tmp_path):
         points = _mini_points(workloads=("compress", "li", "ijpeg"))
-        store = tmp_path / "sweep.ckpt.json"
+        cache_dir = tmp_path / "cache"
 
         # First run completes only one point (simulating a killed sweep).
-        first = ParallelEngine(jobs=1, cache_dir=tmp_path / "cache")
-        done = first.run(points[:1], checkpoint=SweepCheckpoint(store))
+        first = ParallelEngine(jobs=1, cache_dir=cache_dir)
+        done = first.run(points[:1])
         assert done[points[0].key].ok
 
         framework.clear_memos()
         seen = []
-        resumed_engine = ParallelEngine(jobs=4, cache_dir=tmp_path / "cache")
+        resumed_engine = ParallelEngine(jobs=4, cache_dir=cache_dir)
         results = resumed_engine.run(
             points,
-            checkpoint=SweepCheckpoint(store),
             progress=lambda key, outcome, resumed: seen.append((key, resumed)),
         )
         assert list(results) == [p.key for p in points]
@@ -136,47 +136,46 @@ class TestCheckpointResume:
             p.key for p in points[1:]
         }
 
-        # A third run resumes everything.
+        # A third run resumes everything, at a 100% hit rate.
         framework.clear_memos()
-        third = ParallelEngine(jobs=4, cache_dir=tmp_path / "cache")
-        replay = third.run(points, checkpoint=SweepCheckpoint(store))
+        seen.clear()
+        third = ParallelEngine(jobs=4, cache_dir=cache_dir)
+        replay = third.run(
+            points,
+            progress=lambda key, outcome, resumed: seen.append((key, resumed)),
+        )
+        assert sorted(seen) == sorted((p.key, True) for p in points)
+        assert third.cache_hit_rate() == 1.0
         assert {k: o.value for k, o in replay.items()} == {
             k: o.value for k, o in results.items()
         }
 
     def test_figure_checkpoint_reruns_points_of_another_scale(self, tmp_path):
-        # Point keys carry no scale: a checkpoint written at one scale
-        # must not answer for another.
-        store = tmp_path / "figure3.json"
-        run_figure("figure3", 0.08, checkpoint=SweepCheckpoint(store))
+        # Point keys carry no scale, but point artifacts are keyed on it:
+        # a cache filled at one scale must not answer for another.
+        def engine():
+            return ParallelEngine(jobs=1, cache_dir=tmp_path)
+
+        run_figure("figure3", 0.08, engine())
         framework.clear_memos()
         resumed = []
         result = run_figure(
-            "figure3", SCALE, checkpoint=SweepCheckpoint(store),
+            "figure3", SCALE, engine(),
             progress=lambda key, outcome, was: resumed.append(was),
         )
         assert len(resumed) == len(framework.suite()) and not any(resumed)
         framework.clear_memos()
         assert result.render() == run_figure("figure3", SCALE).render()
 
-        # The stale entries were overwritten: the next run resumes all.
+        # The next run at this scale resumes every point.
+        framework.clear_memos()
         resumed.clear()
         again = run_figure(
-            "figure3", SCALE, checkpoint=SweepCheckpoint(store),
+            "figure3", SCALE, engine(),
             progress=lambda key, outcome, was: resumed.append(was),
         )
         assert len(resumed) == len(framework.suite()) and all(resumed)
         assert again.render() == result.render()
-
-    def test_failed_outcome_round_trips_checkpoint(self, tmp_path):
-        store = SweepCheckpoint(tmp_path / "c.json")
-        outcome = ResilientOutcome(
-            ok=False, value=None, attempts=3,
-            error="boom", error_type="RuntimeError",
-        )
-        store.record("bad", outcome)
-        replay = SweepCheckpoint(tmp_path / "c.json").get("bad")
-        assert replay == outcome
 
 
 class TestSeeding:

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import SweepCheckpoint
 from repro.faults.campaign import (
     CampaignSpec,
     run_campaign,
@@ -94,36 +93,55 @@ class TestCampaign:
         assert any("injected worker crash" in p for p in result.failures())
 
     def test_resume_from_checkpoint(self, tmp_path):
-        path = tmp_path / "campaign.json"
-        first = run_campaign(SPEC, checkpoint=SweepCheckpoint(path))
+        first = run_campaign(SPEC, cache_dir=str(tmp_path))
         assert first.resumed == 0
 
-        # drop one run; a re-run must redo exactly that one
-        ckpt = SweepCheckpoint(path)
-        ckpt.discard(run_key("ijpeg", 0.05))
-        second = run_campaign(SPEC, checkpoint=ckpt)
+        # drop one run's artifact; a re-run must redo exactly that one
+        dropped = first.outcomes[run_key("ijpeg", 0.05)].value
+        artifacts = list((tmp_path / "point").iterdir())
+        assert len(artifacts) == len(SPEC.workloads) * len(SPEC.rates)
+        for path in artifacts:
+            if json.loads(path.read_text()) == dropped:
+                path.unlink()
+        second = run_campaign(SPEC, cache_dir=str(tmp_path))
         assert second.ok
-        assert second.resumed == len(SPEC.workloads) * len(SPEC.rates) - 1
+        assert second.resumed == len(artifacts) - 1
         for key in first.outcomes:
             assert second.outcomes[key].value == first.outcomes[key].value
 
     def test_checkpoint_of_another_seed_reruns(self, tmp_path):
-        # Run keys carry no seed: a checkpoint written under one seed
-        # must not answer for another.
+        # Run keys carry no seed, but point artifacts are keyed on it: a
+        # cache filled under one seed must not answer for another.
         spec = CampaignSpec(
             workloads=("compress",), rates=(0.05,), seed=1, scale=0.2,
             retries=1, backoff=0.0,
         )
         reseeded = dataclasses.replace(spec, seed=99)
-        path = tmp_path / "campaign.json"
-        run_campaign(spec, checkpoint=SweepCheckpoint(path))
-        second = run_campaign(reseeded, checkpoint=SweepCheckpoint(path))
+        run_campaign(spec, cache_dir=str(tmp_path))
+        second = run_campaign(reseeded, cache_dir=str(tmp_path))
         assert second.resumed == 0
         fresh = run_campaign(reseeded)
         key = run_key("compress", 0.05)
         assert second.outcomes[key].value == fresh.outcomes[key].value
-        third = run_campaign(reseeded, checkpoint=SweepCheckpoint(path))
+        third = run_campaign(reseeded, cache_dir=str(tmp_path))
         assert third.resumed == 1
+
+    def test_crash_key_shares_the_point_artifact(self, tmp_path):
+        # An injected crash changes attempts, not the payload: the run
+        # is stored once, and a plain campaign resumes it.
+        spec = CampaignSpec(
+            workloads=("compress",), rates=(0.0, 0.05), scale=0.1,
+            retries=1, backoff=0.0,
+        )
+        crash_key = run_key("compress", 0.05)
+        crashed = run_campaign(
+            spec, crash_keys=(crash_key,), cache_dir=str(tmp_path)
+        )
+        assert crashed.outcomes[crash_key].attempts == 2
+        plain = run_campaign(spec, cache_dir=str(tmp_path))
+        assert plain.ok, plain.failures()
+        assert plain.resumed == len(spec.rates)
+        assert len(list((tmp_path / "point").iterdir())) == len(spec.rates)
 
     def test_render_mentions_gates(self):
         result = run_campaign(SPEC)
@@ -151,16 +169,15 @@ class TestFaultsCli:
         assert "compress@0.05" in data["outcomes"]
 
     def test_checkpoint_and_crash_survival(self, capsys, tmp_path):
-        ckpt = tmp_path / "ckpt.json"
-        assert main(self.ARGS + [
-            "--checkpoint", str(ckpt),
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(self.ARGS + cache + [
             "--inject-crash", "compress@0.05",
         ]) == 0
-        assert ckpt.exists()
-        # second invocation resumes every run from the checkpoint
+        # the second invocation, without the crash, resumes every run
+        # from the cache
         capsys.readouterr()
-        assert main(self.ARGS + ["--checkpoint", str(ckpt)]) == 0
-        assert "resumed 4 runs from checkpoint" in capsys.readouterr().out
+        assert main(self.ARGS + cache) == 0
+        assert "resumed 4 runs from the cache" in capsys.readouterr().out
 
     def test_bad_rates_usage_error(self, capsys):
         assert main(["faults", "--rates", "fast"]) == 2

@@ -144,8 +144,8 @@ class TestOutcomeSeconds:
         assert outcome.seconds > 0
 
     def test_from_dict_back_compat_default(self):
-        # Checkpoints written before the field existed have no
-        # "seconds" key; loading them must not crash.
+        # An encoded outcome without a "seconds" key (one written
+        # before the field existed) must still load.
         data = ResilientOutcome(ok=True, value=1, attempts=1).to_dict()
         del data["seconds"]
         assert ResilientOutcome.from_dict(data).seconds == 0.0

@@ -1,11 +1,11 @@
-"""Hardened experiment runner: retries, timeouts, checkpoint/resume."""
+"""Hardened experiment runner: retries, timeouts, resume from the cache."""
 
-import json
 import threading
 import time
 
 import pytest
 
+from repro.cache import ArtifactCache
 from repro.errors import (
     ExecutionError,
     InvariantViolation,
@@ -16,9 +16,10 @@ from repro.errors import (
 from repro.experiments import (
     ParallelEngine,
     ResilientOutcome,
-    SweepCheckpoint,
+    framework,
     run_resilient,
 )
+from repro.experiments import engine as engine_mod
 from repro.experiments.engine import Point
 from repro.experiments.framework import attempt_deadline
 
@@ -114,71 +115,52 @@ class TestRunResilient:
         assert ResilientOutcome.from_dict(outcome.to_dict()) == outcome
 
 
-class TestSweepCheckpoint:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = SweepCheckpoint(path)
-        ckpt.record("a@0", ResilientOutcome(ok=True, value={"cycles": 5}))
-        assert "a@0" in ckpt
-
-        reloaded = SweepCheckpoint(path)
-        assert "a@0" in reloaded
-        assert reloaded.get("a@0").value == {"cycles": 5}
-        assert reloaded.get("missing") is None
-
-    def test_discard(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = SweepCheckpoint(path)
-        ckpt.record("a@0", ResilientOutcome(ok=True))
-        ckpt.discard("a@0")
-        assert "a@0" not in SweepCheckpoint(path)
-
-    def test_file_is_valid_json_after_every_record(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = SweepCheckpoint(path)
-        for i in range(3):
-            ckpt.record(f"run{i}", ResilientOutcome(ok=True, value=i))
-            data = json.loads(path.read_text())
-            assert len(data) == i + 1
-        assert not path.with_suffix(".json.tmp").exists()
-
-
 def _sleep_point(key, **params):
     return Point(key=key, runner="sleep",
                  params={"duration": 0.0, "tag": key, **params})
 
 
+def _simulate_point(key, policy="profile"):
+    return Point(key=key, runner="simulate",
+                 params={"name": "compress", "policy": policy,
+                         "scale": 0.05, "overrides": {}})
+
+
 class TestResilientSweep:
-    """A resilient sweep: ``ParallelEngine(jobs=1)`` over sleep points."""
+    """A resilient sweep: ``ParallelEngine(jobs=1)`` over sleep and
+    simulate points."""
 
     def test_all_tasks_run_and_checkpointed(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "ckpt.json")
-        results = ParallelEngine(jobs=1).run(
-            [_sleep_point("a"), _sleep_point("b")], checkpoint=ckpt
-        )
-        assert results["a"].value == {"slept": 0.0, "tag": "a"}
-        assert results["b"].value == {"slept": 0.0, "tag": "b"}
-        assert len(ckpt) == 2
+        points = [_simulate_point("a"), _simulate_point("b", "heuristics")]
+        results = ParallelEngine(jobs=1, cache_dir=tmp_path).run(points)
+        assert results["a"].ok and results["b"].ok
+        assert results["a"].value != results["b"].value
+        # Every completed point's payload is stored whole.
+        assert ArtifactCache(tmp_path).disk_summary()["point"].entries == 2
+        framework.clear_memos()
 
-    def test_resume_skips_completed_runs(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        ckpt = SweepCheckpoint(path)
-        ckpt.record("done", ResilientOutcome(ok=True, value="cached"))
+    def test_resume_skips_completed_runs(self, tmp_path, monkeypatch):
+        done = _simulate_point("done")
+        first = ParallelEngine(jobs=1, cache_dir=tmp_path).run([done])
+        framework.clear_memos()
 
+        def rerun(**params):
+            raise InvariantViolation("completed point re-ran")
+
+        # Re-running "done" would fail: it is resumed, not re-run.
+        monkeypatch.setitem(engine_mod.POINT_RUNNERS, "simulate", rerun)
         seen = []
 
         def progress(key, outcome, resumed):
             seen.append((key, resumed))
 
-        results = ParallelEngine(jobs=1).run(
-            # Re-running "done" would fail: it is resumed, not re-run.
-            [_sleep_point("done", fail="poison"), _sleep_point("todo")],
-            checkpoint=SweepCheckpoint(path),
-            progress=progress,
+        results = ParallelEngine(jobs=1, cache_dir=tmp_path).run(
+            [done, _sleep_point("todo")], progress=progress
         )
-        assert results["done"].value == "cached"
+        assert results["done"].value == first["done"].value
         assert results["todo"].value == {"slept": 0.0, "tag": "todo"}
         assert seen == [("done", True), ("todo", False)]
+        framework.clear_memos()
 
     def test_failed_task_does_not_stop_sweep(self):
         engine = ParallelEngine(jobs=1, retries=0, backoff=0.0)
@@ -187,46 +169,6 @@ class TestResilientSweep:
         )
         assert not results["bad"].ok
         assert results["good"].ok
-
-
-class TestCorruptCheckpointRecovery:
-    def test_corrupt_json_quarantined_and_empty_start(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text('{"a@0": {"ok": true, "val')  # truncated write
-
-        ckpt = SweepCheckpoint(path)
-        assert len(ckpt) == 0
-        assert ckpt.quarantined == tmp_path / "ckpt.json.corrupt"
-        assert ckpt.quarantined.exists()
-        assert not path.exists()
-        # The store works normally after quarantine.
-        ckpt.record("b@0", ResilientOutcome(ok=True, value=1))
-        assert "b@0" in SweepCheckpoint(path)
-
-    def test_non_object_root_quarantined(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text("[1, 2, 3]")
-
-        ckpt = SweepCheckpoint(path)
-        assert len(ckpt) == 0
-        assert ckpt.quarantined is not None
-
-    def test_binary_garbage_quarantined(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_bytes(b"\x00\xff\xfe garbage \x80")
-
-        ckpt = SweepCheckpoint(path)
-        assert len(ckpt) == 0
-        assert ckpt.quarantined is not None
-
-    def test_valid_checkpoint_not_quarantined(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        SweepCheckpoint(path).record(
-            "a@0", ResilientOutcome(ok=True, value=1)
-        )
-        ckpt = SweepCheckpoint(path)
-        assert ckpt.quarantined is None
-        assert "a@0" in ckpt
 
 
 class TestBackoffJitter:
