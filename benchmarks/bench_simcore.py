@@ -3,20 +3,24 @@
 Times the paper grid at scale 1.0 under each core: per workload, one
 single-thread-unit baseline plus {profile, heuristics} x {perfect,
 stride, fcm}, 56 points in all.  Traces (which carry their columns
-from the executor) and pair sets are built first, so only simulation is
-timed, and each core sweeps the grid twice and keeps its faster pass.
+from the executor), pair sets and priming sequences are built first, so
+only simulation is timed, and each core sweeps the grid twice and keeps
+its faster pass.  The event core's stride and fcm points replay priming
+sequences that went through the ``prime`` artifact codec (the sweeps'
+cached path); the legacy core derives its own with its oracle.
 The gate: every trace's executor-built columns equal the reference
 derivation ``TraceColumns.build``, full ``SimulationStats`` are equal on
 every point and on one fault-injected point, and the event core is at
 least ``SIMCORE_SPEEDUP_TARGET`` times faster than legacy.
-Writes no file; run it with::
+Writes no file outside pytest's temporary directory; run it with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_simcore.py -q -s
 """
 
 import time
 
-from repro.cmt import simulate
+from repro.cache import ArtifactCache
+from repro.cmt import priming_sequence, simulate
 from repro.exec.columns import TraceColumns
 from repro.experiments import framework
 from repro.faults import FaultInjector, FaultPlan, TUBlackoutFault
@@ -31,39 +35,61 @@ POLICIES = ("profile", "heuristics")
 PREDICTORS = ("perfect", "stride", "fcm")
 
 
-def _grid():
-    """``(label, trace, pairs, config)`` for each of the 56 grid points."""
+def _decoded(cache, label, training):
+    """``training`` after the ``prime`` codec's round trip through disk."""
+    key = cache.key("prime", label=label)
+    cache.store("prime", key, training)
+    return cache.lookup("prime", key)
+
+
+def _grid(cache_dir):
+    """``(label, trace, pairs, config, training)`` for the 56 grid points.
+
+    ``training`` is the decoded priming sequence of a point that primes
+    a table predictor, else None.
+    """
     base = framework.EXPERIMENT_CONFIG
+    cache = ArtifactCache(cache_dir, memory_entries=0)
     points = []
     for name in workload_names():
         trace = framework.trace_for(name, SCALE)
         # Full-scale differential check of the one-pass trace build.
         assert trace.columns == TraceColumns.build(trace), name
         points.append((f"{name}/baseline", trace, SpawnPairSet([]),
-                       base.single_threaded()))
+                       base.single_threaded(), None))
         for policy in POLICIES:
             pairs = framework.pair_set_for(name, policy, SCALE)
+            training = _decoded(
+                cache, f"{name}/{policy}", priming_sequence(trace, pairs, base)
+            )
             for predictor in PREDICTORS:
-                points.append((f"{name}/{policy}/{predictor}", trace, pairs,
-                               base.with_(value_predictor=predictor)))
+                config = base.with_(value_predictor=predictor)
+                points.append((
+                    f"{name}/{policy}/{predictor}", trace, pairs, config,
+                    training if config.primes_predictor else None,
+                ))
     return points
 
 
 def _sweep(points, core):
-    """Best of two passes; returns (seconds, instructions, stats by label)."""
+    """Best of two passes; returns (seconds, instructions, stats by label).
+
+    The legacy core never reads a passed priming sequence.
+    """
     best = float("inf")
     for _ in range(2):
         stats = {}
         start = time.perf_counter()
-        for label, trace, pairs, config in points:
-            stats[label] = simulate(trace, pairs, config.with_(sim_core=core))
+        for label, trace, pairs, config, training in points:
+            stats[label] = simulate(trace, pairs, config.with_(sim_core=core),
+                                    training=training)
         best = min(best, time.perf_counter() - start)
     instructions = sum(s.instructions for s in stats.values())
     return best, instructions, {k: s.to_dict() for k, s in stats.items()}
 
 
-def test_event_core_matches_legacy_and_clears_speedup_target():
-    points = _grid()
+def test_event_core_matches_legacy_and_clears_speedup_target(tmp_path):
+    points = _grid(tmp_path)
     legacy_s, instructions, legacy = _sweep(points, "legacy")
     event_s, _, event = _sweep(points, "event")
     assert [k for k in legacy if event[k] != legacy[k]] == []

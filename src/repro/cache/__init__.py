@@ -1,11 +1,12 @@
 """Content-addressed artifact cache for experiment sweeps.
 
 Sweeps over (workload x policy x configuration) re-derive the same
-expensive inputs — sequential traces, spawning-pair selections, baseline
-cycle counts — on every run.  This package stores them once, keyed by a
-blake2b digest of every knob that can change the artifact plus a digest
-of the generator source itself (so code edits invalidate automatically).
-See :mod:`repro.cache.store` for the store and :mod:`repro.cache.version`
+expensive inputs — sequential traces, spawning-pair selections,
+value-predictor priming sequences, baseline cycle counts — on every run.
+This package stores them once, keyed by a blake2b digest of every knob
+that can change the artifact plus a digest of the generator source
+itself (so code edits invalidate automatically).  See
+:mod:`repro.cache.store` for the store and :mod:`repro.cache.version`
 for the invalidation scheme.
 """
 

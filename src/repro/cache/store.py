@@ -1,9 +1,10 @@
 """Content-addressed on-disk artifact cache with an in-process LRU front.
 
 The cache memoizes the expensive derived inputs of an experiment sweep —
-sequential traces, spawning-pair selections, baseline cycle counts, and
-whole simulation points — so that repeated sweeps (and parallel workers
-attacking the same sweep) never re-derive an artifact.
+sequential traces, spawning-pair selections, value-predictor priming
+sequences, baseline cycle counts, and whole simulation points — so that
+repeated sweeps (and parallel workers attacking the same sweep) never
+re-derive an artifact.
 
 Keys are blake2b digests of a canonical JSON encoding of
 ``(schema version, generator version, artifact kind, key fields)``; the
@@ -22,6 +23,7 @@ full disk) is a miss: the rebuild overwrites it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -81,7 +83,17 @@ def _trace_dumps(trace: Any) -> bytes:
 def _trace_loads(blob: bytes) -> Any:
     from repro.exec.trace import Trace
 
-    program, fields, columns = pickle.loads(blob)
+    # The unpickled lists and tuples hold no reference cycles, so the
+    # cyclic collector is paused while they are built (as ``Machine.run``
+    # does): in a forked serve child each collection would otherwise
+    # walk the daemon's inherited heap.  The caller's state is restored.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        program, fields, columns = pickle.loads(blob)
+    finally:
+        if collecting:
+            gc.enable()
     return Trace.from_fields(program, fields, columns)
 
 
@@ -107,10 +119,17 @@ def _json_loads(blob: bytes) -> Any:
     return json.loads(blob.decode("utf-8"))
 
 
+def _prime_loads(blob: bytes) -> Any:
+    # A priming sequence is a JSON array of ``[sp_pc, cqip_pc, reg, base,
+    # actual]`` entries; decode them back to the tuples it was built of.
+    return [tuple(entry) for entry in _json_loads(blob)]
+
+
 #: kind -> (file extension, dumps, loads).
 _CODECS: Dict[str, Tuple[str, Callable[[Any], bytes], Callable[[bytes], Any]]] = {
     "trace": ("pkl", _trace_dumps, _trace_loads),
     "pairs": ("json", _pairs_dumps, _pairs_loads),
+    "prime": ("json", _json_dumps, _prime_loads),
     "baseline": ("json", _json_dumps, _json_loads),
     "point": ("json", _json_dumps, _json_loads),
 }
@@ -311,8 +330,8 @@ class ArtifactCache:
         """Return the cached artifact for ``fields``, building on a miss.
 
         Args:
-            kind: Artifact kind (``trace``, ``pairs``, ``baseline`` or
-                ``point``).
+            kind: Artifact kind (``trace``, ``pairs``, ``prime``,
+                ``baseline`` or ``point``).
             build: Zero-argument callable producing the artifact.
             **fields: Every knob that influences the artifact's content.
 

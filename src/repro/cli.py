@@ -53,8 +53,8 @@ Commands
     running serve daemon's ``/metrics``, ``--snapshot DIR`` writes a
     static bundle, ``--smoke`` runs the CI gate.
 ``profile <workload>``
-    Per-phase timings (trace build, column build, pair selection,
-    simulate, commit check) and cProfile hotspots of one point.
+    Per-phase timings (trace build, pair selection, value-predictor
+    priming, simulate, commit check) and cProfile hotspots of one point.
 
 Exit codes
 ----------
@@ -695,8 +695,9 @@ def cmd_cache(args) -> int:
         removed = cache.clear(args.kind)
         print(f"removed {removed} artifact(s) from {cache.root}")
         return 0
-    # warm: derive trace + pair-set artifacts for the whole suite so a
-    # following sweep starts from a hot cache.
+    # warm: derive trace, pair-set and priming-sequence artifacts (the
+    # latter at the default priming parameters) for the whole suite, so
+    # a following sweep starts from a hot cache.
     from repro.experiments import framework
 
     with framework.use_cache(cache):
@@ -704,6 +705,7 @@ def cmd_cache(args) -> int:
             framework.trace_for(name, args.scale)
             for policy in ("profile", "heuristics"):
                 framework.pair_set_for(name, policy, args.scale)
+                framework.priming_sequence_for(name, policy, args.scale)
             if args.verbose:
                 print(f"  warmed {name}", file=sys.stderr)
     framework.clear_memos()

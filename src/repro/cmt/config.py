@@ -156,6 +156,19 @@ class ProcessorConfig:
         if self.sim_core not in ("event", "legacy"):
             raise ValueError(f"unknown sim_core {self.sim_core!r}")
 
+    @property
+    def primes_predictor(self) -> bool:
+        """True when a table value predictor is primed before the run.
+
+        Last, stride and fcm tables are preset from the profiling run
+        when ``prime_value_predictor`` is on; perfect and none have no
+        table to prime.
+        """
+        return self.prime_value_predictor and self.value_predictor not in (
+            "perfect",
+            "none",
+        )
+
     def with_(self, **overrides) -> "ProcessorConfig":
         """Return a copy of the config with the given fields replaced."""
         return replace(self, **overrides)

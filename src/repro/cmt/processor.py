@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.cmt.config import ProcessorConfig
 from repro.cmt.event_core import run_event
@@ -191,6 +191,7 @@ class ClusteredProcessor:
         config: Optional[ProcessorConfig] = None,
         injector: Optional["FaultInjector"] = None,
         tracer=None,
+        training: Optional[Sequence[tuple]] = None,
     ):
         self.trace = trace
         self.config = config or ProcessorConfig()
@@ -239,13 +240,15 @@ class ClusteredProcessor:
         else:
             self._cols = None
             self._spawn_pcs = frozenset()
-        if self.config.prime_value_predictor and self.config.value_predictor not in (
-            "perfect",
-            "none",
-        ):
+        if self.config.primes_predictor:
             if self._use_columns:
-                self._prime_predictor_cols()
+                if training is None:
+                    training = priming_sequence(trace, self.pairs, self.config)
+                train = self.value_predictor.train
+                for sp_pc, cqip_pc, reg, base, actual in training:
+                    train(sp_pc, cqip_pc, reg, base, actual)
             else:
+                # The legacy oracle derives its own, never ``training``.
                 self._prime_predictor()
 
     # ------------------------------------------------------------------
@@ -1055,6 +1058,9 @@ class ClusteredProcessor:
         feeding (spawn-time base, CQIP live-in) observations exactly as
         commit-time training would — the spawning pairs already come from
         this profile pass, so the hardware tables can be preset with it.
+        The legacy core's oracle: it walks the ``DynInst`` view and never
+        reads a passed sequence, so the equal-stats checks compare it
+        against :func:`priming_sequence`, derived or from the cache.
         """
         trace = self.trace
         vp = self.value_predictor
@@ -1096,74 +1102,6 @@ class ClusteredProcessor:
                             vp.train(pair.sp_pc, pair.cqip_pc, reg, base, actual)
                         if inst.dst is not None and inst.dst != 0:
                             written.add(inst.dst)
-
-    def _prime_predictor_cols(self) -> None:
-        """Columnar twin of :meth:`_prime_predictor` (same training order).
-
-        A sample's training registers are the live-ins of its CQIP
-        window (``TraceColumns.livein_pairs``, in the scan's discovery
-        order) whose producer lies at or after the spawn.  The training
-        sequence is a pure function of the trace, the pair set, and the
-        priming parameters, so it is memoized on the trace columns and
-        replayed into the (fresh) predictor on repeat simulations of the
-        same workload/policy cell — only the ``train`` calls themselves
-        re-run.
-        """
-        trace = self.trace
-        cols = self._cols
-        vp = self.value_predictor
-        config = self.config
-        pairs = self.pairs
-        cache_key = (
-            config.prime_samples,
-            config.livein_scan_cap,
-            tuple(
-                (p.sp_pc, p.cqip_pc, p.expected_distance)
-                for sp in pairs.spawning_points()
-                for p in pairs.alternatives(sp)
-            ),
-        )
-        sequence = cols._prime_cache.get(cache_key)
-        if sequence is not None:
-            train = vp.train
-            for sp_pc, cqip_pc, reg, base, actual in sequence:
-                train(sp_pc, cqip_pc, reg, base, actual)
-            return
-        sequence = []
-        record = sequence.append
-        livein_pairs = cols.livein_pairs
-        dst_values = cols.dst_value
-        value_at = trace.value_of_register_at
-        length = len(trace)
-        for sp_pc in pairs.spawning_points():
-            for pair in pairs.alternatives(sp_pc):
-                positions = trace.positions_of(pair.sp_pc)
-                window = int(8 * max(pair.expected_distance, 32))
-                taken = 0
-                for s_pos in positions:
-                    if taken >= config.prime_samples:
-                        break
-                    c_pos = trace.next_occurrence(
-                        pair.cqip_pc, s_pos, min(length, s_pos + window)
-                    )
-                    if c_pos is None:
-                        continue
-                    taken += 1
-                    end = min(
-                        length,
-                        c_pos + min(int(pair.expected_distance) + 1,
-                                    config.livein_scan_cap),
-                    )
-                    for reg, producer in livein_pairs(c_pos, end):
-                        if producer >= s_pos:
-                            record((
-                                pair.sp_pc, pair.cqip_pc, reg,
-                                value_at(reg, s_pos), dst_values[producer],
-                            ))
-        cols._prime_cache[cache_key] = sequence
-        train = vp.train
-        for sp_pc, cqip_pc, reg, base, actual in sequence:
-            train(sp_pc, cqip_pc, reg, base, actual)
 
     # ------------------------------------------------------------------
     # Completion.
@@ -1238,14 +1176,86 @@ def simulate(
     config: Optional[ProcessorConfig] = None,
     injector: Optional["FaultInjector"] = None,
     tracer=None,
+    training: Optional[Sequence[tuple]] = None,
 ) -> SimulationStats:
     """Run one simulation (convenience wrapper).
 
     Pass an :class:`~repro.obs.events.EventTracer` as ``tracer`` to
     record the structured event stream; ``None`` (the default) keeps the
-    zero-cost disabled path.
+    zero-cost disabled path.  ``training`` is the run's
+    :func:`priming_sequence`, when the caller already has it (say, from
+    the artifact cache); the event core derives it when it is None, and
+    the legacy core always derives its own.
     """
-    return ClusteredProcessor(trace, pairs, config, injector, tracer).run()
+    return ClusteredProcessor(
+        trace, pairs, config, injector, tracer, training
+    ).run()
+
+
+def priming_sequence(
+    trace: Trace, pairs: SpawnPairSet, config: ProcessorConfig
+) -> List[tuple]:
+    """The value-predictor training sequence of a profiled run.
+
+    Priming replays up to ``config.prime_samples`` dynamic instances of
+    every pair.  A sample's training registers are the live-ins of its
+    CQIP window (``TraceColumns.livein_pairs``, in the scan's discovery
+    order, the window capped at ``config.livein_scan_cap``) whose
+    producer lies at or after the spawn; each yields one
+    ``(sp_pc, cqip_pc, reg, base, actual)`` entry, in the order the
+    legacy :meth:`ClusteredProcessor._prime_predictor` trains them.
+
+    The sequence is a pure function of the trace, the pair set and
+    those two parameters, so it is memoized on the trace columns, and
+    the memoized list itself is returned: callers must not mutate it.
+    It does not depend on the predictor kind or table size.
+    """
+    cols = trace.columns
+    cache_key = (
+        config.prime_samples,
+        config.livein_scan_cap,
+        tuple(
+            (p.sp_pc, p.cqip_pc, p.expected_distance)
+            for sp in pairs.spawning_points()
+            for p in pairs.alternatives(sp)
+        ),
+    )
+    sequence = cols._prime_cache.get(cache_key)
+    if sequence is not None:
+        return sequence
+    sequence = []
+    record = sequence.append
+    livein_pairs = cols.livein_pairs
+    dst_values = cols.dst_value
+    value_at = trace.value_of_register_at
+    length = len(trace)
+    for sp_pc in pairs.spawning_points():
+        for pair in pairs.alternatives(sp_pc):
+            positions = trace.positions_of(pair.sp_pc)
+            window = int(8 * max(pair.expected_distance, 32))
+            taken = 0
+            for s_pos in positions:
+                if taken >= config.prime_samples:
+                    break
+                c_pos = trace.next_occurrence(
+                    pair.cqip_pc, s_pos, min(length, s_pos + window)
+                )
+                if c_pos is None:
+                    continue
+                taken += 1
+                end = min(
+                    length,
+                    c_pos + min(int(pair.expected_distance) + 1,
+                                config.livein_scan_cap),
+                )
+                for reg, producer in livein_pairs(c_pos, end):
+                    if producer >= s_pos:
+                        record((
+                            pair.sp_pc, pair.cqip_pc, reg,
+                            value_at(reg, s_pos), dst_values[producer],
+                        ))
+    cols._prime_cache[cache_key] = sequence
+    return sequence
 
 
 def single_thread_cycles(

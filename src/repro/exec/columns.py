@@ -141,8 +141,8 @@ class TraceColumns:
         self.length = len(pc)
         self._livein_index = None
         self._livein_windows: dict = {}
-        #: (pair signature, prime params) -> value-predictor training
-        #: sequence (see ``ClusteredProcessor._prime_predictor_cols``).
+        #: (prime params, pair signature) -> value-predictor training
+        #: sequence (see ``repro.cmt.processor.priming_sequence``).
         self._prime_cache: dict = {}
 
     # -- construction ---------------------------------------------------

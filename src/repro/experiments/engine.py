@@ -10,11 +10,11 @@ each point runs under the one attempt runner
 results in deterministic input order regardless of completion order.
 
 Workers share the on-disk :class:`~repro.cache.ArtifactCache` when one
-is configured, so traces/pairs/baselines are derived once per sweep and
-whole point results are memoized across runs.  The cache is also how a
-killed sweep resumes: re-run with the same cache directory, every
-completed point comes back from its ``point`` artifact, whose key covers
-the point's params and the generator source.
+is configured, so traces/pairs/priming sequences/baselines are derived
+once per sweep and whole point results are memoized across runs.  The
+cache is also how a killed sweep resumes: re-run with the same cache
+directory, every completed point comes back from its ``point``
+artifact, whose key covers the point's params and the generator source.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Shared experiment infrastructure: cached runs and result rendering.
 
-Every figure driver builds on three cached primitives so that sweeps over
+Every figure driver builds on four cached primitives so that sweeps over
 many configurations do not repeat work:
 
 - ``trace_for(name, scale)`` — the workload's dynamic trace;
 - ``pair_set_for(name, policy, scale)`` — spawning pairs under a policy;
+- ``priming_sequence_for(name, policy, scale, config)`` — the
+  value-predictor training sequence of that pair set;
 - ``baseline_cycles(name, config, scale)`` — the single-threaded run.
 
 ``simulate_point`` combines them into the payload of one figure point;
@@ -28,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.cmt import ProcessorConfig, simulate
+from repro.cmt import ProcessorConfig, priming_sequence, simulate
 from repro.cmt.stats import SimulationStats
 from repro.errors import SimulationTimeout, classify_failure
 from repro.exec.trace import Trace
@@ -149,6 +151,17 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
     )
 
 
+def _pair_key_fields(name: str, policy: str, scale: float) -> Dict[str, Any]:
+    """Cache-key fields of a policy's pair set (and of what derives from it)."""
+    return {
+        "workload": name,
+        "policy": policy,
+        "scale": scale,
+        "coverage": EXPERIMENT_PROFILE_CONFIG.coverage,
+        "max_distance": EXPERIMENT_PROFILE_CONFIG.max_distance,
+    }
+
+
 _pair_memo: Dict[Any, SpawnPairSet] = {}
 
 
@@ -180,13 +193,52 @@ def pair_set_for(
             _pair_memo[memo_key] = _active_cache.get_or_create(
                 "pairs",
                 lambda: builder(trace_for(name, scale)),
-                workload=name,
-                policy=policy,
-                scale=scale,
-                coverage=EXPERIMENT_PROFILE_CONFIG.coverage,
-                max_distance=EXPERIMENT_PROFILE_CONFIG.max_distance,
+                **_pair_key_fields(name, policy, scale),
             )
     return _pair_memo[memo_key]
+
+
+def priming_sequence_for(
+    name: str,
+    policy: str = "profile",
+    scale: float = 1.0,
+    config: Optional[ProcessorConfig] = None,
+) -> List[tuple]:
+    """The value-predictor training sequence of a policy's pair set.
+
+    Priming presets the predictor tables from the profiling run, so the
+    sequence is profile output: the active cache stores it as a
+    ``prime`` artifact, derived on first use and read by every later
+    run and worker.  It depends only on the pair set and the priming
+    parameters, so last, stride and fcm runs share one artifact.
+
+    Args:
+        name: Workload name.
+        policy: One of :func:`policy_names`.
+        scale: Workload size multiplier.
+        config: Processor configuration whose ``prime_samples`` and
+            ``livein_scan_cap`` apply (None = experiment default).
+
+    Returns:
+        The :func:`~repro.cmt.processor.priming_sequence` entries (the
+        object memoized on the trace columns when derived here).
+    """
+    config = config or EXPERIMENT_CONFIG
+
+    def build() -> List[tuple]:
+        return priming_sequence(
+            trace_for(name, scale), pair_set_for(name, policy, scale), config
+        )
+
+    if _active_cache is None:
+        return build()
+    return _active_cache.get_or_create(
+        "prime",
+        build,
+        **_pair_key_fields(name, policy, scale),
+        prime_samples=config.prime_samples,
+        livein_scan_cap=config.livein_scan_cap,
+    )
 
 
 _baseline_memo: Dict[Any, int] = {}
@@ -248,6 +300,10 @@ def run_policy(
 ) -> SimulationStats:
     """Simulate one workload under a policy and configuration.
 
+    An event-core run that primes a table value predictor replays
+    :func:`priming_sequence_for` (the cached ``prime`` artifact); the
+    legacy core derives its own with its oracle.
+
     Args:
         name: Workload name.
         policy: One of :func:`policy_names`.
@@ -258,9 +314,12 @@ def run_policy(
         The run's :class:`~repro.cmt.stats.SimulationStats`.
     """
     config = config or EXPERIMENT_CONFIG
-    return simulate(
-        trace_for(name, scale), pair_set_for(name, policy, scale), config
-    )
+    trace = trace_for(name, scale)
+    pairs = pair_set_for(name, policy, scale)
+    training = None
+    if config.primes_predictor and config.sim_core == "event":
+        training = priming_sequence_for(name, policy, scale, config)
+    return simulate(trace, pairs, config, training=training)
 
 
 def simulate_point(

@@ -1,10 +1,11 @@
 """Profiling harness for the simulator hot path (``repro profile``).
 
-Times the three phases of one experiment point — trace build (execution
-and columns, one pass), pair selection, simulation — plus a
-commit-invariant check, and (optionally) runs the simulation under
-:mod:`cProfile` to report the top functions by cumulative time.  The
-JSON view (``--json``) lets a script attribute a regression to a phase.
+Times the four phases of one experiment point — trace build (execution
+and columns, one pass), pair selection, value-predictor priming,
+simulation — plus a commit-invariant check, and (optionally) runs the
+simulation under :mod:`cProfile` to report the top functions by
+cumulative time.  The JSON view (``--json``) lets a script attribute a
+regression to a phase.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.cmt import ProcessorConfig
+from repro.cmt import ProcessorConfig, priming_sequence
 from repro.cmt.stats import SimulationStats
 from repro.workloads import load_trace
 
 #: Phase keys, in execution order (render order too).
-PHASES = ("trace_build", "pair_selection", "simulate", "commit_check")
+PHASES = ("trace_build", "pair_selection", "prime", "simulate", "commit_check")
 
 #: Version of the ``repro profile --json`` report shape.  Bump on any
 #: breaking change to :meth:`ProfileReport.to_dict`; consumers (external
@@ -28,8 +29,10 @@ PHASES = ("trace_build", "pair_selection", "simulate", "commit_check")
 #: added the ``wakeup_heap`` section and the ``stall_reasons`` histogram
 #: (event core only; ``None``/empty for the legacy core).  Version 3
 #: dropped the ``column_build`` phase: the executor builds the columns
-#: inside ``trace_build``.
-PROFILE_SCHEMA_VERSION = 3
+#: inside ``trace_build``.  Version 4 added the ``prime`` phase (deriving
+#: the value-predictor training sequence); ``simulate`` now covers its
+#: replay plus the run.
+PROFILE_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -198,6 +201,13 @@ def profile_run(
 ) -> ProfileReport:
     """Profile one experiment point phase by phase.
 
+    On the event core, the ``prime`` phase derives the value-predictor
+    training sequence (:func:`~repro.cmt.processor.priming_sequence`)
+    and the simulation replays it, so ``simulate`` and
+    ``insts_per_sec`` cover the replay plus the run.  The legacy core's
+    oracle primes inside the simulation, so its ``prime`` phase reads
+    0.0; so does a run that primes no table predictor.
+
     Args:
         workload: Workload name.
         scale: Workload size multiplier.
@@ -238,11 +248,17 @@ def profile_run(
     )
     from repro.cmt.processor import ClusteredProcessor
 
+    training = None
+    start = time.perf_counter()
+    if run_config.primes_predictor and sim_core == "event":
+        training = priming_sequence(trace, pairs, run_config)
+    report.phases["prime"] = round(time.perf_counter() - start, 4)
+
     profiler = cProfile.Profile() if with_profile else None
     start = time.perf_counter()
     if profiler is not None:
         profiler.enable()
-    proc = ClusteredProcessor(trace, pairs, run_config)
+    proc = ClusteredProcessor(trace, pairs, run_config, training=training)
     stats = proc.run()
     if profiler is not None:
         profiler.disable()

@@ -24,12 +24,12 @@ from repro.cmt import simulate
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
     ResilientOutcome,
-    baseline_cycles,
     pair_set_for,
+    trace_for,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultPlan
-from repro.workloads import load_trace, workload_names
+from repro.workloads import workload_names
 
 
 def run_key(workload: str, rate: float) -> str:
@@ -203,7 +203,7 @@ class CampaignResult:
 def _run_payload(spec: CampaignSpec, workload: str, rate: float,
                  sequential: int, faultless: int) -> Dict[str, Any]:
     """One campaign run: simulate under the rate's fault plan."""
-    trace = load_trace(workload, spec.scale)
+    trace = trace_for(workload, spec.scale)
     pairs = pair_set_for(workload, spec.policy, spec.scale)
     config = EXPERIMENT_CONFIG.with_(
         num_thread_units=spec.thread_units,
@@ -329,8 +329,9 @@ def run_campaign(
             :class:`~repro.experiments.engine.ParallelEngine` the runs
             go through; 1 (the default) runs them in this process.
         cache_dir: Optional artifact-cache directory shared by the
-            reference computation and every worker; a run whose payload
-            it already holds is resumed, not re-run.
+            reference computation and every worker; a run (or a
+            workload's reference point) whose payload it already holds
+            is resumed, not re-run.
         telemetry_dir: When set, write one provenance manifest per run
             (config digest, derived fault seed, attempts, wall time)
             plus a campaign rollup into this directory.
@@ -343,12 +344,12 @@ def run_campaign(
         The populated :class:`CampaignResult` (gates not yet evaluated;
         call :meth:`CampaignResult.failures` / ``.ok``).
     """
+    from repro.experiments import engine as engine_mod
     from repro.experiments import framework
-    from repro.experiments.engine import ParallelEngine
 
     started = time.perf_counter()
     result = CampaignResult(spec=spec)
-    engine = ParallelEngine(
+    engine = engine_mod.ParallelEngine(
         jobs=jobs,
         cache_dir=cache_dir,
         timeout=spec.timeout,
@@ -358,16 +359,32 @@ def run_campaign(
         workers=workers,
     )
 
+    # Each workload's references are its faultless ``simulate`` point
+    # (cycles, plus the single-threaded baseline), which the cache
+    # memoizes like any sweep point: a resumed campaign re-runs nothing.
+    # A default knob is left out of the overrides, as figure points
+    # leave it out, so a figure sweep's point answers for the reference.
+    overrides = {}
+    if spec.thread_units != EXPERIMENT_CONFIG.num_thread_units:
+        overrides["num_thread_units"] = spec.thread_units
     with framework.use_cache(engine.cache):
         for workload in spec.workloads:
-            config = EXPERIMENT_CONFIG.with_(num_thread_units=spec.thread_units)
-            trace = load_trace(workload, spec.scale)
-            pairs = pair_set_for(workload, spec.policy, spec.scale)
-            sequential = baseline_cycles(workload, config, spec.scale)
-            faultless = simulate(trace, pairs, config).cycles
+            reference = engine_mod.execute_point(
+                engine_mod.Point(
+                    key=f"reference|{workload}",
+                    runner="simulate",
+                    params={
+                        "name": workload,
+                        "policy": spec.policy,
+                        "scale": spec.scale,
+                        "overrides": overrides,
+                    },
+                ),
+                engine.cache,
+            )
             result.reference[workload] = {
-                "sequential_cycles": sequential,
-                "faultless_cycles": faultless,
+                "sequential_cycles": reference["baseline"],
+                "faultless_cycles": reference["cycles"],
             }
 
     def note(key: str, outcome: ResilientOutcome, resumed: bool) -> None:

@@ -301,7 +301,7 @@ class TestCachedTraceSimulation:
         finally:
             framework.clear_memos()
         assert all(config.sim_core == "event" for config in configs)
-        assert cache.stats.disk_hits == 2 and cache.stats.misses == 1
+        assert cache.stats.disk_hits == 2 and cache.stats.misses == 2
         assert trace._insts is None and built == []
         assert got == expected
         assert baseline == expected_baseline

@@ -122,7 +122,7 @@ class TestCommands:
         assert main(["profile", "compress", "--scale", "0.1",
                      "--top", "5"]) == 0
         out = capsys.readouterr().out
-        for phase in ("trace_build", "pair_selection", "simulate",
+        for phase in ("trace_build", "pair_selection", "prime", "simulate",
                       "commit_check"):
             assert phase in out
         assert "column_build" not in out
@@ -135,11 +135,12 @@ class TestCommands:
         assert main(["profile", "compress", "--scale", "0.1", "--json",
                      "--no-cprofile"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["ok"] is True
         assert payload["sim_core"] == "event"  # the default core
         assert set(payload["phases"]) == {
-            "trace_build", "pair_selection", "simulate", "commit_check",
+            "trace_build", "pair_selection", "prime", "simulate",
+            "commit_check",
         }
         assert payload["hotspots"] == []  # --no-cprofile
         assert all(payload["commit_check"].values())

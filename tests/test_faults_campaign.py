@@ -99,13 +99,15 @@ class TestCampaign:
         # drop one run's artifact; a re-run must redo exactly that one
         dropped = first.outcomes[run_key("ijpeg", 0.05)].value
         artifacts = list((tmp_path / "point").iterdir())
-        assert len(artifacts) == len(SPEC.workloads) * len(SPEC.rates)
+        runs = len(SPEC.workloads) * len(SPEC.rates)
+        # one artifact per run plus one reference point per workload
+        assert len(artifacts) == runs + len(SPEC.workloads)
         for path in artifacts:
             if json.loads(path.read_text()) == dropped:
                 path.unlink()
         second = run_campaign(SPEC, cache_dir=str(tmp_path))
         assert second.ok
-        assert second.resumed == len(artifacts) - 1
+        assert second.resumed == runs - 1
         for key in first.outcomes:
             assert second.outcomes[key].value == first.outcomes[key].value
 
@@ -141,7 +143,46 @@ class TestCampaign:
         plain = run_campaign(spec, cache_dir=str(tmp_path))
         assert plain.ok, plain.failures()
         assert plain.resumed == len(spec.rates)
-        assert len(list((tmp_path / "point").iterdir())) == len(spec.rates)
+        # one artifact per run plus the workload's reference point
+        assert len(list((tmp_path / "point").iterdir())) == len(spec.rates) + 1
+
+    def test_resumed_campaign_recomputes_no_reference(
+        self, tmp_path, monkeypatch
+    ):
+        import functools
+
+        from repro.experiments import framework
+        from repro.faults import campaign
+
+        spec = CampaignSpec.smoke()
+        first = run_campaign(spec, cache_dir=str(tmp_path))
+        framework.clear_memos()
+        calls = []
+
+        def counting(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # Every module attribute through which a campaign can build a
+        # trace or run a simulation.
+        for module in (framework, campaign):
+            for attr in ("load_trace", "simulate"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(
+                        module, attr, counting(getattr(module, attr))
+                    )
+        try:
+            resumed = run_campaign(spec, cache_dir=str(tmp_path))
+        finally:
+            framework.clear_memos()
+        assert calls == []
+        assert resumed.ok, resumed.failures()
+        assert resumed.resumed == len(spec.workloads) * len(spec.rates)
+        assert resumed.reference == first.reference
 
     def test_render_mentions_gates(self):
         result = run_campaign(SPEC)
