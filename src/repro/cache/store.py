@@ -85,7 +85,7 @@ def _trace_loads(blob: bytes) -> Any:
 
     # The unpickled lists and tuples hold no reference cycles, so the
     # cyclic collector is paused while they are built (as ``Machine.run``
-    # does): in a forked serve child each collection would otherwise
+    # does): in a serve job process each collection would otherwise
     # walk the daemon's inherited heap.  The caller's state is restored.
     collecting = gc.isenabled()
     gc.disable()

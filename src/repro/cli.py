@@ -730,7 +730,7 @@ def cmd_serve(args) -> int:
                 f"  ({check['detail']})"
                 if check["detail"] and not check["ok"] else ""
             )
-            print(f"  {check['name']:20s} {status}{detail}")
+            print(f"  {check['name']:26s} {status}{detail}")
         passed = sum(1 for check in report["checks"] if check["ok"])
         print(f"serve smoke: {passed}/{len(report['checks'])} checks, "
               f"{report['jobs']} job(s)")

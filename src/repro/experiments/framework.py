@@ -441,7 +441,7 @@ def attempt_deadline() -> Optional[float]:
     :func:`run_resilient` publishes the deadline of every attempt it
     times.  ``SIGALRM`` enforces it only in the main thread; an attempt
     that runs elsewhere polls it instead (the serve pool hard-kills its
-    forked child on it).
+    job process on it).
 
     Returns:
         The deadline, or None outside a time-limited attempt.

@@ -16,9 +16,10 @@ Layers (one module each):
   submit-time params check;
 - :mod:`repro.serve.queue` — the journaled priority queue with
   admission control, dedup and cache probing;
-- :mod:`repro.serve.pool` — the supervised worker pool (fork-per-attempt
-  through the shared attempt runner: timeouts, retries with
-  deterministic jitter, hard cancellation, quarantine);
+- :mod:`repro.serve.pool` — the supervised worker pool (one long-lived
+  job process per worker, attempts through the shared attempt runner:
+  timeouts, retries with deterministic jitter, hard cancellation,
+  quarantine);
 - :mod:`repro.serve.metrics` — the live ``/metrics`` registry;
 - :mod:`repro.serve.server` — the daemon + stdlib HTTP layer;
 - :mod:`repro.serve.client` — the stdlib HTTP client and the

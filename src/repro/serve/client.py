@@ -4,8 +4,9 @@
   API (used by the smoke gate and the tests);
 - :func:`run_serve_smoke` — the ``repro serve --smoke`` gate: one
   in-process daemon exercised end to end (execute, dedup, retry-until-
-  healed, poison quarantine, cancel, a real ``simulate`` job, drain),
-  a restart proving the journal recovers the full job table with zero
+  healed, poison quarantine, cancel, a real ``simulate`` job, job
+  processes reused across attempts and reaped by the drain), a
+  restart proving the journal recovers the full job table with zero
   duplicate finishes, and a fresh daemon on the same artifact cache
   answering the ``simulate`` job from the cache.
 """
@@ -264,16 +265,31 @@ def run_serve_smoke(
         text = client.metrics()
         _check(checks, "metrics",
                "repro_serve_jobs_submitted_total" in text
-               and "repro_serve_job_seconds" in text, "")
+               and "repro_serve_job_seconds" in text
+               and "repro_serve_worker_starts_total" in text, "")
+
+        # 8. Job processes run attempts back to back.
+        starts = daemon.metrics.worker_starts.value()
+        attempts = sum(
+            job.attempts for job in daemon.queue.list_jobs()
+            if not job.cached
+        )
+        _check(checks, "job_process_reused", 0 < starts < attempts,
+               f"starts={starts} attempts={attempts}")
+        job_processes = daemon.pool.job_processes()
     finally:
         clean = daemon.drain(timeout=15.0)
     _check(checks, "drain_clean", clean, "")
+    unreaped = [p.pid for p in job_processes if p.exitcode is None]
+    _check(checks, "drain_reaps_job_processes",
+           bool(job_processes) and not unreaped,
+           f"{len(job_processes)} job process(es), unreaped {unreaped}")
     audit = daemon.audit()
     _check(checks, "exactly_once",
            audit["lost"] == 0 and audit["duplicate_finishes"] == 0,
            f"lost={audit['lost']} dup={audit['duplicate_finishes']}")
 
-    # 8. A restarted daemon recovers the full table from the journal.
+    # 9. A restarted daemon recovers the full table from the journal.
     reborn = ServeDaemon(ServeConfig(
         state_dir=state_dir, cache_dir=str(cache_dir), fsync=False
     ))
@@ -285,7 +301,7 @@ def run_serve_smoke(
            f"accepted={recovered['accepted']}/{audit['accepted']}")
     reborn.journal.close()
 
-    # 9. A fresh daemon on the same cache answers from it, never running.
+    # 10. A fresh daemon on the same cache answers from it, never running.
     hot_daemon = ServeDaemon(ServeConfig(
         workers=1, state_dir=state_dir / "hot", cache_dir=str(cache_dir),
         fsync=False,

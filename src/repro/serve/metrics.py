@@ -53,6 +53,11 @@ class ServeMetrics:
             "repro_serve_jobs_requeued_total",
             "Jobs re-queued by crash recovery (WAL replay)",
         )
+        self.worker_starts: Counter = reg.counter(
+            "repro_serve_worker_starts_total",
+            "Job processes the worker pool started (one per worker, "
+            "plus one after each timeout, cancel or death)",
+        )
         self.queue_depth: Gauge = reg.gauge(
             "repro_serve_queue_depth",
             "Jobs currently queued, by priority lane",

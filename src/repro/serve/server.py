@@ -240,7 +240,11 @@ class ServeDaemon:
         return clean
 
     def stop(self) -> None:
-        """Hard stop (tests): no drain, just tear the server down."""
+        """Hard stop (tests): no drain, just tear the server down.
+
+        Running jobs die with their job processes and stay ``running``
+        in the journal, as after a crash.
+        """
         self.pool.stop(wait=False)
         if self._httpd is not None:
             self._httpd.shutdown()

@@ -185,7 +185,7 @@ class TestReaders:
         import multiprocessing
 
         from repro.experiments.engine import Point, execute_point
-        from repro.serve.pool import _child_main
+        from repro.serve.pool import _job_main
 
         params = {
             "name": "vortex",
@@ -198,22 +198,24 @@ class TestReaders:
             expected = framework.simulate_point(**params)
         framework.clear_memos()
 
-        # The serve pool's attempt: a forked child on the cache directory.
+        # The serve pool's attempt: one request to a forked job process
+        # on the cache directory, which exits when its pipe closes.
         _forbid_derivation(monkeypatch)
         ctx = multiprocessing.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        parent_conn, child_conn = ctx.Pipe()
         child = ctx.Process(
-            target=_child_main,
-            args=(child_conn, "job-1", "simulate", params, str(tmp_path)),
+            target=_job_main, args=(child_conn, parent_conn, os.getpid())
         )
         child.start()
         child_conn.close()
         try:
+            parent_conn.send(("job-1", "simulate", params, str(tmp_path)))
             assert parent_conn.poll(60)
             status, payload, error_type = parent_conn.recv()
         finally:
             parent_conn.close()
             child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
         assert (status, error_type) == ("ok", None), payload
         assert payload == expected
         # Without the cache the same job derives, and the patch sees it.

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.serve import pool as pool_module
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServeDaemon
 
@@ -49,6 +50,27 @@ def _wait_endpoint(state_dir, proc, timeout=20.0):
                 pass
         time.sleep(0.05)
     raise TimeoutError("serve subprocess never advertised its endpoint")
+
+
+def _processes_holding(text):
+    """PIDs of live processes whose command line holds ``text`` (/proc)."""
+    found = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            if text.encode() in (entry / "cmdline").read_bytes():
+                found.append(int(entry.name))
+        except OSError:
+            pass  # exited while we looked
+    return found
+
+
+def _wait_no_process_holding(text, deadline):
+    """Poll until no process holds ``text``; returns the survivors."""
+    while True:
+        survivors = _processes_holding(text)
+        if not survivors or time.monotonic() > deadline:
+            return survivors
+        time.sleep(0.05)
 
 
 def start_daemon(tmp_path, **overrides):
@@ -293,6 +315,187 @@ class TestDegradation:
         assert job.state.value == "done"  # in-flight work completed
 
 
+class TestJobProcesses:
+    def test_terminate_ends_a_job_process_under_the_daemon_handlers(
+        self, tmp_path
+    ):
+        # ``repro serve`` installs a drain handler for SIGTERM/SIGINT;
+        # a job process forked after that must still die on terminate().
+        previous = {
+            sig: signal.getsignal(sig)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
+        daemon, client = start_daemon(tmp_path, workers=1)
+        try:
+            daemon.install_signal_handlers()
+            _, body = client.submit("sleep", {"duration": 30.0})
+            assert wait_state(client, body["id"], "running")
+            [process] = daemon.pool.job_processes()
+            started = time.monotonic()
+            client.cancel(body["id"])
+            assert wait_state(client, body["id"], "cancelled", timeout=5.0)
+            elapsed = time.monotonic() - started
+            process.join(timeout=5.0)
+            assert not process.is_alive()
+            assert process.exitcode == -signal.SIGTERM
+            assert elapsed < 0.5, f"kill took {elapsed:.3f} s"
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+            daemon.stop()
+
+    def test_one_job_process_per_worker_until_a_cancel(self, tmp_path):
+        daemon, client = start_daemon(tmp_path, workers=1)
+        try:
+            for index in range(5):
+                _, body = client.submit(
+                    "sleep", {"duration": 0.01, "tag": f"s{index}"}
+                )
+                assert client.wait(body["id"])["state"] == "done"
+            assert "repro_serve_worker_starts_total 1" in client.metrics()
+
+            _, body = client.submit("sleep", {"duration": 30.0})
+            assert wait_state(client, body["id"], "running")
+            client.cancel(body["id"])
+            assert client.wait(body["id"])["state"] == "cancelled"
+            _, body = client.submit("sleep", {"duration": 0.01, "tag": "z"})
+            assert client.wait(body["id"])["state"] == "done"
+            assert "repro_serve_worker_starts_total 2" in client.metrics()
+        finally:
+            daemon.stop()
+
+    def test_attempts_in_one_job_process_match_fresh_processes(
+        self, tmp_path
+    ):
+        # One job process runs every attempt back to back; no trace,
+        # memo or failure of one attempt may leak into the next.
+        configs = [
+            {"name": name, "policy": policy, "scale": 0.05,
+             "overrides": {"num_thread_units": tus,
+                           **({} if vp == "perfect"
+                              else {"value_predictor": vp})}}
+            for name, policy in (("li", "profile"), ("go", "heuristics"))
+            for vp in ("perfect", "stride", "fcm")
+            for tus in (2, 4)
+        ]
+        script = (
+            "import json, sys\n"
+            "from repro.experiments import framework\n"
+            "configs = json.load(sys.stdin)\n"
+            "print(json.dumps([framework.simulate_point(**c) "
+            "for c in configs]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(configs),
+            capture_output=True, text=True, env=env, timeout=300,
+            check=True,
+        )
+        expected = json.loads(fresh.stdout)
+
+        heal = tmp_path / "heal.count"
+        heal.write_text("1")
+        daemon, client = start_daemon(tmp_path, workers=1, timeout=60.0)
+        try:
+            ids = []
+            for index, params in enumerate(configs):
+                ids.append(client.submit("simulate", params)[1]["id"])
+                if index == 3:
+                    ids.append(client.submit("sleep", {
+                        "duration": 0.0, "fail_file": str(heal),
+                    })[1]["id"])
+                if index == 7:
+                    ids.append(client.submit(
+                        "sleep", {"duration": 0.0, "fail": "poison"}
+                    )[1]["id"])
+            finals = [client.wait(job_id, timeout=120.0) for job_id in ids]
+            assert [f["state"] for f in finals].count("done") == 13
+            assert finals[4]["attempts"] == 2  # failed once, then healed
+            assert finals[9]["state"] == "quarantined"
+            payloads = [
+                client.result(f["id"])[1]["result"]
+                for f in finals if f["runner"] == "simulate"
+            ]
+            assert payloads == expected
+            assert "repro_serve_worker_starts_total 1" in client.metrics()
+        finally:
+            daemon.stop()
+
+    def test_an_attempt_leaves_no_memo_or_cache_behind(self, tmp_path):
+        from repro.experiments import framework
+        from repro.workloads.suite import _executed_trace
+
+        params = {"name": "compress", "policy": "profile", "scale": 0.05,
+                  "overrides": {"value_predictor": "stride"}}
+        for cache_dir in (str(tmp_path / "cache"), None):
+            status, payload, error_type = pool_module._run_attempt(
+                "job-1", "simulate", params, cache_dir
+            )
+            assert (status, error_type) == ("ok", None), payload
+            assert framework.get_cache() is None
+            assert framework._pair_memo == {}
+            assert framework._baseline_memo == {}
+            assert _executed_trace.cache_info().currsize == 0
+
+    def test_stop_without_wait_reaps_job_processes(self, tmp_path):
+        daemon, client = start_daemon(tmp_path)
+        try:
+            _, body = client.submit("sleep", {"duration": 30.0})
+            assert wait_state(client, body["id"], "running")
+            processes = daemon.pool.job_processes()
+            assert len(processes) == 1
+        finally:
+            daemon.stop()
+        # Reaped before stop() returned; the worker then retires it.
+        assert all(p.exitcode is not None for p in processes)
+        deadline = time.monotonic() + 5.0
+        while daemon.pool.job_processes() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert daemon.pool.job_processes() == []
+
+    def test_stress_cancels_with_more_workers_than_cores(
+        self, tmp_path, monkeypatch
+    ):
+        started = []
+
+        class Recorded(pool_module._JobProcess):
+            def __init__(self):
+                super().__init__()
+                started.append(self.process)
+
+        monkeypatch.setattr(pool_module, "_JobProcess", Recorded)
+        daemon, client = start_daemon(tmp_path, workers=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            ids = [
+                client.submit("sleep", {
+                    "duration": 30.0 if index % 5 == 4 else 0.02,
+                    "tag": f"x{index}",
+                })[1]["id"]
+                for index in range(40)
+            ]
+            for job_id in ids[4::5]:
+                assert wait_state(client, job_id, "running", timeout=30.0)
+                assert client.cancel(job_id)[0] == 202
+            finals = [client.wait(job_id, timeout=30.0) for job_id in ids]
+            assert daemon.drain(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            daemon.stop()
+        states = [final["state"] for final in finals]
+        assert states == [
+            "cancelled" if index % 5 == 4 else "done" for index in range(40)
+        ]
+        audit = daemon.audit()
+        assert audit["lost"] == 0 and audit["duplicate_finishes"] == 0
+        assert len(started) == daemon.metrics.worker_starts.value()
+        for process in started:
+            process.join(timeout=5.0)
+            assert not process.is_alive()
+
+
 class TestProvenance:
     def test_manifest_written_per_job(self, tmp_path):
         daemon, client = start_daemon(
@@ -335,7 +538,14 @@ class TestCrashRecovery:
                 ids.append(payload["id"])
             time.sleep(0.5)  # some done, some running, some queued
             os.kill(proc.pid, signal.SIGKILL)
+            killed_at = time.monotonic()
             proc.wait(timeout=10.0)
+            if Path("/proc/self/cmdline").exists():
+                # The dead daemon's job processes must not outlive it.
+                orphans = _wait_no_process_holding(
+                    str(state_dir), killed_at + 5.0
+                )
+                assert orphans == [], f"orphaned job processes: {orphans}"
 
             proc = _spawn_daemon(state_dir)
             endpoint = _wait_endpoint(state_dir, proc)
@@ -344,6 +554,9 @@ class TestCrashRecovery:
             health = client.health()
             client.drain()
             assert proc.wait(timeout=30.0) == 0
+            if Path("/proc/self/cmdline").exists():
+                # The drain reaped every job process of the restart.
+                assert _processes_holding(str(state_dir)) == []
 
             assert all(f["state"] == "done" for f in finals)
             assert health["recovery"]["duplicate_finishes"] == 0
@@ -377,5 +590,7 @@ class TestSmokeGate:
         report = run_serve_smoke(tmp_path / "smoke")
         failed = [c for c in report["checks"] if not c["ok"]]
         assert report["ok"], f"failed checks: {failed}"
-        assert len(report["checks"]) == 14
-        assert "hot_cache_served" in {c["name"] for c in report["checks"]}
+        assert len(report["checks"]) == 16
+        names = {c["name"] for c in report["checks"]}
+        assert {"hot_cache_served", "job_process_reused",
+                "drain_reaps_job_processes"} <= names
