@@ -35,11 +35,14 @@ POLICIES = ("profile", "heuristics")
 PREDICTORS = ("perfect", "stride", "fcm")
 
 
-def _decoded(cache, label, training):
+def _decoded(cache_dir, label, training):
     """``training`` after the ``prime`` codec's round trip through disk."""
+    cache = ArtifactCache(cache_dir)
     key = cache.key("prime", label=label)
     cache.store("prime", key, training)
-    return cache.lookup("prime", key)
+    decoded = ArtifactCache(cache_dir).lookup("prime", key)
+    assert decoded is not training
+    return decoded
 
 
 def _grid(cache_dir):
@@ -49,7 +52,6 @@ def _grid(cache_dir):
     a table predictor, else None.
     """
     base = framework.EXPERIMENT_CONFIG
-    cache = ArtifactCache(cache_dir, memory_entries=0)
     points = []
     for name in workload_names():
         trace = framework.trace_for(name, SCALE)
@@ -60,7 +62,8 @@ def _grid(cache_dir):
         for policy in POLICIES:
             pairs = framework.pair_set_for(name, policy, SCALE)
             training = _decoded(
-                cache, f"{name}/{policy}", priming_sequence(trace, pairs, base)
+                cache_dir, f"{name}/{policy}",
+                priming_sequence(trace, pairs, base),
             )
             for predictor in PREDICTORS:
                 config = base.with_(value_predictor=predictor)

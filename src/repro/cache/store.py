@@ -1,10 +1,12 @@
-"""Content-addressed on-disk artifact cache with an in-process LRU front.
+"""Content-addressed artifact cache: an in-process LRU front over disk.
 
 The cache memoizes the expensive derived inputs of an experiment sweep —
 sequential traces, spawning-pair selections, value-predictor priming
 sequences, baseline cycle counts, and whole simulation points — so that
 repeated sweeps (and parallel workers attacking the same sweep) never
-re-derive an artifact.
+re-derive an artifact.  Its memory front, an LRU of decoded artifacts,
+is the pipeline's only in-process memo; a cache built without a
+directory is that front alone.
 
 Keys are blake2b digests of a canonical JSON encoding of
 ``(schema version, generator version, artifact kind, key fields)``; the
@@ -31,12 +33,17 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 __all__ = ["ARTIFACT_KINDS", "ArtifactCache", "CacheStats", "canonical_key_fields"]
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 _MISSING = object()
+
+#: Capacity of every cache's memory front.  Running all 17 figure
+#: drivers serially at one scale derives 304 artifacts; none of the 48
+#: that the LRU order evicts is read again.
+MEMORY_ENTRIES = 256
 
 #: Pickle protocol pinned for byte-stable artifacts across interpreter
 #: minor versions that share the protocol.
@@ -190,24 +197,21 @@ class _DiskKind:
 
 
 class ArtifactCache:
-    """Content-addressed artifact store: disk persistence + LRU memory.
+    """Content-addressed artifact store: an LRU memory front over disk.
 
     Args:
         root: Cache directory (created on demand).  Artifacts live in one
-            subdirectory per kind, named ``<digest>.<ext>``.
-        memory_entries: Capacity of the in-process LRU front (0 disables
-            it; every hit then deserialises from disk).
+            subdirectory per kind, named ``<digest>.<ext>``.  None makes
+            a memory-only cache: the front of :data:`MEMORY_ENTRIES`
+            decoded artifacts, with no file behind it.
 
     The public surface is :meth:`get_or_create` — look up an artifact by
     its key fields and build-and-store it on a miss — plus the
     introspection helpers backing ``repro cache {stats,clear,warm}``.
     """
 
-    def __init__(
-        self, root: Union[str, Path], memory_entries: int = 256
-    ) -> None:
-        self.root = Path(root)
-        self.memory_entries = memory_entries
+    def __init__(self, root: Optional[Union[str, Path]]) -> None:
+        self.root = None if root is None else Path(root)
         self._memory: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
         self.stats = CacheStats()
 
@@ -233,7 +237,13 @@ class ArtifactCache:
         ).hexdigest()
 
     def path(self, kind: str, key: str) -> Path:
-        """Return the on-disk location of the artifact ``(kind, key)``."""
+        """Return the on-disk location of the artifact ``(kind, key)``.
+
+        Raises:
+            ValueError: the cache is memory-only.
+        """
+        if self.root is None:
+            raise ValueError("a memory-only artifact cache has no files")
         ext = _CODECS[kind][0]
         return self.root / kind / f"{key}.{ext}"
 
@@ -252,6 +262,8 @@ class ArtifactCache:
             self._memory.move_to_end(memo_key)
             self.stats.memory_hits += 1
             return self._memory[memo_key]
+        if self.root is None:
+            return _MISSING
         path = self.path(kind, key)
         if path.exists():
             try:
@@ -259,25 +271,32 @@ class ArtifactCache:
             except _UNDECODABLE:
                 return _MISSING
             self.stats.disk_hits += 1
-            self._remember(memo_key, value)
+            self.remember(kind, key, value)
             return value
         return _MISSING
 
-    def store(self, kind: str, key: str, value: Any) -> Path:
-        """Serialise ``value`` under ``(kind, key)``; atomic write.
+    def store(self, kind: str, key: str, value: Any) -> Optional[Path]:
+        """Store ``value`` under ``(kind, key)`` in the front and on disk.
+
+        The disk write is atomic; a memory-only cache has none.
 
         Returns:
-            The artifact's on-disk path.
+            The artifact's on-disk path (None for a memory-only cache).
         """
-        path = self.path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = _CODECS[kind][1](value)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        path = None
+        if self.root is not None:
+            path = self.write_blob(kind, key, _CODECS[kind][1](value))
         self.stats.puts += 1
-        self._remember((kind, key), value)
+        self.remember(kind, key, value)
         return path
+
+    def remember(self, kind: str, key: str, value: Any) -> None:
+        """Put ``value`` in the LRU memory front only: no file, no ``puts``."""
+        memo_key = (kind, key)
+        self._memory[memo_key] = value
+        self._memory.move_to_end(memo_key)
+        if len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
 
     def read_blob(self, kind: str, key: str) -> Optional[bytes]:
         """Return the raw on-disk bytes of ``(kind, key)``, or None.
@@ -301,12 +320,12 @@ class ArtifactCache:
             return None
 
     def write_blob(self, kind: str, key: str, blob: bytes) -> Path:
-        """Write pre-serialised artifact bytes under ``(kind, key)``.
+        """Write serialised artifact bytes under ``(kind, key)``; atomic.
 
-        The atomic-replace discipline of :meth:`store` applies, but the
-        bytes are written verbatim (no codec round-trip) and neither the
-        LRU front nor the ``puts`` counter is touched — a pulled blob
-        only becomes a *hit* when :meth:`lookup` later decodes it.
+        :meth:`store` writes through here.  A blob written directly (the
+        network layer's pulls) touches neither the LRU front nor the
+        ``puts`` counter: it only becomes a *hit* when :meth:`lookup`
+        later decodes it.
 
         Args:
             kind: Artifact kind (a codec name).
@@ -347,25 +366,23 @@ class ArtifactCache:
         self.store(kind, key, value)
         return value
 
-    def _remember(self, memo_key: Tuple[str, str], value: Any) -> None:
-        if self.memory_entries <= 0:
-            return
-        self._memory[memo_key] = value
-        self._memory.move_to_end(memo_key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
     # ------------------------------------------------------------------
     # Introspection / maintenance (the ``repro cache`` CLI).
     # ------------------------------------------------------------------
 
+    def _kind_dirs(self, kinds: Iterable[str]) -> Iterator[Tuple[str, Path]]:
+        """Yield ``(kind, directory)`` of each of ``kinds`` that has one."""
+        if self.root is None:
+            return
+        for kind in kinds:
+            kind_dir = self.root / kind
+            if kind_dir.is_dir():
+                yield kind, kind_dir
+
     def disk_summary(self) -> Dict[str, _DiskKind]:
         """Return per-kind entry counts and byte totals currently on disk."""
         summary: Dict[str, _DiskKind] = {}
-        for kind in _CODECS:
-            kind_dir = self.root / kind
-            if not kind_dir.is_dir():
-                continue
+        for kind, kind_dir in self._kind_dirs(_CODECS):
             agg = _DiskKind()
             for entry in kind_dir.iterdir():
                 if entry.is_file() and ".tmp" not in entry.name:
@@ -376,7 +393,9 @@ class ArtifactCache:
         return summary
 
     def clear(self, kind: Optional[str] = None) -> int:
-        """Delete cached artifacts (one kind, or everything); returns count.
+        """Delete cached files (one kind, or all) and empty the front.
+
+        Returns the number of files deleted.
 
         Raises:
             KeyError: ``kind`` is not an artifact kind.
@@ -387,10 +406,7 @@ class ArtifactCache:
             _check_kind(kind)
             kinds = [kind]
         removed = 0
-        for k in kinds:
-            kind_dir = self.root / k
-            if not kind_dir.is_dir():
-                continue
+        for _, kind_dir in self._kind_dirs(kinds):
             for entry in kind_dir.iterdir():
                 if entry.is_file():
                     entry.unlink()

@@ -708,7 +708,6 @@ def cmd_cache(args) -> int:
                 framework.priming_sequence_for(name, policy, args.scale)
             if args.verbose:
                 print(f"  warmed {name}", file=sys.stderr)
-    framework.clear_memos()
     stats = cache.stats
     print(f"warmed {cache.root}: {stats.puts} artifact(s) written, "
           f"{stats.hits} already present")

@@ -63,7 +63,7 @@ class ExecutionPlan:
         cache_dir: Shared on-disk artifact-cache directory (None
             disables disk caching).
         cache: The caller's live cache instance over ``cache_dir`` (the
-            serial backend reuses it, so its in-process memos and stats
+            serial backend reuses it, so its memory front and stats
             are the caller's; other backends open their own handles).
         telemetry_dir: Telemetry directory of *earlier* sweeps — the
             source of work-stealing cost priors (see
@@ -125,8 +125,8 @@ class SerialBackend(Backend):
     """In-process execution in submission order (the reference backend).
 
     Installs the plan's cache as the active framework cache (so derived
-    trace/pair/baseline artifacts memoize in the caller's cache) and
-    runs each point through
+    trace/pair/baseline artifacts memoize in the caller's cache, or in
+    the memory-only default without one) and runs each point through
     :func:`~repro.experiments.framework.run_resilient`.  The point body
     is looked up as ``engine.execute_point`` at call time, so a wrapper
     installed on the engine module sees every point.
@@ -144,8 +144,7 @@ class SerialBackend(Backend):
         cache = plan.cache
         if cache is None and plan.cache_dir:
             cache = ArtifactCache(plan.cache_dir)
-        previous = framework.set_cache(cache)
-        try:
+        with framework.use_cache(cache):
             for point in points:
                 before = cache.stats.to_dict() if cache else None
                 outcome = run_resilient(
@@ -161,8 +160,6 @@ class SerialBackend(Backend):
                     _stats_delta(before, cache),
                     "serial-0",
                 )
-        finally:
-            framework.set_cache(previous)
 
 
 # ----------------------------------------------------------------------

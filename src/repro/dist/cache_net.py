@@ -75,16 +75,10 @@ class NetworkCache(ArtifactCache):
     Args:
         root: Local cache directory (the fast front).
         channel: The worker's frame channel to the coordinator.
-        memory_entries: LRU-front capacity (as the base class).
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        channel: FrameChannel,
-        memory_entries: int = 256,
-    ) -> None:
-        super().__init__(root, memory_entries=memory_entries)
+    def __init__(self, root: Union[str, Path], channel: FrameChannel) -> None:
+        super().__init__(root)
         self._channel = channel
         self._net_ok = True
         self.net_stats = NetCacheStats()
@@ -112,8 +106,8 @@ class NetworkCache(ArtifactCache):
                 return value
         self.stats.misses += 1
         value = build()
-        path = self.store(kind, key, value)
-        self._push(kind, key, path)
+        self.store(kind, key, value)
+        self._push(kind, key)
         return value
 
     # ------------------------------------------------------------------
@@ -150,18 +144,17 @@ class NetworkCache(ArtifactCache):
         self.write_blob(kind, key, blob)
         return True
 
-    def _push(self, kind: str, key: str, path: Path) -> None:
-        """Upload the just-stored blob at ``path`` to the coordinator.
+    def _push(self, kind: str, key: str) -> None:
+        """Upload the just-stored blob of ``(kind, key)`` to the coordinator.
 
         Args:
             kind: Artifact kind.
             key: Content digest.
-            path: The local on-disk artifact written by ``store``.
         """
         if not self._net_ok:
             return
         try:
-            blob = path.read_bytes()
+            blob = self.path(kind, key).read_bytes()
             self._channel.request(
                 {
                     "kind": "cache_push",

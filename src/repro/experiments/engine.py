@@ -34,6 +34,7 @@ __all__ = [
     "Point",
     "ParallelEngine",
     "figure_points",
+    "run_points",
     "run_figure",
     "execute_point",
     "point_key_fields",
@@ -187,7 +188,7 @@ class ParallelEngine:
             selects the ``serial`` backend: every point runs in the
             calling process, in submission order.
         cache_dir: Directory of the shared on-disk artifact cache (None
-            disables disk caching; in-process memos still apply).
+            disables disk caching; the memory-only default still applies).
         timeout: Per-point wall-clock limit in seconds (None = unbounded).
         retries: Retry budget per point.
         backoff: Base of the exponential retry backoff in seconds.
@@ -439,6 +440,28 @@ def _overrides_tag(overrides: Dict[str, Any]) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
 
 
+def run_points(figure: str, label: str, scale: float = 1.0) -> List[Point]:
+    """Pickle-safe points of run ``label`` of ``figure``, in suite order.
+
+    Returns:
+        One ``simulate`` :class:`Point` per workload.
+    """
+    points = []
+    for name in framework.suite(scale):
+        policy, overrides = figures_mod.run_spec(figure, label, name)
+        points.append(Point(
+            key=f"{figure}|{name}|{policy}|{_overrides_tag(overrides)}",
+            runner="simulate",
+            params={
+                "name": name,
+                "policy": policy,
+                "scale": scale,
+                "overrides": overrides,
+            },
+        ))
+    return points
+
+
 def figure_points(figure: str, scale: float = 1.0) -> List[Point]:
     """Pickle-safe point specs covering one figure's declared runs.
 
@@ -447,8 +470,8 @@ def figure_points(figure: str, scale: float = 1.0) -> List[Point]:
         scale: Workload size multiplier.
 
     Returns:
-        One :class:`Point` per run in ``figures.RUNS[figure]`` and
-        workload, run by run; empty for drivers that declare no runs
+        The :func:`run_points` of every run in ``figures.RUNS[figure]``,
+        run by run; empty for drivers that declare no runs
         (``figure2`` and the extensions simulate in-process).
     """
     if figure not in figures_mod.ALL_FIGURES:
@@ -456,21 +479,11 @@ def figure_points(figure: str, scale: float = 1.0) -> List[Point]:
             f"unknown figure {figure!r}; pick from "
             f"{', '.join(figures_mod.ALL_FIGURES)}"
         )
-    points = []
-    for label in figures_mod.RUNS.get(figure, ()):
-        for name in framework.suite(scale):
-            policy, overrides = figures_mod.run_spec(figure, label, name)
-            points.append(Point(
-                key=f"{figure}|{name}|{policy}|{_overrides_tag(overrides)}",
-                runner="simulate",
-                params={
-                    "name": name,
-                    "policy": policy,
-                    "scale": scale,
-                    "overrides": overrides,
-                },
-            ))
-    return points
+    return [
+        point
+        for label in figures_mod.RUNS.get(figure, ())
+        for point in run_points(figure, label, scale)
+    ]
 
 
 def run_figure(
@@ -483,10 +496,10 @@ def run_figure(
 
     The figure's points run via ``engine`` (parallel and cached: a re-run
     on the same cache directory resumes every completed point);
-    successful payloads are recorded with ``figures.seed_run`` and the
-    driver assembles the :class:`FigureResult` from them.  A point that
-    failed is simulated again by the driver, so the output matches the
-    serial path exactly.
+    successful payloads are recorded with ``figures.seed_run`` in the
+    engine's cache and the driver assembles the :class:`FigureResult`
+    from them.  A point that failed is simulated again by the driver, so
+    the output matches the serial path exactly.
 
     Args:
         figure: Figure driver name.

@@ -9,9 +9,10 @@ side.
 The simulation runs of Figures 3-12 are declared once, in :data:`RUNS`.
 The parallel engine expands that table into sweep points
 (:func:`~repro.experiments.engine.figure_points`) and records their
-payloads with :func:`seed_run`; the drivers read the same table back,
-one :func:`~repro.experiments.framework.simulate_point` payload per run
-and workload, and simulate only a payload nobody recorded.
+payloads with :func:`seed_run`; the drivers read the same points back
+through the active artifact cache, one
+:func:`~repro.experiments.framework.simulate_point` payload per run and
+workload, and simulate only a payload the cache does not hold.
 
 All functions take ``scale`` (workload size multiplier) so the benchmark
 harness can run reduced sweeps.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple, Union
 
-from repro.cmt import ProcessorConfig
 from repro.experiments import framework
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
@@ -124,20 +124,19 @@ RUNS: Dict[str, Dict[str, Tuple[str, Overrides]]] = {
 
 def run_spec(figure: str, label: str, name: str) -> Tuple[str, Dict[str, Any]]:
     """Return the (policy, config overrides) of run ``label`` of
-    ``figure`` on workload ``name``."""
+    ``figure`` on workload ``name``.
+
+    An override equal to :data:`EXPERIMENT_CONFIG`'s value is left out,
+    so runs that spell one configuration differently share one point.
+    """
     policy, overrides = RUNS[figure][label]
-    return policy, overrides(name) if callable(overrides) else dict(overrides)
-
-
-_run_memo: Dict[Tuple[str, str, ProcessorConfig, float], Dict[str, Any]] = {}
-
-
-def _memo_key(
-    name: str, policy: str, scale: float, overrides: Dict[str, Any]
-) -> Tuple[str, str, ProcessorConfig, float]:
-    # Keyed on the full configuration: runs whose overrides spell the
-    # same configuration differently share one payload.
-    return (name, policy, EXPERIMENT_CONFIG.with_(**overrides), scale)
+    if callable(overrides):
+        overrides = overrides(name)
+    return policy, {
+        knob: value
+        for knob, value in overrides.items()
+        if getattr(EXPERIMENT_CONFIG, knob) != value
+    }
 
 
 def seed_run(
@@ -151,27 +150,32 @@ def seed_run(
 
     The arguments are a ``simulate`` point's params plus the payload
     :func:`~repro.experiments.framework.simulate_point` returned for it.
+    The payload goes into the active cache's memory front under the
+    point's artifact key, where the figure drivers read it; nothing is
+    written to disk.
     """
-    _run_memo[_memo_key(name, policy, scale, overrides)] = payload
+    from repro.experiments.engine import point_key_fields
 
-
-def clear_run_memo() -> None:
-    """Drop every memoised (and seeded) point payload."""
-    _run_memo.clear()
+    cache = framework.get_cache()
+    fields = point_key_fields("simulate", dict(
+        name=name, policy=policy, scale=scale, overrides=overrides))
+    cache.remember("point", cache.key("point", **fields), payload)
 
 
 def _payloads(figure: str, label: str, scale: float) -> List[Dict[str, Any]]:
-    """The point payloads of one run of ``figure``, in suite order."""
-    payloads = []
-    for name in suite():
-        policy, overrides = run_spec(figure, label, name)
-        key = _memo_key(name, policy, scale, overrides)
-        if key not in _run_memo:
-            _run_memo[key] = framework.simulate_point(
-                name, policy, scale, overrides
-            )
-        payloads.append(_run_memo[key])
-    return payloads
+    """The point payloads of one run of ``figure``, in suite order.
+
+    Each is read through the engine on the active cache: a payload
+    recorded by :func:`seed_run` or stored by an earlier sweep is served
+    from it, and any other point is simulated and stored there.
+    """
+    from repro.experiments import engine
+
+    cache = framework.get_cache()
+    return [
+        engine.execute_point(point, cache)
+        for point in engine.run_points(figure, label, scale)
+    ]
 
 
 def _series(figure: str, field: str, scale: float) -> Dict[str, List[float]]:
@@ -590,7 +594,6 @@ def heuristic_breakdown(scale: float = 1.0) -> FigureResult:
     """
     from repro.cmt import simulate
     from repro.spawning import HeuristicConfig, heuristic_pairs
-    from repro.workloads import load_trace
 
     variants = {
         "loop_iter": HeuristicConfig(
@@ -610,7 +613,7 @@ def heuristic_breakdown(scale: float = 1.0) -> FigureResult:
     config = EXPERIMENT_CONFIG
     series: Dict[str, List[float]] = {name: [] for name in variants}
     for bench in suite():
-        trace = load_trace(bench, scale)
+        trace = framework.trace_for(bench, scale)
         base = baseline_cycles(bench, config, scale)
         for name, hconfig in variants.items():
             stats = simulate(trace, heuristic_pairs(trace, hconfig), config)
@@ -644,18 +647,16 @@ def profile_input_sensitivity(scale: float = 1.0) -> FigureResult:
     """
     from repro.cmt import simulate, single_thread_cycles
     from repro.spawning import select_profile_pairs
-    from repro.workloads import load_trace
 
     config = EXPERIMENT_CONFIG
+    profile = framework.EXPERIMENT_PROFILE_CONFIG
     series: Dict[str, List[float]] = {"self_profiled": [], "cross_profiled": []}
     for bench in suite():
-        ref_trace = load_trace(bench, scale, "ref")
-        train_trace = load_trace(bench, scale, "train")
+        ref_trace = framework.trace_for(bench, scale, "ref")
+        train_trace = framework.trace_for(bench, scale)
         base = single_thread_cycles(ref_trace, config)
-        from repro.experiments.framework import EXPERIMENT_PROFILE_CONFIG
-
-        self_pairs = select_profile_pairs(ref_trace, EXPERIMENT_PROFILE_CONFIG)
-        cross_pairs = select_profile_pairs(train_trace, EXPERIMENT_PROFILE_CONFIG)
+        self_pairs = select_profile_pairs(ref_trace, profile)
+        cross_pairs = select_profile_pairs(train_trace, profile)
         series["self_profiled"].append(
             base / simulate(ref_trace, self_pairs, config).cycles
         )

@@ -1,7 +1,8 @@
 """Shared experiment infrastructure: cached runs and result rendering.
 
-Every figure driver builds on four cached primitives so that sweeps over
-many configurations do not repeat work:
+Every figure driver builds on four primitives, each one read through
+the active artifact cache, so that sweeps over many configurations do
+not repeat work:
 
 - ``trace_for(name, scale)`` — the workload's dynamic trace;
 - ``pair_set_for(name, policy, scale)`` — spawning pairs under a policy;
@@ -27,9 +28,10 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.cache import ArtifactCache
 from repro.cmt import ProcessorConfig, priming_sequence, simulate
 from repro.cmt.stats import SimulationStats
 from repro.errors import SimulationTimeout, classify_failure
@@ -84,52 +86,51 @@ def policy_names() -> List[str]:
 # ----------------------------------------------------------------------
 # Artifact cache plumbing.
 #
-# The primitives below memoize twice: an in-process dict (always on, the
-# behaviour the figure drivers have relied on from the start) and an
-# optional on-disk :class:`~repro.cache.ArtifactCache` shared across
-# processes and runs.  ``use_cache``/``set_cache`` install the disk
-# cache; when none is installed everything behaves exactly as before.
+# The primitives below read and build through the active
+# :class:`~repro.cache.ArtifactCache`, the pipeline's one memo: its
+# memory front serves repeated reads in this process, and a cache with a
+# directory also shares artifacts across processes and runs.
+# ``use_cache``/``set_cache`` install a cache; None selects the
+# process-wide memory-only default.
 # ----------------------------------------------------------------------
 
-_active_cache = None  # Optional[ArtifactCache]
+_DEFAULT_CACHE = ArtifactCache(None)
+_active_cache = _DEFAULT_CACHE
 
 
-def set_cache(cache):
-    """Install ``cache`` (an ``ArtifactCache`` or None) as the active
-    on-disk artifact store; returns the previously active one."""
+def set_cache(cache: Optional[ArtifactCache]) -> ArtifactCache:
+    """Install ``cache`` (None: the default) and return the previous one."""
     global _active_cache
-    previous, _active_cache = _active_cache, cache
+    previous, _active_cache = _active_cache, cache or _DEFAULT_CACHE
     return previous
 
 
-def get_cache():
-    """Return the currently installed on-disk artifact cache (or None)."""
+def get_cache() -> ArtifactCache:
+    """Return the active artifact cache (never None)."""
     return _active_cache
 
 
 @contextmanager
-def use_cache(cache):
+def use_cache(cache: Optional[ArtifactCache]) -> Iterator[ArtifactCache]:
     """Context manager installing ``cache`` for the duration of a block.
 
     Yields:
-        The installed cache, restoring the previous one on exit.
+        The active cache, restoring the previous one on exit.
     """
     previous = set_cache(cache)
     try:
-        yield cache
+        yield _active_cache
     finally:
         set_cache(previous)
 
 
-def _config_knobs(config: ProcessorConfig) -> Dict[str, Any]:
-    """Cache-key fields of a processor configuration (all its knobs)."""
-    from dataclasses import asdict
-
-    return asdict(config)
+def clear_memos() -> None:
+    """Empty the memory-only default cache; nothing on disk is touched."""
+    _DEFAULT_CACHE.clear()
 
 
 def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
-    """The workload's dynamic trace, via the artifact cache when active.
+    """The workload's dynamic trace, via the active cache.
 
     Args:
         name: Workload name (see :func:`repro.workloads.workload_names`).
@@ -138,10 +139,8 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
 
     Returns:
         The cached (or freshly executed) :class:`~repro.exec.trace.Trace`;
-        a trace loaded from the cache carries its columnar view.
+        a trace loaded from disk carries its columnar view.
     """
-    if _active_cache is None:
-        return load_trace(name, scale, dataset)
     return _active_cache.get_or_create(
         "trace",
         lambda: load_trace(name, scale, dataset),
@@ -162,13 +161,10 @@ def _pair_key_fields(name: str, policy: str, scale: float) -> Dict[str, Any]:
     }
 
 
-_pair_memo: Dict[Any, SpawnPairSet] = {}
-
-
 def pair_set_for(
     name: str, policy: str = "profile", scale: float = 1.0
 ) -> SpawnPairSet:
-    """Cached spawning-pair selection for a workload under a policy.
+    """A workload's spawning pairs under a policy, via the active cache.
 
     Args:
         name: Workload name.
@@ -176,8 +172,7 @@ def pair_set_for(
         scale: Workload size multiplier.
 
     Returns:
-        The policy's :class:`~repro.spawning.SpawnPairSet` (memoized
-        in-process and, when a cache is active, on disk).
+        The policy's :class:`~repro.spawning.SpawnPairSet`.
     """
     try:
         builder = _POLICIES[policy]
@@ -185,17 +180,11 @@ def pair_set_for(
         raise KeyError(
             f"unknown policy {policy!r}; choose from {policy_names()}"
         ) from None
-    memo_key = (name, policy, scale)
-    if memo_key not in _pair_memo:
-        if _active_cache is None:
-            _pair_memo[memo_key] = builder(trace_for(name, scale))
-        else:
-            _pair_memo[memo_key] = _active_cache.get_or_create(
-                "pairs",
-                lambda: builder(trace_for(name, scale)),
-                **_pair_key_fields(name, policy, scale),
-            )
-    return _pair_memo[memo_key]
+    return _active_cache.get_or_create(
+        "pairs",
+        lambda: builder(trace_for(name, scale)),
+        **_pair_key_fields(name, policy, scale),
+    )
 
 
 def priming_sequence_for(
@@ -224,72 +213,40 @@ def priming_sequence_for(
         object memoized on the trace columns when derived here).
     """
     config = config or EXPERIMENT_CONFIG
-
-    def build() -> List[tuple]:
-        return priming_sequence(
-            trace_for(name, scale), pair_set_for(name, policy, scale), config
-        )
-
-    if _active_cache is None:
-        return build()
     return _active_cache.get_or_create(
         "prime",
-        build,
+        lambda: priming_sequence(
+            trace_for(name, scale), pair_set_for(name, policy, scale), config
+        ),
         **_pair_key_fields(name, policy, scale),
         prime_samples=config.prime_samples,
         livein_scan_cap=config.livein_scan_cap,
     )
 
 
-_baseline_memo: Dict[Any, int] = {}
-
-
 def baseline_cycles(
     name: str, config: Optional[ProcessorConfig] = None, scale: float = 1.0
 ) -> int:
-    """Cached single-threaded cycles for a workload.
+    """Single-threaded cycles for a workload, via the active cache.
 
     Args:
         name: Workload name.
         config: Processor configuration; its ``single_threaded()``
-            reduction keys the memo, so configurations differing only in
-            multi-thread policy knobs share one baseline run.
+            reduction keys the artifact, so configurations differing
+            only in multi-thread policy knobs share one baseline run.
         scale: Workload size multiplier.
 
     Returns:
         Cycle count of the one-thread-unit execution.
     """
     single = (config or EXPERIMENT_CONFIG).single_threaded()
-    memo_key = (name, single, scale)
-    if memo_key not in _baseline_memo:
-        def compute() -> int:
-            return simulate(trace_for(name, scale), SpawnPairSet([]), single).cycles
-
-        if _active_cache is None:
-            _baseline_memo[memo_key] = compute()
-        else:
-            _baseline_memo[memo_key] = _active_cache.get_or_create(
-                "baseline",
-                compute,
-                workload=name,
-                scale=scale,
-                config=_config_knobs(single),
-            )
-    return _baseline_memo[memo_key]
-
-
-def clear_memos() -> None:
-    """Drop every in-process memo (pairs, baselines, runs, traces).
-
-    The on-disk artifact cache is untouched; this only resets process
-    state so benchmarks can measure cold/warm disk-cache behaviour.
-    """
-    _pair_memo.clear()
-    _baseline_memo.clear()
-    load_trace.cache_clear()
-    from repro.experiments import figures
-
-    figures.clear_run_memo()
+    return _active_cache.get_or_create(
+        "baseline",
+        lambda: simulate(trace_for(name, scale), SpawnPairSet([]), single).cycles,
+        workload=name,
+        scale=scale,
+        config=asdict(single),
+    )
 
 
 def run_policy(

@@ -16,9 +16,9 @@ success, recover from anything:
   process** (forked at the thread's first attempt; spawned where
   ``fork`` is missing) that takes them over a duplex pipe, back to
   back, the way a CSMT thread unit persists across the threads it
-  runs.  After every attempt the job process drops the attempt's
-  artifact cache and every in-process memo, so no decoded trace
-  outlives the attempt that read it;
+  runs.  Each attempt runs under its own artifact cache, the
+  pipeline's only memo, which the job process drops after the attempt,
+  so no decoded trace outlives the attempt that read it;
 - an attempt's timeout and a mid-attempt cancellation hard-kill the job
   process (``terminate``), never hang; a job process that dies
   mid-attempt (OOM-kill, crash) shows as EOF on the pipe and counts as
@@ -64,19 +64,17 @@ def _run_attempt(
 ) -> Tuple[str, Any, Optional[str]]:
     """Run one attempt; returns the ``(status, payload, error_type)`` reply.
 
-    The attempt's cache and every in-process memo are dropped before
-    this returns, so nothing it decoded stays in the job process.
+    The attempt runs under its own artifact cache (memory-only without
+    ``cache_dir``), so everything it decoded or built dies with that
+    cache when this returns.
     """
-    cache = ArtifactCache(cache_dir) if cache_dir else None
-    framework.set_cache(cache)
-    try:
-        payload = execute_point(Point(job_id, runner, dict(params)), cache)
-        return ("ok", payload, None)
-    except Exception as exc:  # ship every failure to the supervisor
-        return ("error", str(exc), type(exc).__name__)
-    finally:
-        framework.set_cache(None)
-        framework.clear_memos()
+    cache = ArtifactCache(cache_dir)
+    with framework.use_cache(cache):
+        try:
+            payload = execute_point(Point(job_id, runner, dict(params)), cache)
+            return ("ok", payload, None)
+        except Exception as exc:  # ship every failure to the supervisor
+            return ("error", str(exc), type(exc).__name__)
 
 
 def _job_main(

@@ -1,8 +1,7 @@
-"""Workload registry: build programs and (cached) traces by name.
+"""Workload registry: build programs and execute them into traces by name.
 
-``load_trace`` memoizes in-process (``functools.lru_cache`` over the
-full argument tuple); the experiment layer adds an on-disk layer on
-top — ``repro.experiments.framework.trace_for`` stores traces in the
+``load_trace`` executes a workload on every call.  The memoized path is
+``repro.experiments.framework.trace_for``: it reads traces through the
 content-addressed :class:`~repro.cache.ArtifactCache`, keyed by
 (workload, scale, dataset) plus the generating code's digest, so sweeps
 and parallel workers share one functional execution per workload.
@@ -10,7 +9,6 @@ and parallel workers share one functional execution per workload.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -83,28 +81,18 @@ def build_workload(
     return spec.builder(scale, dataset)
 
 
-@functools.lru_cache(maxsize=32)
-def _executed_trace(
-    name: str, scale: float, dataset: str, max_steps: Optional[int]
-) -> Trace:
-    return run_program(build_workload(name, scale, dataset), max_steps=max_steps)
-
-
 def load_trace(
     name: str,
     scale: float = 1.0,
     dataset: str = "train",
     max_steps: Optional[int] = None,
 ) -> Trace:
-    """Build, execute and cache the named workload's dynamic trace.
+    """Build and execute the named workload; return its dynamic trace.
 
-    Traces are deterministic for a given (name, scale, dataset), so caching
-    is safe and keeps experiment sweeps from re-running the functional
-    simulation.  The memo is keyed on the full argument tuple, so every
-    call form (positional, keyword, defaults spelled out or left out)
-    shares one trace.  ``max_steps`` bounds the functional execution; a
-    workload that does not halt within it raises
-    :class:`~repro.errors.WorkloadError`.
+    Each call executes the workload afresh; read a trace through
+    :func:`repro.experiments.framework.trace_for` to share one execution.
+    ``max_steps`` bounds the functional execution; a workload that does
+    not halt within it raises :class:`~repro.errors.WorkloadError`.
 
     Args:
         name: Workload name (see :func:`workload_names`).
@@ -113,10 +101,10 @@ def load_trace(
         max_steps: Functional-execution step budget (None = unbounded).
 
     Returns:
-        The memoized :class:`~repro.exec.Trace`.
+        The executed :class:`~repro.exec.Trace`.
     """
-    return _executed_trace(name, scale, dataset, max_steps)
+    return run_program(build_workload(name, scale, dataset), max_steps=max_steps)
 
 
-#: Drops the in-process trace memo (``repro.experiments.framework.clear_memos``).
-load_trace.cache_clear = _executed_trace.cache_clear  # type: ignore[attr-defined]
+#: There is no trace memo to drop; kept for callers that copy it.
+load_trace.cache_clear = lambda: None  # type: ignore[attr-defined]

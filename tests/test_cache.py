@@ -259,6 +259,18 @@ class TestFrameworkIntegration:
         assert fresh.stats.disk_hits >= 1
         framework.clear_memos()
 
+    def test_a_later_cache_receives_every_artifact(self, tmp_path):
+        # No memo outside the active cache answers for it: each cache
+        # derives, and stores, what it does not hold yet.
+        for directory in (tmp_path / "a", tmp_path / "b"):
+            with framework.use_cache(ArtifactCache(directory)):
+                framework.pair_set_for("compress", "profile", 0.05)
+                framework.baseline_cycles("compress", scale=0.05)
+        summary = ArtifactCache(tmp_path / "b").disk_summary()
+        assert {kind: info.entries for kind, info in summary.items()} == {
+            "trace": 1, "pairs": 1, "baseline": 1,
+        }
+
 
 class TestCachedTraceSimulation:
     """A trace loaded from the cache simulates off its stored fields."""

@@ -178,6 +178,32 @@ class TestCheckpointResume:
         assert again.render() == result.render()
 
 
+class TestExtensionDrivers:
+    @pytest.mark.parametrize(
+        "driver", ["heuristic_breakdown", "profile_input_sensitivity"]
+    )
+    def test_read_their_traces_from_the_cache(
+        self, tmp_path, monkeypatch, driver
+    ):
+        from repro.cache import ArtifactCache
+        from repro.workloads import suite
+
+        with framework.use_cache(ArtifactCache(tmp_path)):
+            for name in framework.suite():
+                for dataset in ("train", "ref"):
+                    framework.trace_for(name, 0.05, dataset)
+        executed = []
+        real_run = suite.run_program
+
+        def counting_run(program, max_steps=None):
+            executed.append(program.name)
+            return real_run(program, max_steps=max_steps)
+
+        monkeypatch.setattr(suite, "run_program", counting_run)
+        run_figure(driver, 0.05, ParallelEngine(jobs=1, cache_dir=tmp_path))
+        assert executed == []
+
+
 class TestSeeding:
     def test_every_grid_figure_assembles_from_seeded_points(self, monkeypatch):
         """A driver reads exactly the points ``figure_points`` declares."""

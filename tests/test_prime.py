@@ -93,8 +93,7 @@ class TestArtifact:
                 derived[policy] = framework.priming_sequence_for(
                     name, policy, scale
                 )
-        framework.clear_memos()
-        fresh = ArtifactCache(tmp_path, memory_entries=0)
+        fresh = ArtifactCache(tmp_path)
         with framework.use_cache(fresh):
             for policy in POLICIES:
                 decoded = framework.priming_sequence_for(name, policy, scale)

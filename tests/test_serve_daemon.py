@@ -423,20 +423,23 @@ class TestJobProcesses:
             daemon.stop()
 
     def test_an_attempt_leaves_no_memo_or_cache_behind(self, tmp_path):
+        # An attempt memoizes only in its own cache, which is gone once
+        # it returns: the job process's active cache gains no entry.
         from repro.experiments import framework
-        from repro.workloads.suite import _executed_trace
 
         params = {"name": "compress", "policy": "profile", "scale": 0.05,
                   "overrides": {"value_predictor": "stride"}}
+        active = framework.get_cache()
+        entries, stats = len(active._memory), active.stats.to_dict()
         for cache_dir in (str(tmp_path / "cache"), None):
             status, payload, error_type = pool_module._run_attempt(
                 "job-1", "simulate", params, cache_dir
             )
             assert (status, error_type) == ("ok", None), payload
-            assert framework.get_cache() is None
-            assert framework._pair_memo == {}
-            assert framework._baseline_memo == {}
-            assert _executed_trace.cache_info().currsize == 0
+            assert framework.get_cache() is active
+            assert len(active._memory) == entries
+            assert active.stats.to_dict() == stats
+        assert len(list((tmp_path / "cache" / "point").iterdir())) == 1
 
     def test_stop_without_wait_reaps_job_processes(self, tmp_path):
         daemon, client = start_daemon(tmp_path)

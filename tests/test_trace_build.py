@@ -87,13 +87,8 @@ class TestExecutorMatchesReference:
 
 class TestNoInstructionObjects:
     def test_run_and_load_trace(self, built_insts):
-        load_trace.cache_clear()
-        try:
-            trace = load_trace("compress", SCALE)
-            assert len(trace) > 0
-            assert run_program(build_workload("ijpeg", SCALE)).columns.length > 0
-        finally:
-            load_trace.cache_clear()
+        assert len(load_trace("compress", SCALE)) > 0
+        assert run_program(build_workload("ijpeg", SCALE)).columns.length > 0
         assert built_insts == []
 
     def test_predictable_profile_selection(self, built_insts):
@@ -119,14 +114,10 @@ class TestNoInstructionObjects:
         assert built_insts == []
 
     def test_trace_summary(self, built_insts, capsys):
-        load_trace.cache_clear()
-        try:
-            assert main(["trace", "compress", "--scale", str(SCALE)]) == 0
-            trace = load_trace("compress", SCALE)
-            assert built_insts == []
-            records = list(trace)
-        finally:
-            load_trace.cache_clear()
+        assert main(["trace", "compress", "--scale", str(SCALE)]) == 0
+        trace = load_trace("compress", SCALE)
+        assert built_insts == []
+        records = list(trace)
         out = capsys.readouterr().out
 
         def field(label):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec import run_program
+from repro.experiments import framework
 from repro.isa.instructions import Opcode
 from repro.workloads import SPECINT95, build_workload, load_trace, workload_names
 
@@ -88,10 +89,12 @@ class TestCharacter:
             stores = sum(1 for d in trace if d.op is Opcode.STORE)
             assert loads > 100 and stores > 50, name
 
-    def test_load_trace_caches(self):
-        assert load_trace("compress", SCALE) is load_trace("compress", SCALE)
+    def test_trace_for_caches(self):
+        assert framework.trace_for("compress", SCALE) is framework.trace_for(
+            "compress", SCALE
+        )
 
-    def test_load_trace_call_forms_share_one_execution(self, monkeypatch):
+    def test_trace_for_call_forms_share_one_execution(self, monkeypatch):
         # The callers mix positional, keyword and defaulted forms; each
         # must hit the one memoized trace instead of executing again.
         from repro.workloads import suite
@@ -104,15 +107,14 @@ class TestCharacter:
             return real_run(program, max_steps=max_steps)
 
         monkeypatch.setattr(suite, "run_program", counting_run)
-        load_trace.cache_clear()
+        framework.clear_memos()
         try:
             traces = [
-                load_trace("compress", 0.05),
-                load_trace("compress", 0.05, "train"),
-                load_trace("compress", 0.05, dataset="train"),
-                load_trace("compress", 0.05, max_steps=None),
+                framework.trace_for("compress", 0.05),
+                framework.trace_for("compress", 0.05, "train"),
+                framework.trace_for("compress", 0.05, dataset="train"),
             ]
         finally:
-            load_trace.cache_clear()
+            framework.clear_memos()
         assert all(trace is traces[0] for trace in traces)
         assert len(executed) == 1
