@@ -5,9 +5,11 @@ single-thread-unit baseline plus {profile, heuristics} x {perfect,
 stride, fcm}, 56 points in all.  Traces (which carry their columns
 from the executor), pair sets and priming sequences are built first, so
 only simulation is timed, and each core sweeps the grid twice and keeps
-its faster pass.  The event core's stride and fcm points replay priming
-sequences that went through the ``prime`` artifact codec (the sweeps'
-cached path); the legacy core derives its own with its oracle.
+its faster pass.  The event core runs the sweeps' cached path: each
+trace after the ``trace`` artifact codec's round trip through disk,
+and for its stride and fcm points priming sequences that went through
+the ``prime`` codec; the legacy core runs on the executed traces and
+derives its own priming with its oracle.
 The gate: every trace's executor-built columns equal the reference
 derivation ``TraceColumns.build``, full ``SimulationStats`` are equal on
 every point and on one fault-injected point, and the event core is at
@@ -35,21 +37,23 @@ POLICIES = ("profile", "heuristics")
 PREDICTORS = ("perfect", "stride", "fcm")
 
 
-def _decoded(cache_dir, label, training):
-    """``training`` after the ``prime`` codec's round trip through disk."""
+def _decoded(cache_dir, kind, label, value):
+    """``value`` after the ``kind`` codec's round trip through disk."""
     cache = ArtifactCache(cache_dir)
-    key = cache.key("prime", label=label)
-    cache.store("prime", key, training)
-    decoded = ArtifactCache(cache_dir).lookup("prime", key)
-    assert decoded is not training
+    key = cache.key(kind, label=label)
+    cache.store(kind, key, value)
+    decoded = ArtifactCache(cache_dir).lookup(kind, key)
+    assert decoded is not value
     return decoded
 
 
 def _grid(cache_dir):
-    """``(label, trace, pairs, config, training)`` for the 56 grid points.
+    """``(label, trace, decoded, pairs, config, training)`` for the 56
+    grid points.
 
-    ``training`` is the decoded priming sequence of a point that primes
-    a table predictor, else None.
+    ``decoded`` is ``trace`` read back through the ``trace`` codec, and
+    ``training`` the decoded priming sequence of a point that primes a
+    table predictor, else None.
     """
     base = framework.EXPERIMENT_CONFIG
     points = []
@@ -57,19 +61,20 @@ def _grid(cache_dir):
         trace = framework.trace_for(name, SCALE)
         # Full-scale differential check of the one-pass trace build.
         assert trace.columns == TraceColumns.build(trace), name
-        points.append((f"{name}/baseline", trace, SpawnPairSet([]),
+        decoded = _decoded(cache_dir, "trace", name, trace)
+        points.append((f"{name}/baseline", trace, decoded, SpawnPairSet([]),
                        base.single_threaded(), None))
         for policy in POLICIES:
             pairs = framework.pair_set_for(name, policy, SCALE)
             training = _decoded(
-                cache_dir, f"{name}/{policy}",
+                cache_dir, "prime", f"{name}/{policy}",
                 priming_sequence(trace, pairs, base),
             )
             for predictor in PREDICTORS:
                 config = base.with_(value_predictor=predictor)
                 points.append((
-                    f"{name}/{policy}/{predictor}", trace, pairs, config,
-                    training if config.primes_predictor else None,
+                    f"{name}/{policy}/{predictor}", trace, decoded, pairs,
+                    config, training if config.primes_predictor else None,
                 ))
     return points
 
@@ -77,14 +82,16 @@ def _grid(cache_dir):
 def _sweep(points, core):
     """Best of two passes; returns (seconds, instructions, stats by label).
 
-    The legacy core never reads a passed priming sequence.
+    The event core simulates the decoded traces, the legacy core the
+    executed ones; the legacy core never reads a passed priming sequence.
     """
     best = float("inf")
     for _ in range(2):
         stats = {}
         start = time.perf_counter()
-        for label, trace, pairs, config, training in points:
-            stats[label] = simulate(trace, pairs, config.with_(sim_core=core),
+        for label, trace, decoded, pairs, config, training in points:
+            stats[label] = simulate(decoded if core == "event" else trace,
+                                    pairs, config.with_(sim_core=core),
                                     training=training)
         best = min(best, time.perf_counter() - start)
     instructions = sum(s.instructions for s in stats.values())

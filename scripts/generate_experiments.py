@@ -1,13 +1,20 @@
 #!/usr/bin/env python
 """Regenerate EXPERIMENTS.md by running every figure driver.
 
-Usage: python scripts/generate_experiments.py [scale]
+Usage: python scripts/generate_experiments.py [scale] [--check]
+
+With ``--check`` the file is regenerated in memory and compared with
+the committed EXPERIMENTS.md: any difference is printed as a unified
+diff and the script exits 1 (0 when they are equal).
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import sys
 import time
+from pathlib import Path
 
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import render_checklist, run_shape_checks
@@ -135,8 +142,12 @@ FOOTER_NOTES = """
 """
 
 
-def main() -> None:
-    scale = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
+#: The file this script writes, at the root of the checkout.
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+
+
+def render(scale: float) -> str:
+    """Run every figure driver at ``scale`` and return the file's text."""
     results = {}
     sections = []
     for name, fn in ALL_FIGURES.items():
@@ -145,16 +156,51 @@ def main() -> None:
         sys.stderr.write(f"{name} done in {time.time() - start:.1f}s\n")
         sections.append("```\n" + results[name].render() + "\n```\n")
     checklist = render_checklist(run_shape_checks(results))
-    with open("EXPERIMENTS.md", "w") as fh:
-        fh.write(HEADER)
-        fh.write(checklist)
-        fh.write("\n\n")
-        fh.write("\n".join(sections))
-        fh.write("\n")
-        fh.write(STATIC_SECTIONS)
-        fh.write(FOOTER_NOTES)
+    return "".join(
+        [
+            HEADER,
+            checklist,
+            "\n\n",
+            "\n".join(sections),
+            "\n",
+            STATIC_SECTIONS,
+            FOOTER_NOTES,
+        ]
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "scale", nargs="?", type=float, default=1.0,
+        help="workload scale of every figure (default 1.0)",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with EXPERIMENTS.md instead of writing it; "
+        "exit 1 on any difference",
+    )
+    args = parser.parse_args(argv)
+    text = render(args.scale)
+    if args.check:
+        committed = EXPERIMENTS.read_text() if EXPERIMENTS.exists() else ""
+        if committed == text:
+            sys.stderr.write("EXPERIMENTS.md is up to date\n")
+            return 0
+        sys.stdout.writelines(
+            difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                text.splitlines(keepends=True),
+                "EXPERIMENTS.md (committed)",
+                "EXPERIMENTS.md (regenerated)",
+            )
+        )
+        sys.stderr.write("EXPERIMENTS.md is stale: regenerate it\n")
+        return 1
+    EXPERIMENTS.write_text(text)
     sys.stderr.write("wrote EXPERIMENTS.md\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

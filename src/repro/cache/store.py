@@ -16,16 +16,21 @@ overrides).  Changing any knob — or any generator source file, via
 :func:`~repro.cache.version.generator_version` — produces a different
 key, so invalidation is automatic and stale entries are merely unused.
 
+A trace artifact is the pickled program plus its
+:class:`~repro.exec.columns.TraceColumns` — typed arrays, tuples of
+small ints and the CSR position indexes — so decoding one runs no
+per-instruction Python pass and rebuilds no index.
+
 Writes are atomic (temp file + ``os.replace``) so concurrent workers can
 share one cache directory; a duplicate write of the same key is
 byte-identical by construction (serialisation is canonical), so the race
 is benign.  An artifact that does not decode (a file torn by a crash or a
-full disk) is a miss: the rebuild overwrites it.
+full disk, or trace columns that disagree in length or carry a broken
+index) is a miss: the rebuild overwrites it.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -76,32 +81,20 @@ def canonical_key_fields(fields: Dict[str, Any]) -> str:
 
 
 def _trace_dumps(trace: Any) -> bytes:
-    # One columnar artifact per trace: the program, the instruction fields
-    # as per-field lists (``repro.exec.trace.FIELDS`` order) and the
-    # simulator's TraceColumns.  The trace's lazily-built indexes are left
-    # out: they depend on access history and would make the bytes
-    # nondeterministic; they are rebuilt on demand after loading.
-    return pickle.dumps(
-        (trace.program, trace.field_lists(), trace.columns),
-        protocol=_PICKLE_PROTOCOL,
-    )
+    # One artifact per trace: the program and its TraceColumns — typed
+    # arrays and tuples of small ints, indexes included, so nothing is
+    # rebuilt after loading.  The columns' memos (live-in windows,
+    # priming sequences) depend on access history and are left out.
+    return pickle.dumps((trace.program, trace.columns), protocol=_PICKLE_PROTOCOL)
 
 
 def _trace_loads(blob: bytes) -> Any:
     from repro.exec.trace import Trace
 
-    # The unpickled lists and tuples hold no reference cycles, so the
-    # cyclic collector is paused while they are built (as ``Machine.run``
-    # does): in a serve job process each collection would otherwise
-    # walk the daemon's inherited heap.  The caller's state is restored.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        program, fields, columns = pickle.loads(blob)
-    finally:
-        if collecting:
-            gc.enable()
-    return Trace.from_fields(program, fields, columns)
+    # Trace() checks the columns against each other and the program and
+    # raises ValueError on a mismatch, so a corrupt blob is a miss.
+    program, columns = pickle.loads(blob)
+    return Trace(program, columns)
 
 
 def _pairs_dumps(pairs: Any) -> bytes:

@@ -20,10 +20,10 @@ import hashlib
 from pathlib import Path
 
 #: Bump when the serialised artifact formats change incompatibly.
-#: Version 2 stores a trace as ``(program, per-field instruction lists,
-#: TraceColumns)`` and drops the separate ``columns`` kind; version-1
-#: entries simply miss, and no decoder for them is kept.
-SCHEMA_VERSION = 2
+#: Version 3 stores a trace as ``(program, TraceColumns)``: flat columns
+#: plus the read, write and pc indexes, with no per-field instruction
+#: lists.  Older entries simply miss, and no decoder for them is kept.
+SCHEMA_VERSION = 3
 
 #: Sub-packages of ``repro`` whose source feeds the generator digest.
 VERSIONED_PACKAGES = (

@@ -87,7 +87,6 @@ from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.errors import ExecutionError, SimulationError
 from repro.exec.columns import F_BRANCH, F_LOAD, F_STORE, F_TAKEN
 from repro.isa.assembler import disassemble
-from repro.isa.instructions import Opcode
 from repro.spawning import (
     HeuristicConfig,
     ProfilePolicyConfig,
@@ -159,9 +158,8 @@ def cmd_trace(args) -> int:
     )
     if not export:
         trace = load_trace(workload, scale, max_steps=args.max_steps)
-        branches = taken = loads = stores = calls = 0
-        call = Opcode.CALL
-        for bits, op in zip(trace.columns.flags, trace.field("op")):
+        branches = taken = loads = stores = 0
+        for bits in trace.columns.flags:
             if bits & F_BRANCH:
                 branches += 1
                 if bits & F_TAKEN:
@@ -170,8 +168,9 @@ def cmd_trace(args) -> int:
                 loads += 1
             elif bits & F_STORE:
                 stores += 1
-            elif op is call:
-                calls += 1
+        calls = sum(
+            len(trace.positions_of(pc)) for pc in trace.program.call_sites()
+        )
         print(f"workload          {workload} (scale {scale})")
         print(f"dynamic length    {len(trace)}")
         print(f"static length     {len(trace.program)}")

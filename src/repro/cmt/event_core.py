@@ -151,11 +151,11 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     # Run-invariant hoists (per fetch group in the legacy core).
     pc_col = cols.pc
     flags_col = cols.flags
-    fu_col = cols.fu
-    lat_col = cols.lat
+    fu_of = cols.fu_of
+    lat_of = cols.lat_of
     addr_col = cols.addr
     mem_dep_col = cols.mem_dep
-    dep_pairs_col = cols.dep_pairs
+    slots_of = cols.operand_slots()
     spawn_pcs = proc._spawn_pcs
     fu_limits = FU_LIMITS
     ring_window = RING_WINDOW
@@ -611,7 +611,10 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                     # Operand readiness.
                     ready = cycle + 1  # decode/rename stage
                     blocked_on = None
-                    for producer, reg in dep_pairs_col[pos]:
+                    for dep_col, reg in slots_of[pc]:
+                        producer = dep_col[pos]
+                        if producer < 0:
+                            continue
                         if producer >= start:
                             when = completion[producer]
                             if when is None:
@@ -719,8 +722,8 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
                         latency = 1
                         fu = LDST_INDEX
                     else:
-                        fu = fu_col[pos]
-                        latency = lat_col[pos]
+                        fu = fu_of[pc]
+                        latency = lat_of[pc]
                     # Inline ring booking, including the probe-forward
                     # loop for contended slots; only overflow spills and
                     # beyond-window probes take the out-of-line call.

@@ -234,11 +234,10 @@ class ClusteredProcessor:
         #: jumps, wakeups, stall reasons); ``None`` for the legacy core.
         #: Never feeds :class:`SimulationStats` — results stay equal.
         self.event_metrics: Optional[Dict[str, object]] = None
+        self._cols = trace.columns
         if self._use_columns:
-            self._cols = trace.columns
             self._spawn_pcs = self.runtime.spawn_pcs()
         else:
-            self._cols = None
             self._spawn_pcs = frozenset()
         if self.config.primes_predictor:
             if self._use_columns:

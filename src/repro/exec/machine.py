@@ -6,23 +6,31 @@ memory addresses and branch outcomes — the information the profile analysis,
 value predictors and the trace-driven SpMT simulator need.
 
 :meth:`Machine.run` builds the whole trace in its one execution loop: it
-appends each outcome to the per-field lists of the trace and tracks the
-last writer of every register and the last store to every address, so the
-dependence columns of :class:`~repro.exec.columns.TraceColumns` come out
-of the same loop.  An executed trace therefore carries its fields and
-columns from birth and builds no :class:`~repro.exec.trace.DynInst`
-objects; :meth:`Machine.step` wraps the same interpreter semantics
-(:meth:`Machine._execute`) in one ``DynInst`` per call.
+appends each outcome to the columns of
+:class:`~repro.exec.columns.TraceColumns`, tracks the last writer of
+every register and the last store to every address for the dependence
+columns, and collects the read, write and pc position indexes.  An
+executed trace therefore carries its columns and indexes from birth and
+builds no :class:`~repro.exec.trace.DynInst` objects; :meth:`Machine.step`
+wraps the same interpreter semantics (:meth:`Machine._execute`) in one
+``DynInst`` per call.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ExecutionError, WorkloadError
-from repro.exec.columns import TraceColumns
-from repro.exec.trace import FIELDS, DynInst, Trace
+from repro.exec.columns import (
+    F_LOAD,
+    F_STORE,
+    F_TAKEN,
+    NUM_REGS,
+    TraceColumns,
+    static_flags,
+)
+from repro.exec.trace import DynInst, Trace
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 
@@ -59,11 +67,11 @@ class Machine:
         ]
 
     def _execute(self) -> tuple:
-        """Execute one instruction; return its outcome in ``FIELDS`` order.
+        """Execute one instruction; return its outcome in ``DynInst`` order.
 
         The one copy of the interpreter semantics: :meth:`step` wraps the
-        outcome in a :class:`DynInst`, :meth:`run` appends it to the
-        trace's field lists.  Branches are ordered by dynamic frequency
+        outcome in a :class:`DynInst`, :meth:`run` records it in the
+        trace's columns.  Branches are ordered by dynamic frequency
         over the workload suite.
         """
         if self.halted:
@@ -190,11 +198,11 @@ class Machine:
     def run(self, max_steps: Optional[int] = None) -> Trace:
         """Execute to HALT, returning the dynamic trace.
 
-        One loop builds the whole trace: the per-field lists (``FIELDS``
-        order) and the register/memory dependence columns, from a
-        last-writer table per register and a last-store table per
-        address.  :meth:`TraceColumns.from_execution` assembles the
-        remaining columns from the field lists and per-opcode constants.
+        One loop builds the whole trace: the per-position columns, the
+        register and memory dependences (from a last-writer table per
+        register and a last-store table per address) and the position
+        lists of the read, write and pc indexes, which
+        :class:`TraceColumns` packs into typed arrays.
 
         The loop allocates a few small tuples per instruction and no
         reference cycles, so the cyclic garbage collector is switched off
@@ -217,89 +225,76 @@ class Machine:
 
     def _run(self, max_steps: int) -> Trace:
         """The execution loop of :meth:`run`."""
-        fields: List[list] = [[] for _ in FIELDS]
+        program = self.program
+        bits_of = [static_flags(inst.op) for inst in program]
+        columns: List[list] = [[] for _ in range(7)]
+        pcs, flags, addrs, mem_deps, dep0s, dep1s, dst_values = columns
         (
             pc_append,
-            op_append,
-            dst_append,
-            dst_value_append,
-            srcs_append,
-            src_values_append,
+            flags_append,
             addr_append,
-            taken_append,
-            next_pc_append,
-        ) = [field.append for field in fields]
-        mem_dep: List[int] = []
-        dep_pairs: List[Tuple[Tuple[int, int], ...]] = []
-        scan_reads: List[Tuple[Tuple[int, int], ...]] = []
-        mem_dep_append = mem_dep.append
-        dep_pairs_append = dep_pairs.append
-        scan_reads_append = scan_reads.append
+            mem_dep_append,
+            dep0_append,
+            dep1_append,
+            dst_value_append,
+        ) = [column.append for column in columns]
+        reads_of: List[List[int]] = [[] for _ in range(NUM_REGS)]
+        writes_of: List[List[int]] = [[] for _ in range(NUM_REGS)]
+        pc_positions: List[List[int]] = [[] for _ in program]
+        read_append = [positions.append for positions in reads_of]
+        write_append = [positions.append for positions in writes_of]
+        pc_position_append = [positions.append for positions in pc_positions]
         # Register 0 is never recorded as written, so its entry stays -1.
-        last_writer = [-1] * 64
+        last_writer = [-1] * NUM_REGS
         last_store: Dict[int, int] = {}
-        load, store, halt = Opcode.LOAD, Opcode.STORE, Opcode.HALT
+        halt = Opcode.HALT
         execute = self._execute
         for pos in range(max_steps):
-            (pc, op, dst, dst_value, srcs, src_values, addr, taken,
-             next_pc) = execute()
+            (pc, op, dst, dst_value, srcs, _src_values, addr, taken,
+             _next_pc) = execute()
+            bits = bits_of[pc]
             pc_append(pc)
-            op_append(op)
-            dst_append(dst)
+            flags_append(bits | F_TAKEN if taken else bits)
+            pc_position_append[pc](pos)
             dst_value_append(dst_value)
-            srcs_append(srcs)
-            src_values_append(src_values)
-            addr_append(addr)
-            taken_append(taken)
-            next_pc_append(next_pc)
-            # Producers of the register reads, in source order:
-            # ``dep_pairs`` keeps (producer, reg) for recorded producers,
-            # ``scan_reads`` keeps (reg, producer) for non-zero registers.
-            if len(srcs) == 2:
-                r0, r1 = srcs
-                p0 = last_writer[r0]
-                p1 = last_writer[r1]
-                if p0 < 0:
-                    dep_pairs_append(((p1, r1),) if p1 >= 0 else ())
-                elif p1 < 0:
-                    dep_pairs_append(((p0, r0),))
-                else:
-                    dep_pairs_append(((p0, r0), (p1, r1)))
-                if not r0:
-                    scan_reads_append(((r1, p1),) if r1 else ())
-                elif not r1:
-                    scan_reads_append(((r0, p0),))
-                else:
-                    scan_reads_append(((r0, p0), (r1, p1)))
-            elif len(srcs) == 1:
+            # Producers of the operand slots; each non-zero register
+            # read is indexed once per position.
+            if srcs:
                 r0 = srcs[0]
-                p0 = last_writer[r0]
-                dep_pairs_append(((p0, r0),) if p0 >= 0 else ())
-                scan_reads_append(((r0, p0),) if r0 else ())
-            elif srcs:
-                producers = [last_writer[reg] for reg in srcs]
-                dep_pairs_append(
-                    tuple([(p, r) for p, r in zip(producers, srcs) if p >= 0])
-                )
-                scan_reads_append(
-                    tuple([(r, p) for r, p in zip(srcs, producers) if r])
-                )
+                dep0_append(last_writer[r0])
+                if r0:
+                    read_append[r0](pos)
+                if len(srcs) == 2:
+                    r1 = srcs[1]
+                    dep1_append(last_writer[r1])
+                    if r1 and r1 != r0:
+                        read_append[r1](pos)
+                else:
+                    dep1_append(-1)
             else:
-                dep_pairs_append(())
-                scan_reads_append(())
-            if op is load:
+                dep0_append(-1)
+                dep1_append(-1)
+            if bits & F_LOAD:
+                addr_append(addr)
                 mem_dep_append(last_store.get(addr, -1))
             else:
                 mem_dep_append(-1)
-                if op is store:
+                if bits & F_STORE:
+                    addr_append(addr)
                     last_store[addr] = pos
+                else:
+                    addr_append(-1)
             if dst:
                 last_writer[dst] = pos
+                write_append[dst](pos)
             if op is halt:
-                columns = TraceColumns.from_execution(
-                    self.program, fields, mem_dep, dep_pairs, scan_reads
+                return Trace(
+                    program,
+                    TraceColumns(
+                        program, pcs, flags, addrs, mem_deps, dep0s, dep1s,
+                        dst_values, reads_of, writes_of, pc_positions,
+                    ),
                 )
-                return Trace.from_fields(self.program, fields, columns)
         raise WorkloadError(
             f"program {self.program.name!r} did not halt",
             workload=self.program.name,

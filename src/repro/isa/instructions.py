@@ -163,10 +163,10 @@ def is_control_op(op: Opcode) -> bool:
 class Instruction:
     """A single static instruction.
 
-    ``dst`` and ``srcs`` are register numbers (0..63); register 0 is
-    hardwired to zero.  ``imm`` holds immediates and load/store offsets.
-    ``target`` is the destination pc for control transfers (resolved from a
-    label at assembly time).
+    ``dst`` and ``srcs`` are register numbers (0..63), with at most two
+    sources; register 0 is hardwired to zero.  ``imm`` holds immediates
+    and load/store offsets.  ``target`` is the destination pc for control
+    transfers (resolved from a label at assembly time).
     """
 
     op: Opcode
@@ -178,6 +178,9 @@ class Instruction:
     def __post_init__(self) -> None:
         if self.dst is not None and not 0 <= self.dst < 64:
             raise ValueError(f"destination register out of range: {self.dst}")
+        if len(self.srcs) > 2:
+            # The interpreter and the trace's operand slots read at most two.
+            raise ValueError(f"at most two source registers, got {len(self.srcs)}")
         for reg in self.srcs:
             if not 0 <= reg < 64:
                 raise ValueError(f"source register out of range: {reg}")

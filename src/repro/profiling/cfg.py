@@ -86,11 +86,12 @@ class ControlFlowGraph:
         columns = trace.columns
         pcs = columns.pc
         flags = columns.flags
-        next_pcs = trace.field("next_pc")
         n = len(trace)
         control = [pos for pos, bits in enumerate(flags) if bits & _CONTROL]
         leaders = {pcs[0]}
-        leaders.update([next_pcs[pos] for pos in control])
+        # A control transfer's next pc is the following position's pc
+        # (the trace ends at HALT, which is not a control transfer).
+        leaders.update([pcs[pos + 1] for pos in control])
         leaders.update([pcs[pos] + 1 for pos in control])
 
         # A block ends at a control transfer, before the next leader, or

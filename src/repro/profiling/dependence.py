@@ -71,9 +71,11 @@ def profile_pair_dependences(
     none of its register/memory inputs (transitively, within the thread)
     come from the spawn region [SP, CQIP).
     """
-    # (reg, producer) per non-zero register read: register 0 never has a
-    # producer, so it can never tie a thread to the spawn region.
-    reads = trace.columns.scan_reads
+    # Per static pc, (producer column, register) of each non-zero register
+    # read: register 0 never has a producer, so it can never tie a thread
+    # to the spawn region.
+    pcs = trace.columns.pc
+    slots_of = trace.columns.operand_slots()
     mem_deps = trace.columns.mem_dep
     sp_positions = trace.positions_of(sp_pc)
     n = len(trace)
@@ -111,7 +113,8 @@ def profile_pair_dependences(
         independent = 0
         for pos in range(cqip_pos, end):
             dep = False
-            for reg, producer in reads[pos]:
+            for dep_col, reg in slots_of[pcs[pos]]:
+                producer = dep_col[pos]
                 if sp_pos <= producer < cqip_pos:
                     dep = True
                     livein_regs.setdefault(reg, pos)
@@ -147,7 +150,8 @@ def profile_pair_dependences(
         ok = 0
         for pos in range(cqip_pos, end):
             bad = False
-            for reg, producer in reads[pos]:
+            for dep_col, reg in slots_of[pcs[pos]]:
+                producer = dep_col[pos]
                 if sp_pos <= producer < cqip_pos:
                     if predictability.get(reg, 0.0) < predictability_threshold:
                         bad = True

@@ -1,6 +1,7 @@
 """Artifact-cache tests: determinism, invalidation, persistence."""
 
 import json
+import pickle
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.cache import (
 )
 from repro.cmt import simulate, single_thread_cycles
 from repro.exec.columns import TraceColumns
-from repro.exec.trace import FIELDS, DynInst
+from repro.exec.trace import DynInst
 from repro.experiments import framework
 from repro.spawning.pairs import SpawnPair, SpawnPairSet, PairKind
 from repro.workloads import load_trace
@@ -145,7 +146,7 @@ class TestRoundTrip:
             executed, loaded = _cached_trace_pair(tmp_path, name, scale)
             assert len(loaded) == len(executed)
             for pos, (want, got) in enumerate(zip(executed, loaded)):
-                for field in FIELDS:
+                for field in DynInst.__slots__:
                     a, b = getattr(want, field), getattr(got, field)
                     assert type(a) is type(b), (name, pos, field)
                     assert a == b, (name, pos, field)
@@ -210,6 +211,37 @@ class TestCorruptArtifacts:
         )
         assert len(reloaded) == len(rebuilt)
 
+    @pytest.mark.parametrize(
+        "corrupt", ["short_flags", "decreasing_offset", "offsets_past_data"]
+    )
+    def test_inconsistent_trace_is_rebuilt_and_overwritten(
+        self, tmp_path, corrupt
+    ):
+        # A blob that unpickles but whose columns disagree with each
+        # other is rejected on decode: a miss, rebuilt and overwritten.
+        def build():
+            return load_trace("compress", SCALE)
+
+        fields = {"workload": "compress", "scale": SCALE}
+        ArtifactCache(tmp_path).get_or_create("trace", build, **fields)
+        (path,) = (tmp_path / "trace").iterdir()
+        blob = path.read_bytes()
+        program, columns = pickle.loads(blob)
+        if corrupt == "short_flags":
+            columns.flags = columns.flags[:-1]
+        elif corrupt == "decreasing_offset":
+            offsets = columns.pc_off
+            offsets[1] = offsets[2] + 1
+        else:
+            columns.reads = columns.reads[:-1]
+        path.write_bytes(pickle.dumps((program, columns), protocol=4))
+
+        fresh = ArtifactCache(tmp_path)
+        rebuilt = fresh.get_or_create("trace", build, **fields)
+        assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
+        assert path.read_bytes() == blob
+        assert rebuilt.columns == build().columns
+
     def test_campaign_passes_over_a_truncated_point(self, tmp_path):
         from repro.faults.campaign import CampaignSpec, run_campaign, run_key
 
@@ -273,7 +305,7 @@ class TestFrameworkIntegration:
 
 
 class TestCachedTraceSimulation:
-    """A trace loaded from the cache simulates off its stored fields."""
+    """A trace loaded from the cache simulates off its stored columns."""
 
     def test_event_core_builds_no_instruction_objects(
         self, tmp_path, monkeypatch

@@ -88,6 +88,12 @@ class TestInstruction:
         with pytest.raises(ValueError):
             Instruction(Opcode.ADD, dst=1, srcs=(1, 99))
 
+    def test_third_source_rejected(self):
+        # The interpreter reads at most two sources, and a trace keeps
+        # two operand slots per instruction.
+        with pytest.raises(ValueError, match="at most two source"):
+            Instruction(Opcode.ADD, dst=1, srcs=(1, 2, 3))
+
     def test_properties(self):
         load = Instruction(Opcode.LOAD, dst=1, srcs=(2,), imm=4)
         assert load.is_mem and not load.is_branch and not load.is_control

@@ -18,13 +18,16 @@ POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096, min_distance=8)
 @st.composite
 def random_program(draw):
     """A random but well-formed program: nested counted loops whose bodies
-    mix ALU work, array traffic, data-dependent ifs and optional calls."""
+    mix ALU work, array traffic, data-dependent ifs and optional calls;
+    optionally one instruction reads the same register in both operand
+    slots."""
     outer_trips = draw(st.integers(min_value=2, max_value=12))
     inner_trips = draw(st.integers(min_value=0, max_value=8))
     body_ops = draw(st.integers(min_value=1, max_value=6))
     use_call = draw(st.booleans())
     use_if = draw(st.booleans())
     seed = draw(st.integers(min_value=0, max_value=10_000))
+    double_read = draw(st.booleans())
 
     b = ProgramBuilder("fuzz")
     i, j, acc, addr, tmp = (
@@ -44,6 +47,8 @@ def random_program(draw):
         b.andi(tmp, acc, 63)
         b.add(addr, addr, tmp)
         b.load(tmp, addr)
+        if double_read:
+            b.add(tmp, tmp, tmp)
         b.add(acc, acc, tmp)
         if use_if:
             with b.if_(Opcode.BNEZ, (tmp,)):

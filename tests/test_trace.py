@@ -9,10 +9,13 @@ from repro.isa import ProgramBuilder, assemble
 
 class TestPcIndex:
     def test_positions_are_sorted_and_complete(self, loop_trace):
-        total = sum(len(loop_trace.positions_of(pc)) for pc in loop_trace.pc_index)
+        pcs = range(len(loop_trace.program))
+        total = sum(len(loop_trace.positions_of(pc)) for pc in pcs)
         assert total == len(loop_trace)
-        for positions in loop_trace.pc_index.values():
+        for pc in pcs:
+            positions = list(loop_trace.positions_of(pc))
             assert positions == sorted(positions)
+            assert all(loop_trace.pc_at(pos) == pc for pos in positions)
 
     def test_next_occurrence_respects_open_interval(self, loop_trace):
         pc = loop_trace[10].pc
@@ -82,9 +85,13 @@ class TestRegisterValues:
 
     def test_register_writes_index(self):
         trace = run_program(assemble("li r1 1\nli r1 2\nli r2 3\nhalt"))
-        positions, values = trace.register_writes[1]
-        assert positions == [0, 1]
-        assert values == [1, 2]
+        cols = trace.columns
+        positions = cols.writes[cols.writes_off[1]:cols.writes_off[2]]
+        assert list(positions) == [0, 1]
+        assert [cols.dst_value[pos] for pos in positions] == [1, 2]
+        assert [trace.value_of_register_at(1, pos) for pos in range(4)] == [
+            0, 1, 2, 2,
+        ]
 
 
 class TestNextOccurrenceEdges:
