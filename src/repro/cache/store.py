@@ -31,6 +31,7 @@ index) is a miss: the rebuild overwrites it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -91,9 +92,20 @@ def _trace_dumps(trace: Any) -> bytes:
 def _trace_loads(blob: bytes) -> Any:
     from repro.exec.trace import Trace
 
-    # Trace() checks the columns against each other and the program and
-    # raises ValueError on a mismatch, so a corrupt blob is a miss.
-    program, columns = pickle.loads(blob)
+    # The program's instructions are the only GC-tracked objects a flat
+    # trace decodes to, and none forms a reference cycle, so the cyclic
+    # collector is paused while they are built (as ``Machine.run`` does):
+    # in a serve job process a collection would walk the daemon's
+    # inherited heap.  The caller's state is restored.  Trace() checks
+    # the columns against each other and the program and raises
+    # ValueError on a mismatch, so a corrupt blob is a miss.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        program, columns = pickle.loads(blob)
+    finally:
+        if collecting:
+            gc.enable()
     return Trace(program, columns)
 
 

@@ -5,11 +5,13 @@ as a ``prime`` artifact that every later run and forked worker replays.
 These tests pin that a replayed (decoded) sequence gives the legacy
 oracle's statistics, that decoding returns exactly what was derived,
 that a reader holding the artifact derives nothing, and that the trace
-decoder gives the cyclic GC nothing to track per instruction.
+decoder leaves the caller's cyclic-GC state alone and gives the
+collector nothing to track per instruction.
 """
 
 import gc
 import os
+import pickle
 
 import pytest
 
@@ -222,24 +224,65 @@ class TestReaders:
 
 
 class TestTraceDecodeGc:
-    """``_trace_loads`` gives the cyclic GC nothing per instruction."""
+    """``_trace_loads`` pauses the cyclic GC and restores its state."""
 
-    def test_decode_tracks_no_object_per_instruction(self):
+    @pytest.fixture
+    def blob(self):
+        return store._trace_dumps(load_trace("compress", SCALE))
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def _spy(self, monkeypatch):
+        seen = []
+        loads = pickle.loads
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return loads(data)
+
+        monkeypatch.setattr(store.pickle, "loads", spy)
+        return seen
+
+    def test_enabled_collector_is_paused_then_restored(
+        self, blob, restore_gc, monkeypatch
+    ):
+        seen = self._spy(monkeypatch)
+        gc.enable()
+        trace = store._trace_loads(blob)
+        assert seen == [False]
+        assert gc.isenabled()
+        assert len(trace) == len(load_trace("compress", SCALE))
+
+    def test_collector_disabled_by_the_caller_stays_disabled(
+        self, blob, restore_gc, monkeypatch
+    ):
+        seen = self._spy(monkeypatch)
+        gc.disable()
+        store._trace_loads(blob)
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_truncated_pickle_restores_the_collector(self, blob, restore_gc):
+        gc.enable()
+        with pytest.raises(store._UNDECODABLE):
+            store._trace_loads(blob[: len(blob) // 2])
+        assert gc.isenabled()
+
+    def test_decode_tracks_no_object_per_instruction(self, blob, restore_gc):
         # A decoded trace is typed arrays, tuples of small ints and one
         # list of values, so decoding creates GC-tracked objects only for
-        # the program and the columns' few containers, and needs no pause
-        # of the collector; the caller's collector state is left alone.
+        # the program and the columns' few containers.
         trace = load_trace("compress", SCALE)
-        blob = store._trace_dumps(trace)
-        enabled = gc.isenabled()
         gc.disable()
-        try:
-            before = gc.get_count()[0]
-            decoded = store._trace_loads(blob)
-            created = gc.get_count()[0] - before
-            assert not gc.isenabled()
-        finally:
-            if enabled:
-                gc.enable()
+        before = gc.get_count()[0]
+        decoded = store._trace_loads(blob)
+        created = gc.get_count()[0] - before
         assert len(decoded) == len(trace) > 4000
         assert created < 4 * len(trace.program) + 100
