@@ -1,7 +1,6 @@
-"""Executor backends: the pluggable engine-execution protocol.
+"""Executor backends and the job process they share with the serve pool.
 
-The parallel engine used to be welded to one ``ProcessPoolExecutor``;
-this module turns "how do the points actually run" into a protocol.  A
+This module turns "how do the points actually run" into a protocol.  A
 :class:`Backend` receives the sweep's points, an :class:`ExecutionPlan`
 (timeouts, retry budget, cache location, worker count), and an *emit*
 callback; it must call ``emit(key, outcome_dict, cache_delta,
@@ -13,7 +12,8 @@ Built-in backends:
 
 - ``serial`` — in-process, submission order; the ``jobs=1`` path and
   the reference behaviour every other backend is gated against.
-- ``process`` — a local ``ProcessPoolExecutor`` fan-out.
+- ``process`` — one worker thread and one local :class:`JobProcess`
+  per worker (the serve pool's attempts run in one too).
 - ``remote`` — a socket-connected worker fleet scheduled by the
   work-stealing :class:`~repro.dist.scheduler.WorkStealingScheduler`
   (see :mod:`repro.dist.coordinator`; registered lazily to keep import
@@ -23,14 +23,23 @@ Built-in backends:
 from __future__ import annotations
 
 import os
+import queue
+import signal
+import threading
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cache import ArtifactCache
+from repro.errors import JobCancelled, SimulationTimeout, rebuild_failure
 from repro.experiments import engine, framework
 from repro.experiments.engine import Point
-from repro.experiments.framework import run_resilient
+from repro.experiments.framework import attempt_deadline, run_resilient
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "CACHE_COUNTERS",
@@ -39,6 +48,8 @@ __all__ = [
     "Backend",
     "SerialBackend",
     "ProcessBackend",
+    "JobProcess",
+    "JobProcessClosed",
     "backend_names",
     "create_backend",
 ]
@@ -163,59 +174,200 @@ class SerialBackend(Backend):
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing of the process backend.
-# Top-level functions: they cross the process boundary by reference.
+# Job processes: the one place a local child is forked.
 # ----------------------------------------------------------------------
 
-_worker_cache: Optional[ArtifactCache] = None
+class JobProcessClosed(BaseException):
+    """Raised by a closed :class:`JobProcess`.
 
-
-def _worker_init(cache_dir: Optional[str]) -> None:
-    """Pool initializer: attach the shared artifact cache in the worker."""
-    global _worker_cache
-    _worker_cache = ArtifactCache(cache_dir) if cache_dir else None
-    framework.set_cache(_worker_cache)
-
-
-def _worker_run(
-    point: Point,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-) -> Tuple[str, Dict[str, Any], Dict[str, int], str]:
-    """Execute one point resiliently in a pool worker.
-
-    Args:
-        point: The point spec to run.
-        timeout: Per-attempt wall-clock limit in seconds.
-        retries: Retry budget.
-        backoff: Exponential-backoff base in seconds.
-
-    Returns:
-        ``(key, outcome_dict, cache_delta, worker_id)`` so the parent
-        can aggregate hit rates and attribute the point to a worker.
+    Not an ``Exception``: :func:`run_resilient` never retries it.
     """
-    cache = _worker_cache
+
+
+def _run_attempt(
+    point: Point, cache: Optional[ArtifactCache]
+) -> Tuple[str, Any, Optional[str], Dict[str, int]]:
+    """Return ``(status, payload, error_type, cache_delta)`` of one attempt."""
     before = cache.stats.to_dict() if cache else None
-    outcome = run_resilient(
-        lambda: engine.execute_point(point, cache),
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-    )
-    return (
-        point.key,
-        outcome.to_dict(),
-        _stats_delta(before, cache),
-        f"pid-{os.getpid()}",
-    )
+    reply: Tuple[str, Any, Optional[str]]
+    with framework.use_cache(cache):
+        try:
+            reply = ("ok", engine.execute_point(point, cache), None)
+        except Exception as exc:  # ship every failure to the parent
+            reply = ("error", str(exc), type(exc).__name__)
+    return reply + (_stats_delta(before, cache),)
+
+
+def _job_main(
+    conn: "Connection",
+    parent_end: "Connection",
+    parent_pid: int,
+    cache_dir: Optional[str],
+    fresh_cache: bool,
+) -> None:
+    """Job-process body: answer each point on ``conn`` in turn.
+
+    ``parent_end`` (inherited by a fork) is closed at once; ``cache_dir``
+    and ``fresh_cache`` are as in :class:`JobProcess`.  The process exits
+    when the pipe closes, or once ``parent_pid`` is no longer its parent
+    (a sibling forked later may hold the parent's end).
+    """
+    parent_end.close()
+    # A forked serve daemon's SIGTERM/SIGINT handler would start a drain
+    # on this process's copy of the queue: a kill must end the process.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    cache = None if fresh_cache or not cache_dir else ArtifactCache(cache_dir)
+    try:
+        while True:
+            if conn.poll(0.5):  # else check that the parent lives
+                point = conn.recv()
+                conn.send(_run_attempt(
+                    point, ArtifactCache(cache_dir) if fresh_cache else cache
+                ))
+            elif os.getppid() != parent_pid:
+                return
+    except (EOFError, OSError):  # the parent closed its end or is gone
+        return
+    finally:
+        conn.close()
+
+
+def _reap(process: "BaseProcess") -> Optional[int]:
+    """Hard-kill ``process`` (SIGTERM, then SIGKILL); returns its exit code."""
+    process.terminate()
+    process.join(timeout=1.0)
+    if process.is_alive():  # pragma: no cover - needs SIGKILL
+        process.kill()
+        process.join(timeout=1.0)
+    return process.exitcode
+
+
+class JobProcess:
+    """One long-lived local child that runs attempts of points in turn.
+
+    It forks on the first :meth:`run` (and calls ``on_start``), and a
+    kill, a death or a deadline makes the next attempt fork anew.  With
+    ``fresh_cache`` each attempt gets an artifact cache over
+    ``cache_dir`` of its own (the serve pool's isolation); otherwise the
+    process keeps one for its life (a sweep worker's memo across points).
+    :meth:`close` may come from any thread; the rest belongs to one.
+    """
+
+    #: Shared by every job process, so forks are serialised: a child
+    #: forked while a sibling's fork is half done would hold its pipes.
+    _lock = threading.Lock()
+
+    def __init__(
+        self,
+        cache_dir: Optional[str],
+        fresh_cache: bool,
+        on_start: Optional[Callable[[], None]] = None,
+    ) -> None:
+        import multiprocessing  # here: a serial sweep never loads it
+
+        self._ctx = multiprocessing.get_context(
+            "fork" if hasattr(os, "fork") else "spawn"
+        )
+        self.cache_dir = cache_dir
+        self.fresh_cache = fresh_cache
+        self.on_start = on_start
+        #: The live child (None before the first attempt and after a kill).
+        self.process: Optional["BaseProcess"] = None
+        self._conn: Optional["Connection"] = None
+        self._closed = False
+
+    def run(
+        self,
+        point: Point,
+        delta: Optional[Dict[str, int]] = None,
+        cancelled: Optional[Callable[[], bool]] = None,
+    ) -> Any:
+        """Run one attempt of ``point`` and return its payload.
+
+        The attempt's cache-counter delta is added into ``delta``.  Once
+        ``cancelled()`` or the attempt's deadline fires the process is
+        killed (:class:`JobCancelled`, :class:`SimulationTimeout`); a
+        death raises ``RuntimeError``, and after :meth:`close`,
+        :class:`JobProcessClosed`.
+        """
+        process, conn = self._start()
+        deadline = attempt_deadline()
+        try:
+            conn.send(point)
+            while not conn.poll(0.05):
+                if cancelled is not None and cancelled():
+                    self.kill()
+                    raise JobCancelled("cancelled mid-attempt")
+                if deadline is not None and time.monotonic() > deadline:
+                    self.kill()
+                    raise SimulationTimeout("wall-clock limit exceeded")
+                if not process.is_alive() and not conn.poll(0.2):
+                    raise EOFError  # it died without a reply
+            status, payload, error_type, attempt_delta = conn.recv()
+        except (EOFError, OSError):
+            exitcode = self.kill()
+            if self._closed:
+                raise JobProcessClosed() from None
+            raise RuntimeError(
+                f"job process died without a result (exitcode {exitcode})"
+            ) from None
+        if delta is not None:
+            for key, value in attempt_delta.items():
+                delta[key] = delta.get(key, 0) + value
+        if status == "ok":
+            return payload
+        raise rebuild_failure(str(error_type), str(payload))
+
+    def kill(self) -> Optional[int]:
+        """Kill and reap the process, close its pipe; returns its exit code."""
+        with self._lock:
+            process, conn = self.process, self._conn
+            self.process = self._conn = None
+        if conn is not None:
+            conn.close()
+        return _reap(process) if process is not None else None
+
+    def close(self) -> None:
+        """Kill the process for good (the pipe is left to :meth:`kill`)."""
+        with self._lock:
+            self._closed = True
+            process = self.process
+        if process is not None:
+            _reap(process)
+
+    def _start(self) -> Tuple["BaseProcess", "Connection"]:
+        """Return the live process and its pipe, forking one if needed."""
+        if self.process is not None and not self.process.is_alive():
+            self.kill()  # it died between attempts
+        with self._lock:
+            if self._closed:
+                raise JobProcessClosed()
+            if self.process is not None and self._conn is not None:
+                return self.process, self._conn
+            conn, child_conn = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=_job_main,
+                args=(child_conn, conn, os.getpid(), self.cache_dir,
+                      self.fresh_cache),
+                daemon=True,
+            )
+            try:
+                process.start()
+            finally:
+                child_conn.close()
+            self.process, self._conn = process, conn
+        if self.on_start is not None:
+            self.on_start()
+        return process, conn
 
 
 class ProcessBackend(Backend):
-    """A local ``ProcessPoolExecutor`` fan-out.
+    """One worker thread and one :class:`JobProcess` per worker.
 
-    Points are all submitted up front; results are emitted in
-    completion order.
+    Each thread runs the next point through :func:`run_resilient` in its
+    job process.  Results are emitted from the calling thread in
+    completion order; every job process is killed on the way out.
     """
 
     name = "process"
@@ -226,27 +378,56 @@ class ProcessBackend(Backend):
         plan: ExecutionPlan,
         emit: EmitFn,
     ) -> None:
-        """Fan the points across a local process pool via ``emit``."""
-        if not points:
-            return
-        # Imported here: the pool machinery stays off the serial path.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        """Run the points in local job processes, reporting via ``emit``."""
+        jobs = [
+            JobProcess(plan.cache_dir, fresh_cache=False)
+            for _ in range(min(max(plan.workers, 1), len(points)))
+        ]
+        pending = iter(points)
+        lock = threading.Lock()
+        done: "queue.Queue[Any]" = queue.Queue()
 
-        with ProcessPoolExecutor(
-            max_workers=min(max(plan.workers, 1), len(points)),
-            initializer=_worker_init,
-            initargs=(plan.cache_dir,),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _worker_run, point, plan.timeout, plan.retries,
-                    plan.backoff,
-                ): point
-                for point in points
-            }
-            for future in as_completed(futures):
-                key, outcome_dict, delta, worker_id = future.result()
-                emit(key, outcome_dict, delta, worker_id)
+        def work(index: int, job: JobProcess) -> None:
+            try:
+                while True:
+                    with lock:
+                        point = next(pending, None)
+                    if point is None:
+                        return
+                    delta: Dict[str, int] = {}
+                    outcome = run_resilient(
+                        lambda point=point: job.run(point, delta),
+                        timeout=plan.timeout,
+                        retries=plan.retries,
+                        backoff=plan.backoff,
+                        jitter_key=point.key,
+                    )
+                    done.put((point.key, outcome.to_dict(), delta,
+                              f"process-{index}"))
+            except JobProcessClosed:
+                return
+            except BaseException as exc:  # re-raised in the caller
+                done.put(exc)
+            finally:
+                job.kill()
+
+        threads = [
+            threading.Thread(target=work, args=pair, daemon=True)
+            for pair in enumerate(jobs)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in points:
+                item = done.get()
+                if isinstance(item, BaseException):
+                    raise item
+                emit(*item)
+        finally:
+            for job in jobs:
+                job.close()
+            for thread in threads:
+                thread.join()
 
 
 #: Backend registry: name -> zero-argument factory.  ``remote`` is

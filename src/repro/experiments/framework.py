@@ -397,8 +397,8 @@ def attempt_deadline() -> Optional[float]:
 
     :func:`run_resilient` publishes the deadline of every attempt it
     times.  ``SIGALRM`` enforces it only in the main thread; an attempt
-    that runs elsewhere polls it instead (the serve pool hard-kills its
-    job process on it).
+    that runs elsewhere polls it instead (a
+    :class:`~repro.dist.backend.JobProcess` is hard-killed on it).
 
     Returns:
         The deadline, or None outside a time-limited attempt.

@@ -229,7 +229,7 @@ def _run_payload(spec: CampaignSpec, workload: str, rate: float,
 #: Crash keys whose injected crash already fired in this process; the
 #: retry of a crashed attempt runs in the same process and proceeds.
 #: :func:`run_campaign` clears it, so every campaign crashes anew on every
-#: backend (pool and fleet workers start from the cleared state).
+#: backend (job processes and fleet workers start from the cleared state).
 _CRASHED: Set[str] = set()
 
 

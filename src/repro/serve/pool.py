@@ -12,142 +12,34 @@ success, recover from anything:
   policy: transient failures retry, fatal ones fail at once, and an
   :class:`~repro.errors.InvariantViolation` poison-quarantines the job
   (a simulator bug re-executes identically);
-- each supervisor thread runs its attempts in one long-lived **job
-  process** (forked at the thread's first attempt; spawned where
-  ``fork`` is missing) that takes them over a duplex pipe, back to
-  back, the way a CSMT thread unit persists across the threads it
-  runs.  Each attempt runs under its own artifact cache, the
-  pipeline's only memo, which the job process drops after the attempt,
-  so no decoded trace outlives the attempt that read it;
-- an attempt's timeout and a mid-attempt cancellation hard-kill the job
-  process (``terminate``), never hang; a job process that dies
-  mid-attempt (OOM-kill, crash) shows as EOF on the pipe and counts as
-  a transient failure.  Either way the next attempt forks a new job
-  process — the supervisor outlives its job processes;
-- a job process exits when its daemon dies, and :meth:`WorkerPool.stop`
-  reaps every job process.
+- each supervisor thread runs its attempts in one long-lived
+  :class:`~repro.dist.backend.JobProcess`, as a CSMT thread unit
+  persists across the threads it runs, each under an artifact cache of
+  its own (the pipeline's only memo), so no decoded trace outlives the
+  attempt that read it.  A timeout or a cancel hard-kills the job
+  process, its death mid-attempt (OOM-kill, crash) is a transient
+  failure, and the next attempt forks a new one.  It exits when the
+  daemon dies, and :meth:`WorkerPool.stop` reaps every job process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
-import signal
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.cache import ArtifactCache
-from repro.errors import (
-    JobCancelled,
-    SimulationTimeout,
-    classify_failure,
-    rebuild_failure,
-)
-from repro.experiments import framework
-from repro.experiments.engine import Point, execute_point
-from repro.experiments.framework import attempt_deadline, run_resilient
+from repro.dist.backend import JobProcess, JobProcessClosed
+from repro.errors import JobCancelled, classify_failure, rebuild_failure
+from repro.experiments.engine import Point
+from repro.experiments.framework import run_resilient
 from repro.obs.manifest import RunManifest
 from repro.serve.jobs import Job
 from repro.serve.queue import JobQueue
 
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
+
 __all__ = ["WorkerPool"]
-
-#: Seconds an idle job process waits on its pipe between checks that the
-#: daemon that forked it is still alive.
-_PARENT_CHECK_S = 0.5
-
-
-def _run_attempt(
-    job_id: str, runner: str, params: Any, cache_dir: Optional[str]
-) -> Tuple[str, Any, Optional[str]]:
-    """Run one attempt; returns the ``(status, payload, error_type)`` reply.
-
-    The attempt runs under its own artifact cache (memory-only without
-    ``cache_dir``), so everything it decoded or built dies with that
-    cache when this returns.
-    """
-    cache = ArtifactCache(cache_dir)
-    with framework.use_cache(cache):
-        try:
-            payload = execute_point(Point(job_id, runner, dict(params)), cache)
-            return ("ok", payload, None)
-        except Exception as exc:  # ship every failure to the supervisor
-            return ("error", str(exc), type(exc).__name__)
-
-
-def _job_main(
-    conn: "multiprocessing.connection.Connection",
-    daemon_end: "multiprocessing.connection.Connection",
-    daemon_pid: int,
-) -> None:
-    """Job-process body: run attempts from the pipe until it closes.
-
-    Each request is ``(job_id, runner, params, cache_dir)`` and gets one
-    ``(status, payload, error_type)`` reply.  The process exits when the
-    daemon closes its end of the pipe, and also once ``daemon_pid`` is
-    no longer its parent (the daemon died, and a sibling forked later
-    still holds a copy of the daemon's end).
-
-    Args:
-        conn: The job process's end of its duplex pipe.
-        daemon_end: The daemon's end, which a forked job process
-            inherits; it is closed at once.
-        daemon_pid: Process id of the daemon that forked it.
-    """
-    daemon_end.close()
-    # A forked daemon's SIGTERM/SIGINT handler would start a drain on
-    # this process's copy of the queue: the supervisor's terminate()
-    # must simply end the process.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    try:
-        while True:
-            if conn.poll(_PARENT_CHECK_S):
-                conn.send(_run_attempt(*conn.recv()))
-            elif os.getppid() != daemon_pid:
-                return
-    except (EOFError, OSError):  # the daemon closed its end or is gone
-        return
-    finally:
-        conn.close()
-
-
-class _JobProcess:
-    """One long-lived job process and the supervisor's end of its pipe."""
-
-    def __init__(self) -> None:
-        ctx = multiprocessing.get_context(
-            "fork" if hasattr(os, "fork") else "spawn"
-        )
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_job_main,
-            args=(child_conn, self.conn, os.getpid()),
-            daemon=True,
-        )
-        try:
-            self.process.start()
-        finally:
-            child_conn.close()
-
-    def kill(self) -> None:
-        """Hard-kill and reap the process (idempotent, any thread)."""
-        self.process.terminate()
-        self.process.join(timeout=1.0)
-        if self.process.is_alive():  # pragma: no cover - needs SIGKILL
-            self.process.kill()
-            self.process.join(timeout=1.0)
-
-
-class _PoolStopped(BaseException):
-    """The pool stopped under a claimed job.
-
-    Not an ``Exception``, so the attempt runner neither classifies nor
-    retries it: the job is left as a crash leaves it, running in the
-    journal, and the next daemon re-queues it.
-    """
 
 
 class WorkerPool:
@@ -184,7 +76,6 @@ class WorkerPool:
     ) -> None:
         self.queue = queue
         self.workers = max(1, int(workers))
-        self.cache_dir = cache_dir
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
@@ -192,8 +83,13 @@ class WorkerPool:
         self.telemetry_dir = telemetry_dir
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._job_processes: Dict[int, _JobProcess] = {}
+        self._job_processes = [
+            JobProcess(
+                cache_dir, fresh_cache=True,
+                on_start=queue.metrics.worker_starts.inc,
+            )
+            for _ in range(self.workers)
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -231,21 +127,14 @@ class WorkerPool:
                 remaining = max(0.0, deadline - time.monotonic())
                 thread.join(remaining)
                 ok = ok and not thread.is_alive()
-        with self._lock:
-            running = list(self._job_processes.values())
-        for job_process in running:  # their workers close the pipes
-            job_process.kill()
+        for job_process in self._job_processes:  # workers close the pipes
+            job_process.close()
         return ok
 
-    def job_processes(self) -> List["multiprocessing.process.BaseProcess"]:
-        """Return the workers' current job processes.
-
-        Returns:
-            The ``multiprocessing`` processes, one per worker that has
-            a job process now.
-        """
-        with self._lock:
-            return [jp.process for jp in self._job_processes.values()]
+    def job_processes(self) -> List["BaseProcess"]:
+        """Return the workers' current job processes."""
+        processes = [jp.process for jp in self._job_processes]
+        return [process for process in processes if process is not None]
 
     def join_idle(self, timeout: float = 30.0) -> bool:
         """Wait until no job is queued or running (graceful drain).
@@ -274,7 +163,7 @@ class WorkerPool:
                     continue
                 try:
                     self._run_job(job, index)
-                except _PoolStopped:
+                except JobProcessClosed:  # left as a crash leaves it
                     return
                 except Exception as exc:  # supervisor never dies
                     self.queue.fail(
@@ -283,7 +172,7 @@ class WorkerPool:
                         error_type=type(exc).__name__,
                     )
         finally:
-            self._retire(index)
+            self._job_processes[index].kill()
 
     def _run_job(self, job: Job, index: int) -> None:
         """Execute one claimed job to a terminal state."""
@@ -292,7 +181,7 @@ class WorkerPool:
         def attempt() -> Any:
             nonlocal retry
             if self._stop.is_set():
-                raise _PoolStopped
+                raise JobProcessClosed()
             if retry:
                 self.queue.note_attempt(job)
             retry = True
@@ -321,84 +210,14 @@ class WorkerPool:
                 )
         self._write_manifest(job)
 
-    # ------------------------------------------------------------------
-    # Job processes.
-    # ------------------------------------------------------------------
-
-    def _job_process(self, index: int) -> _JobProcess:
-        """Return worker ``index``'s job process, forking it if needed."""
-        with self._lock:
-            job_process = self._job_processes.get(index)
-            if job_process is not None and job_process.process.is_alive():
-                return job_process
-        self._retire(index)  # died between attempts
-        with self._lock:
-            if self._stop.is_set():
-                raise _PoolStopped
-            job_process = _JobProcess()
-            self._job_processes[index] = job_process
-            self.queue.metrics.worker_starts.inc()
-        return job_process
-
-    def _retire(self, index: int) -> Optional[int]:
-        """Kill worker ``index``'s job process and close its pipe.
-
-        Returns:
-            The job process's exit code (None when the worker had none).
-        """
-        with self._lock:
-            job_process = self._job_processes.pop(index, None)
-        if job_process is None:
-            return None
-        job_process.kill()
-        job_process.conn.close()
-        return job_process.process.exitcode
-
-    def _died(self, index: int) -> BaseException:
-        """Retire a job process that died mid-attempt; returns what to raise."""
-        exitcode = self._retire(index)
-        if self._stop.is_set():
-            return _PoolStopped()  # stop() killed it
-        return RuntimeError(
-            f"job process died without a result (exitcode {exitcode})"
-        )
-
-    # ------------------------------------------------------------------
-    # One attempt.
-    # ------------------------------------------------------------------
-
     def _attempt(self, job: Job, index: int) -> Any:
         """One attempt in the job process: hard kill on timeout and cancel."""
         if job.cancel_requested:
             raise JobCancelled("cancelled before the attempt started")
-        job_process = self._job_process(index)
-        conn = job_process.conn
-        try:
-            conn.send((job.id, job.runner, job.params, self.cache_dir))
-        except OSError:
-            raise self._died(index) from None
-        deadline = attempt_deadline()
-        while True:
-            if job.cancel_requested:
-                self._retire(index)
-                raise JobCancelled("cancelled mid-attempt")
-            if deadline is not None and time.monotonic() > deadline:
-                self._retire(index)
-                raise SimulationTimeout(
-                    "job attempt exceeded its wall-clock limit",
-                    seconds=self.timeout,
-                )
-            try:
-                if conn.poll(0.05):
-                    status, payload, error_type = conn.recv()
-                    break
-            except (EOFError, OSError):
-                raise self._died(index) from None
-            if not job_process.process.is_alive() and not conn.poll(0.2):
-                raise self._died(index)
-        if status == "ok":
-            return payload
-        raise rebuild_failure(str(error_type), str(payload))
+        return self._job_processes[index].run(
+            Point(job.id, job.runner, dict(job.params)),
+            cancelled=lambda: job.cancel_requested,
+        )
 
     # ------------------------------------------------------------------
     # Telemetry.

@@ -1,9 +1,19 @@
-"""Executor-backend tests: serial/process equivalence.
+"""Executor-backend tests: serial/process equivalence, job processes.
 
 The contract under test: whatever order a backend dispatches the
 points in, the result map is identical to the serial reference — same
-keys, same input order, same outcome values.
+keys, same input order, same outcome values.  The ``process`` backend's
+job processes must also survive a kill, die with their parent, stop
+with the sweep and enforce timeouts by hard kill.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +25,38 @@ from repro.dist.backend import (
     backend_names,
     create_backend,
 )
-from repro.experiments.engine import ParallelEngine, Point
+from repro.experiments.engine import ParallelEngine, Point, run_figure
 
 BACKENDS = ("serial", "process")
+SRC = Path(__file__).resolve().parents[1] / "src"
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+
+
+def _state_and_ppid(pid):
+    """``(state, ppid)`` of a process from /proc (None once it is gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]  # comm may hold ")"
+    return state, int(ppid)
+
+
+def _children(pid):
+    """Live (not zombie) child pids of ``pid``."""
+    found = set()
+    for entry in Path("/proc").glob("[0-9]*"):
+        info = _state_and_ppid(entry.name)
+        if info is not None and info[0] != "Z" and info[1] == pid:
+            found.add(int(entry.name))
+    return found
+
+
+def _alive(pid):
+    info = _state_and_ppid(pid)
+    return info is not None and info[0] != "Z"
 
 
 def _sleep_points(durations, fail_at=()):
@@ -108,3 +147,139 @@ def test_property_stealing_order_never_changes_results(durations):
     fanned, _ = _run("process", points, workers=3)
     assert fanned == reference
     assert list(fanned) == [p.key for p in points]
+
+
+def test_a_sweep_worker_keeps_its_memo(tmp_path):
+    # One artifact cache for the worker's life: later points read what
+    # earlier ones built from memory, exactly as the serial engine does.
+    events = {}
+    for name in BACKENDS:
+        engine = ParallelEngine(
+            jobs=1, backend=name, cache_dir=tmp_path / name
+        )
+        run_figure("figure8", 0.05, engine)
+        events[name] = engine.cache_events
+    assert events["process"] == events["serial"]
+    assert events["process"]["memory_hits"] > 0
+    assert events["process"]["disk_hits"] == 0
+
+
+def test_a_timed_out_point_is_killed_and_retried():
+    points = [
+        Point("slow", "sleep", {"duration": 5.0}),
+        Point("next", "sleep", {"duration": 0.01}),
+    ]
+    engine = ParallelEngine(
+        jobs=1, backend="process", timeout=0.3, retries=1, backoff=0.0
+    )
+    started = time.monotonic()
+    results = engine.run(points)
+    assert time.monotonic() - started < 2.5
+    slow = results["slow"]
+    assert (slow.ok, slow.error_type, slow.attempts) == (
+        False, "SimulationTimeout", 2
+    )
+    assert results["next"].ok and results["next"].attempts == 1
+    assert results["next"].value == {"slept": 0.01, "tag": None}
+
+
+@needs_proc
+def test_a_killed_job_process_costs_its_point_one_retry():
+    points = _sleep_points([0.6] * 4)
+    reference, _ = _run("serial", points, workers=1)
+    before = _children(os.getpid())
+    killed = []
+
+    def kill_one_job_process():
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            forked = _children(os.getpid()) - before
+            if forked:
+                time.sleep(0.2)  # mid-point
+                killed.append(min(forked))
+                os.kill(killed[0], signal.SIGKILL)
+                return
+            time.sleep(0.01)
+
+    killer = threading.Thread(target=kill_one_job_process)
+    killer.start()
+    engine = ParallelEngine(jobs=2, backend="process", backoff=0.0)
+    results = engine.run(points)
+    killer.join(timeout=15.0)
+    assert not killer.is_alive() and killed
+    assert {k: (o.ok, o.value) for k, o in results.items()} == reference
+    assert sorted(o.attempts for o in results.values()) == [1, 1, 1, 2]
+
+
+@needs_proc
+def test_job_processes_exit_once_the_sweep_parent_is_killed():
+    # One job process sits idle while its point waits out a long retry
+    # backoff; the other is 3 s into a point when the parent dies.
+    busy = 3.0
+    script = (
+        "from repro.experiments.engine import ParallelEngine, Point\n"
+        "points = [Point('idle', 'sleep', {'fail': 'transient'}),\n"
+        f"          Point('busy', 'sleep', {{'duration': {busy}}})]\n"
+        "ParallelEngine(jobs=2, backend='process', backoff=60).run(points)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(_children(parent.pid)) < 2:
+            assert time.monotonic() < deadline, "no job processes forked"
+            time.sleep(0.02)
+        job_processes = _children(parent.pid)
+        time.sleep(0.3)  # mid-point
+    finally:
+        parent.kill()
+        parent.wait()
+    killed_at = time.monotonic()
+    while sum(_alive(pid) for pid in job_processes) > 1:
+        assert time.monotonic() - killed_at < 2.0, (
+            "an idle job process outlived its parent"
+        )
+        time.sleep(0.05)
+    while any(_alive(pid) for pid in job_processes):
+        assert time.monotonic() - killed_at < busy + 2.0, (
+            "a busy job process outlived its point"
+        )
+        time.sleep(0.05)
+
+
+@needs_proc
+def test_an_exception_from_progress_stops_the_sweep_at_once():
+    class Stop(Exception):
+        pass
+
+    def progress(key, outcome, resumed):
+        raise Stop(key)
+
+    before = _children(os.getpid())
+    engine = ParallelEngine(jobs=2, backend="process")
+    started = time.monotonic()
+    with pytest.raises(Stop):
+        engine.run(_sleep_points([1.0] * 8), progress=progress)
+    assert time.monotonic() - started < 2.0
+    assert _children(os.getpid()) <= before
+
+
+def test_more_workers_than_cores_run_every_point_once():
+    points = _sleep_points([0.0] * 40)
+    reference, _ = _run("serial", points, workers=1)
+    landed = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        engine = ParallelEngine(jobs=4, backend="process", retries=0)
+        results = engine.run(
+            points, progress=lambda key, outcome, resumed: landed.append(key)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(landed) == [p.key for p in points]
+    assert {k: (o.ok, o.value) for k, o in results.items()} == reference
+    assert set(engine._worker_ids.values()) <= {
+        f"process-{index}" for index in range(4)
+    }

@@ -184,8 +184,8 @@ class TestReaders:
     ):
         import multiprocessing
 
+        from repro.dist.backend import _job_main
         from repro.experiments.engine import Point, execute_point
-        from repro.serve.pool import _job_main
 
         params = {
             "name": "vortex",
@@ -204,14 +204,15 @@ class TestReaders:
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         child = ctx.Process(
-            target=_job_main, args=(child_conn, parent_conn, os.getpid())
+            target=_job_main,
+            args=(child_conn, parent_conn, os.getpid(), str(tmp_path), True),
         )
         child.start()
         child_conn.close()
         try:
-            parent_conn.send(("job-1", "simulate", params, str(tmp_path)))
+            parent_conn.send(Point("job-1", "simulate", params))
             assert parent_conn.poll(60)
-            status, payload, error_type = parent_conn.recv()
+            status, payload, error_type, _ = parent_conn.recv()
         finally:
             parent_conn.close()
             child.join(10)

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.dist import backend as backend_module
+from repro.experiments.engine import Point
 from repro.serve import pool as pool_module
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServeDaemon
@@ -364,6 +366,25 @@ class TestJobProcesses:
         finally:
             daemon.stop()
 
+    def test_a_killed_job_process_is_replaced_and_its_job_retried(
+        self, tmp_path
+    ):
+        daemon, client = start_daemon(tmp_path, workers=1)
+        try:
+            _, body = client.submit("sleep", {"duration": 1.0})
+            assert wait_state(client, body["id"], "running")
+            deadline = time.monotonic() + 5.0
+            while not daemon.pool.job_processes():
+                assert time.monotonic() < deadline, "no job process forked"
+                time.sleep(0.01)
+            [process] = daemon.pool.job_processes()
+            os.kill(process.pid, signal.SIGKILL)
+            final = client.wait(body["id"], timeout=10.0)
+            assert (final["state"], final["attempts"]) == ("done", 2)
+            assert "repro_serve_worker_starts_total 2" in client.metrics()
+        finally:
+            daemon.stop()
+
     def test_attempts_in_one_job_process_match_fresh_processes(
         self, tmp_path
     ):
@@ -425,6 +446,7 @@ class TestJobProcesses:
     def test_an_attempt_leaves_no_memo_or_cache_behind(self, tmp_path):
         # An attempt memoizes only in its own cache, which is gone once
         # it returns: the job process's active cache gains no entry.
+        from repro.cache import ArtifactCache
         from repro.experiments import framework
 
         params = {"name": "compress", "policy": "profile", "scale": 0.05,
@@ -432,8 +454,8 @@ class TestJobProcesses:
         active = framework.get_cache()
         entries, stats = len(active._memory), active.stats.to_dict()
         for cache_dir in (str(tmp_path / "cache"), None):
-            status, payload, error_type = pool_module._run_attempt(
-                "job-1", "simulate", params, cache_dir
+            status, payload, error_type, _ = backend_module._run_attempt(
+                Point("job-1", "simulate", params), ArtifactCache(cache_dir)
             )
             assert (status, error_type) == ("ok", None), payload
             assert framework.get_cache() is active
@@ -462,12 +484,14 @@ class TestJobProcesses:
     ):
         started = []
 
-        class Recorded(pool_module._JobProcess):
-            def __init__(self):
-                super().__init__()
-                started.append(self.process)
+        class Recorded(backend_module.JobProcess):
+            def _start(self):
+                process, conn = super()._start()
+                if process not in started:
+                    started.append(process)
+                return process, conn
 
-        monkeypatch.setattr(pool_module, "_JobProcess", Recorded)
+        monkeypatch.setattr(pool_module, "JobProcess", Recorded)
         daemon, client = start_daemon(tmp_path, workers=4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
