@@ -496,6 +496,7 @@ def cmd_analyze_deps(args) -> int:
 def cmd_sanitize(args) -> int:
     from repro.analysis.dependence import DependenceAnalysis
     from repro.analysis.sanitizer import sanitize_run
+    from repro.experiments.framework import policy_builder
     from repro.faults import FaultInjector, FaultPlan, LiveinCorruptionFault
 
     workloads = list(args.workloads or workload_names())
@@ -516,10 +517,7 @@ def cmd_sanitize(args) -> int:
         trace = load_trace(name, scale)
         analysis = DependenceAnalysis(trace.program)
         for policy in ("profile", "heuristics"):
-            if policy == "heuristics":
-                pairs = heuristic_pairs(trace, HeuristicConfig())
-            else:
-                pairs = select_profile_pairs(trace, ProfilePolicyConfig())
+            pairs = policy_builder(policy)(trace)
             legs = [(vp, None) for vp in predictors]
             legs.append(("stride", FaultInjector(corrupt_plan)))
             for vp, injector in legs:

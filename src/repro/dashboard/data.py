@@ -252,20 +252,12 @@ class DashboardData:
                 registry = events_metrics(events, **_event_labels(meta))
         else:
             from repro.cmt import ProcessorConfig, simulate
+            from repro.experiments.framework import policy_builder
             from repro.obs.events import EventTracer
-            from repro.spawning import (
-                HeuristicConfig,
-                ProfilePolicyConfig,
-                heuristic_pairs,
-                select_profile_pairs,
-            )
             from repro.workloads import load_trace
 
             run = load_trace(workload, scale, max_steps=max_steps)
-            if policy == "heuristics":
-                pairs = heuristic_pairs(run, HeuristicConfig())
-            else:
-                pairs = select_profile_pairs(run, ProfilePolicyConfig())
+            pairs = policy_builder(policy)(run)
             tracer = EventTracer()
             config = ProcessorConfig(
                 num_thread_units=thread_units,

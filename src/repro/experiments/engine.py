@@ -139,15 +139,18 @@ POINT_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 #: the ``point`` kind (sweeps and serve jobs share these artifacts).
 CACHED_RUNNERS = ("simulate", "campaign")
 
+#: ``simulate`` inputs named at their defaults: keyed as if left out.
+_DEFAULT_INPUTS = (("dataset", "train"), ("profile_dataset", "train"))
+
 
 def point_key_fields(runner: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Return the ``point`` artifact-cache key fields of a runner call.
 
-    Every param keys the artifact except a campaign's ``crash_key``: it
+    Every param keys the artifact except a campaign's ``crash_key`` (it
     only makes the first attempt crash, and the retry returns the payload
-    the point has without it.  Sweeps (:func:`execute_point`) and the
-    serve daemon's cache probe both key through here, so they share
-    artifacts.
+    the point has without it) and a ``simulate`` input named at its
+    ``train`` default.  Sweeps (:func:`execute_point`) and the serve
+    daemon's cache probe both key through here, so they share artifacts.
 
     Args:
         runner: Name of a runner in :data:`CACHED_RUNNERS`.
@@ -156,7 +159,10 @@ def point_key_fields(runner: str, params: Dict[str, Any]) -> Dict[str, Any]:
     Returns:
         The key fields: ``runner`` plus the params that shape the payload.
     """
-    fields = {k: v for k, v in params.items() if k != "crash_key"}
+    fields = {
+        k: v for k, v in params.items()
+        if k != "crash_key" and (k, v) not in _DEFAULT_INPUTS
+    }
     return {"runner": runner, **fields}
 
 
@@ -434,10 +440,11 @@ def _point_provenance(point: Point):
 # ----------------------------------------------------------------------
 
 
-def _overrides_tag(overrides: Dict[str, Any]) -> str:
-    if not overrides:
-        return "base"
-    return ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
+def _point_key(figure: str, params: Dict[str, Any]) -> str:
+    """``figure|workload|policy|overrides``, then any non-default inputs."""
+    tag = ",".join(f"{k}={v}" for k, v in sorted(params["overrides"].items()))
+    inputs = [f"{k}={params[k]}" for k in ("dataset", "profile_dataset") if k in params]
+    return "|".join([figure, params["name"], params["policy"], tag or "base", *inputs])
 
 
 def run_points(figure: str, label: str, scale: float = 1.0) -> List[Point]:
@@ -448,16 +455,9 @@ def run_points(figure: str, label: str, scale: float = 1.0) -> List[Point]:
     """
     points = []
     for name in framework.suite(scale):
-        policy, overrides = figures_mod.run_spec(figure, label, name)
+        params = figures_mod.run_params(figure, label, name, scale)
         points.append(Point(
-            key=f"{figure}|{name}|{policy}|{_overrides_tag(overrides)}",
-            runner="simulate",
-            params={
-                "name": name,
-                "policy": policy,
-                "scale": scale,
-                "overrides": overrides,
-            },
+            key=_point_key(figure, params), runner="simulate", params=params
         ))
     return points
 
@@ -466,13 +466,13 @@ def figure_points(figure: str, scale: float = 1.0) -> List[Point]:
     """Pickle-safe point specs covering one figure's declared runs.
 
     Args:
-        figure: Figure driver name (``figure3`` ... ``figure12``).
+        figure: Figure driver name (any of ``figures.ALL_FIGURES``).
         scale: Workload size multiplier.
 
     Returns:
         The :func:`run_points` of every run in ``figures.RUNS[figure]``,
-        run by run; empty for drivers that declare no runs
-        (``figure2`` and the extensions simulate in-process).
+        run by run; empty for ``figure2``, which counts pairs and
+        simulates nothing.
     """
     if figure not in figures_mod.ALL_FIGURES:
         raise KeyError(

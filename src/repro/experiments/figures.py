@@ -6,13 +6,15 @@ groups of the original figure.  Paper-quoted aggregates are attached as
 ``paper_reference`` so EXPERIMENTS.md can show paper-vs-measured side by
 side.
 
-The simulation runs of Figures 3-12 are declared once, in :data:`RUNS`.
-The parallel engine expands that table into sweep points
+The simulation runs of every driver but Figure 2 (which counts pairs
+and simulates nothing) are declared once, in :data:`RUNS`.  The parallel
+engine expands that table into sweep points
 (:func:`~repro.experiments.engine.figure_points`) and records their
 payloads with :func:`seed_run`; the drivers read the same points back
 through the active artifact cache, one
 :func:`~repro.experiments.framework.simulate_point` payload per run and
-workload, and simulate only a payload the cache does not hold.
+workload, and simulate only a payload the cache does not hold.  So this
+module imports no simulator or pair-selection function.
 
 All functions take ``scale`` (workload size multiplier) so the benchmark
 harness can run reduced sweeps.
@@ -26,7 +28,6 @@ from repro.experiments import framework
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
     FigureResult,
-    baseline_cycles,
     pair_set_for,
     suite,
 )
@@ -38,6 +39,9 @@ from repro.metrics import (
 
 #: Config overrides of a run: a dict, or a function of the workload name.
 Overrides = Union[Dict[str, Any], Callable[[str], Dict[str, Any]]]
+
+#: A run: spawning policy, config overrides and, optionally, inputs.
+Run = Union[Tuple[str, Overrides], Tuple[str, Overrides, Dict[str, str]]]
 
 
 def _removal(name: str, cycles: int = 50) -> int:
@@ -51,10 +55,12 @@ def _with_removal(**overrides: Any) -> Callable[[str], Dict[str, Any]]:
     return lambda name: {"removal_cycles": _removal(name), **overrides}
 
 
-#: Grid figure -> run label -> (spawning policy, config overrides).  A
-#: label is the figure's series name, except in Figures 8 and 11, whose
-#: series are ratios of two runs.  Every run covers the whole suite.
-RUNS: Dict[str, Dict[str, Tuple[str, Overrides]]] = {
+#: Driver -> run label -> (spawning policy, config overrides[, inputs]).
+#: ``inputs`` names ``simulate_point``'s ``dataset``/``profile_dataset``
+#: where they are not ``train``, so a point at the default inputs names
+#: none.  A label is the figure's series name, except in Figures 8 and
+#: 11, whose series are ratios of two runs.  Every run covers the suite.
+RUNS: Dict[str, Dict[str, Run]] = {
     "figure3": {"speedup": ("profile", {})},
     "figure4": {"active_threads": ("profile", {})},
     "figure5a": {
@@ -119,46 +125,59 @@ RUNS: Dict[str, Dict[str, Tuple[str, Overrides]]] = {
         )
         for policy in ("profile", "heuristics")
     },
+    # Each traditional scheme alone against their combination, the
+    # Figure 8 baseline (whose points ``combined`` shares).
+    "heuristic_breakdown": {
+        "loop_iter": ("loop-iterations", {}),
+        "loop_cont": ("loop-continuations", {}),
+        "sub_cont": ("subroutine-continuations", {}),
+        "combined": ("heuristics", {}),
+    },
+    # Simulating the ref input on pairs profiled on ref itself, and on
+    # the train pairs of Figure 3.
+    "profile_input_sensitivity": {
+        "self_profiled": (
+            "profile", {}, {"dataset": "ref", "profile_dataset": "ref"}
+        ),
+        "cross_profiled": ("profile", {}, {"dataset": "ref"}),
+    },
 }
 
 
-def run_spec(figure: str, label: str, name: str) -> Tuple[str, Dict[str, Any]]:
-    """Return the (policy, config overrides) of run ``label`` of
+def run_params(figure: str, label: str, name: str, scale: float) -> Dict[str, Any]:
+    """Return the ``simulate`` point params of run ``label`` of
     ``figure`` on workload ``name``.
 
     An override equal to :data:`EXPERIMENT_CONFIG`'s value is left out,
     so runs that spell one configuration differently share one point.
     """
-    policy, overrides = RUNS[figure][label]
+    policy, overrides, *inputs = RUNS[figure][label]
     if callable(overrides):
         overrides = overrides(name)
-    return policy, {
+    overrides = {
         knob: value
         for knob, value in overrides.items()
         if getattr(EXPERIMENT_CONFIG, knob) != value
     }
+    return dict(
+        name=name, policy=policy, scale=scale, overrides=overrides, **dict(*inputs)
+    )
 
 
-def seed_run(
-    name: str,
-    policy: str,
-    scale: float,
-    overrides: Dict[str, Any],
-    payload: Dict[str, Any],
-) -> None:
+def seed_run(payload: Dict[str, Any], **params: Any) -> None:
     """Record a point payload computed elsewhere (by the parallel engine).
 
-    The arguments are a ``simulate`` point's params plus the payload
-    :func:`~repro.experiments.framework.simulate_point` returned for it.
-    The payload goes into the active cache's memory front under the
-    point's artifact key, where the figure drivers read it; nothing is
-    written to disk.
+    ``params`` are a ``simulate`` point's params, as the point carries
+    them, and ``payload`` is what
+    :func:`~repro.experiments.framework.simulate_point` returned for
+    them.  The payload goes into the active cache's memory front under
+    the point's artifact key, where the figure drivers read it; nothing
+    is written to disk.
     """
     from repro.experiments.engine import point_key_fields
 
     cache = framework.get_cache()
-    fields = point_key_fields("simulate", dict(
-        name=name, policy=policy, scale=scale, overrides=overrides))
+    fields = point_key_fields("simulate", params)
     cache.remember("point", cache.key("point", **fields), payload)
 
 
@@ -592,32 +611,7 @@ def heuristic_breakdown(scale: float = 1.0) -> FigureResult:
     Returns:
         The comparison as a :class:`FigureResult`.
     """
-    from repro.cmt import simulate
-    from repro.spawning import HeuristicConfig, heuristic_pairs
-
-    variants = {
-        "loop_iter": HeuristicConfig(
-            include_loop_continuations=False,
-            include_subroutine_continuations=False,
-        ),
-        "loop_cont": HeuristicConfig(
-            include_loop_iterations=False,
-            include_subroutine_continuations=False,
-        ),
-        "sub_cont": HeuristicConfig(
-            include_loop_iterations=False,
-            include_loop_continuations=False,
-        ),
-        "combined": HeuristicConfig(),
-    }
-    config = EXPERIMENT_CONFIG
-    series: Dict[str, List[float]] = {name: [] for name in variants}
-    for bench in suite():
-        trace = framework.trace_for(bench, scale)
-        base = baseline_cycles(bench, config, scale)
-        for name, hconfig in variants.items():
-            stats = simulate(trace, heuristic_pairs(trace, hconfig), config)
-            series[name].append(base / stats.cycles)
+    series = _series("heuristic_breakdown", "speedup", scale)
     return FigureResult(
         figure="Extension",
         title="Individual heuristic schemes vs their combination ([15])",
@@ -645,24 +639,7 @@ def profile_input_sensitivity(scale: float = 1.0) -> FigureResult:
     Returns:
         The sensitivity comparison as a :class:`FigureResult`.
     """
-    from repro.cmt import simulate, single_thread_cycles
-    from repro.spawning import select_profile_pairs
-
-    config = EXPERIMENT_CONFIG
-    profile = framework.EXPERIMENT_PROFILE_CONFIG
-    series: Dict[str, List[float]] = {"self_profiled": [], "cross_profiled": []}
-    for bench in suite():
-        ref_trace = framework.trace_for(bench, scale, "ref")
-        train_trace = framework.trace_for(bench, scale)
-        base = single_thread_cycles(ref_trace, config)
-        self_pairs = select_profile_pairs(ref_trace, profile)
-        cross_pairs = select_profile_pairs(train_trace, profile)
-        series["self_profiled"].append(
-            base / simulate(ref_trace, self_pairs, config).cycles
-        )
-        series["cross_profiled"].append(
-            base / simulate(ref_trace, cross_pairs, config).cycles
-        )
+    series = _series("profile_input_sensitivity", "speedup", scale)
     transfer = [
         c / s
         for s, c in zip(series["self_profiled"], series["cross_profiled"])

@@ -10,9 +10,10 @@ not repeat work:
   value-predictor training sequence of that pair set;
 - ``baseline_cycles(name, config, scale)`` — the single-threaded run.
 
-``simulate_point`` combines them into the payload of one figure point;
-it is the parallel engine's ``simulate`` runner and what a figure driver
-calls for a point the engine did not run.
+Each also takes the input it reads (one of :data:`DATASETS`, ``train``
+by default).  ``simulate_point`` combines them into the payload of one
+figure point; it is the parallel engine's ``simulate`` runner and what a
+figure driver calls for a point the engine did not run.
 
 Experiment-wide defaults live here too.  Two deliberate deviations from
 the paper's raw parameters (documented in DESIGN.md/EXPERIMENTS.md):
@@ -28,7 +29,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.cache import ArtifactCache
@@ -53,34 +54,50 @@ EXPERIMENT_PROFILE_CONFIG = ProfilePolicyConfig(
     coverage=0.99, max_distance=4096
 )
 
-#: Policy name -> pair-set builder.
+#: Workload inputs: the paper's ``train``, and ``ref`` (same program, new data).
+DATASETS = ("train", "ref")
+
+
+def _profile(ordering: str) -> Callable[[Trace], SpawnPairSet]:
+    """Builder of the profile policy under one CQIP-ordering criterion."""
+    config = replace(EXPERIMENT_PROFILE_CONFIG, ordering=ordering)
+    return lambda trace: select_profile_pairs(trace, config)
+
+
+def _scheme(include: str) -> Callable[[Trace], SpawnPairSet]:
+    """Builder of one traditional heuristic scheme alone."""
+    schemes = ("loop_iterations", "loop_continuations", "subroutine_continuations")
+    config = HeuristicConfig(**{f"include_{k}": k == include for k in schemes})
+    return lambda trace: heuristic_pairs(trace, config)
+
+
+#: Policy name -> pair-set builder.  ``heuristics`` combines the three
+#: traditional schemes (the Figure 8 baseline); each scheme alone is a
+#: policy too, for the comparison of [15].
 _POLICIES: Dict[str, Callable[[Trace], SpawnPairSet]] = {
-    "profile": lambda trace: select_profile_pairs(
-        trace, EXPERIMENT_PROFILE_CONFIG
-    ),
-    "profile-independent": lambda trace: select_profile_pairs(
-        trace,
-        ProfilePolicyConfig(
-            coverage=EXPERIMENT_PROFILE_CONFIG.coverage,
-            max_distance=EXPERIMENT_PROFILE_CONFIG.max_distance,
-            ordering="independent",
-        ),
-    ),
-    "profile-predictable": lambda trace: select_profile_pairs(
-        trace,
-        ProfilePolicyConfig(
-            coverage=EXPERIMENT_PROFILE_CONFIG.coverage,
-            max_distance=EXPERIMENT_PROFILE_CONFIG.max_distance,
-            ordering="predictable",
-        ),
-    ),
+    "profile": _profile("distance"),
+    "profile-independent": _profile("independent"),
+    "profile-predictable": _profile("predictable"),
     "heuristics": lambda trace: heuristic_pairs(trace, HeuristicConfig()),
+    "loop-iterations": _scheme("loop_iterations"),
+    "loop-continuations": _scheme("loop_continuations"),
+    "subroutine-continuations": _scheme("subroutine_continuations"),
 }
 
 
 def policy_names() -> List[str]:
     """Return the names of the spawning policies the experiments sweep."""
     return list(_POLICIES)
+
+
+def policy_builder(policy: str) -> Callable[[Trace], SpawnPairSet]:
+    """Return ``policy``'s uncached pair-set builder (KeyError if unknown)."""
+    try:
+        return _POLICIES[policy]
+    except KeyError:
+        raise KeyError(
+            f"unknown policy {policy!r}; choose from {policy_names()}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +152,7 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
     Args:
         name: Workload name (see :func:`repro.workloads.workload_names`).
         scale: Workload size multiplier.
-        dataset: Input dataset variant (``train``/``ref``).
+        dataset: Input dataset variant (one of :data:`DATASETS`).
 
     Returns:
         The cached (or freshly executed) :class:`~repro.exec.trace.Trace`;
@@ -162,7 +179,7 @@ def _pair_key_fields(name: str, policy: str, scale: float) -> Dict[str, Any]:
 
 
 def pair_set_for(
-    name: str, policy: str = "profile", scale: float = 1.0
+    name: str, policy: str = "profile", scale: float = 1.0, dataset: str = "train"
 ) -> SpawnPairSet:
     """A workload's spawning pairs under a policy, via the active cache.
 
@@ -170,20 +187,17 @@ def pair_set_for(
         name: Workload name.
         policy: One of :func:`policy_names`.
         scale: Workload size multiplier.
+        dataset: The input whose trace the pairs are selected on.
 
     Returns:
         The policy's :class:`~repro.spawning.SpawnPairSet`.
     """
-    try:
-        builder = _POLICIES[policy]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {policy!r}; choose from {policy_names()}"
-        ) from None
+    builder = policy_builder(policy)
     return _active_cache.get_or_create(
         "pairs",
-        lambda: builder(trace_for(name, scale)),
+        lambda: builder(trace_for(name, scale, dataset)),
         **_pair_key_fields(name, policy, scale),
+        dataset=dataset,
     )
 
 
@@ -192,14 +206,17 @@ def priming_sequence_for(
     policy: str = "profile",
     scale: float = 1.0,
     config: Optional[ProcessorConfig] = None,
+    dataset: str = "train",
+    profile_dataset: str = "train",
 ) -> List[tuple]:
     """The value-predictor training sequence of a policy's pair set.
 
     Priming presets the predictor tables from the profiling run, so the
     sequence is profile output: the active cache stores it as a
     ``prime`` artifact, derived on first use and read by every later
-    run and worker.  It depends only on the pair set and the priming
-    parameters, so last, stride and fcm runs share one artifact.
+    run and worker.  It depends only on the trace, the pair set and the
+    priming parameters, so last, stride and fcm runs share one artifact.
+    Like the legacy oracle, it samples the simulated input's trace.
 
     Args:
         name: Workload name.
@@ -207,6 +224,8 @@ def priming_sequence_for(
         scale: Workload size multiplier.
         config: Processor configuration whose ``prime_samples`` and
             ``livein_scan_cap`` apply (None = experiment default).
+        dataset: The simulated input.
+        profile_dataset: The input the pairs are selected on.
 
     Returns:
         The :func:`~repro.cmt.processor.priming_sequence` entries (the
@@ -216,16 +235,20 @@ def priming_sequence_for(
     return _active_cache.get_or_create(
         "prime",
         lambda: priming_sequence(
-            trace_for(name, scale), pair_set_for(name, policy, scale), config
+            trace_for(name, scale, dataset),
+            pair_set_for(name, policy, scale, profile_dataset), config
         ),
         **_pair_key_fields(name, policy, scale),
+        dataset=dataset,
+        profile_dataset=profile_dataset,
         prime_samples=config.prime_samples,
         livein_scan_cap=config.livein_scan_cap,
     )
 
 
 def baseline_cycles(
-    name: str, config: Optional[ProcessorConfig] = None, scale: float = 1.0
+    name: str, config: Optional[ProcessorConfig] = None, scale: float = 1.0,
+    dataset: str = "train",
 ) -> int:
     """Single-threaded cycles for a workload, via the active cache.
 
@@ -235,6 +258,7 @@ def baseline_cycles(
             reduction keys the artifact, so configurations differing
             only in multi-thread policy knobs share one baseline run.
         scale: Workload size multiplier.
+        dataset: The simulated input.
 
     Returns:
         Cycle count of the one-thread-unit execution.
@@ -242,9 +266,12 @@ def baseline_cycles(
     single = (config or EXPERIMENT_CONFIG).single_threaded()
     return _active_cache.get_or_create(
         "baseline",
-        lambda: simulate(trace_for(name, scale), SpawnPairSet([]), single).cycles,
+        lambda: simulate(
+            trace_for(name, scale, dataset), SpawnPairSet([]), single
+        ).cycles,
         workload=name,
         scale=scale,
+        dataset=dataset,
         config=asdict(single),
     )
 
@@ -254,6 +281,8 @@ def run_policy(
     policy: str = "profile",
     config: Optional[ProcessorConfig] = None,
     scale: float = 1.0,
+    dataset: str = "train",
+    profile_dataset: str = "train",
 ) -> SimulationStats:
     """Simulate one workload under a policy and configuration.
 
@@ -266,21 +295,30 @@ def run_policy(
         policy: One of :func:`policy_names`.
         config: Processor configuration (None = experiment default).
         scale: Workload size multiplier.
+        dataset: The simulated input.
+        profile_dataset: The input the pairs are selected on.
 
     Returns:
         The run's :class:`~repro.cmt.stats.SimulationStats`.
     """
     config = config or EXPERIMENT_CONFIG
-    trace = trace_for(name, scale)
-    pairs = pair_set_for(name, policy, scale)
+    trace = trace_for(name, scale, dataset)
+    pairs = pair_set_for(name, policy, scale, profile_dataset)
     training = None
     if config.primes_predictor and config.sim_core == "event":
-        training = priming_sequence_for(name, policy, scale, config)
+        training = priming_sequence_for(
+            name, policy, scale, config, dataset, profile_dataset
+        )
     return simulate(trace, pairs, config, training=training)
 
 
 def simulate_point(
-    name: str, policy: str, scale: float, overrides: Dict[str, Any]
+    name: str,
+    policy: str,
+    scale: float,
+    overrides: Dict[str, Any],
+    dataset: str = "train",
+    profile_dataset: str = "train",
 ) -> Dict[str, Any]:
     """Simulate one (workload, policy, configuration) figure point.
 
@@ -290,6 +328,9 @@ def simulate_point(
         scale: Workload size multiplier.
         overrides: :class:`~repro.cmt.ProcessorConfig` fields that differ
             from :data:`EXPERIMENT_CONFIG`.
+        dataset: The simulated input (one of :data:`DATASETS`); the
+            baseline runs on it too.
+        profile_dataset: The input the pairs are selected on.
 
     Returns:
         The JSON-able point payload: ``cycles``, ``baseline`` (the
@@ -297,8 +338,8 @@ def simulate_point(
         ``avg_thread_size`` and ``value_hit_rate``.
     """
     config = EXPERIMENT_CONFIG.with_(**overrides)
-    stats = run_policy(name, policy, config, scale)
-    baseline = baseline_cycles(name, config, scale)
+    stats = run_policy(name, policy, config, scale, dataset, profile_dataset)
+    baseline = baseline_cycles(name, config, scale, dataset)
     return {
         "cycles": stats.cycles,
         "baseline": baseline,

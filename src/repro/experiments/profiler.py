@@ -238,7 +238,7 @@ def profile_run(
     trace = load_trace(workload, scale)
     report.phases["trace_build"] = round(time.perf_counter() - start, 4)
 
-    builder = framework._POLICIES[policy]
+    builder = framework.policy_builder(policy)
     start = time.perf_counter()
     pairs = builder(trace)
     report.phases["pair_selection"] = round(time.perf_counter() - start, 4)

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Any, Dict, Optional
 
 from repro.experiments.engine import POINT_RUNNERS
-from repro.experiments.framework import EXPERIMENT_CONFIG, policy_names
+from repro.experiments.framework import DATASETS, EXPERIMENT_CONFIG, policy_names
 from repro.obs.manifest import config_digest
 from repro.workloads import workload_names
 
@@ -168,10 +168,11 @@ def check_params(runner: str, params: Dict[str, Any]) -> None:
 
     The params must bind to the runner's signature.  A ``simulate``
     job must also name a known workload and policy, give a real-number
-    ``scale``, and carry ``overrides`` that build a valid processor
-    configuration.  Checked at submit time: the worker-side failure
-    would be a ``KeyError``/``TypeError``/``ValueError``, which retries
-    as transient.
+    ``scale``, carry ``overrides`` that build a valid processor
+    configuration, and name inputs in
+    :data:`~repro.experiments.framework.DATASETS`.  Checked at submit
+    time: the worker-side failure would be a ``KeyError``/``TypeError``/
+    ``ValueError``, which retries as transient.
 
     Args:
         runner: Registered runner name.
@@ -189,7 +190,8 @@ def check_params(runner: str, params: Dict[str, Any]) -> None:
 
 
 def _check_simulate(
-    name: Any, policy: Any, scale: Any, overrides: Any
+    name: Any, policy: Any, scale: Any, overrides: Any,
+    dataset: Any = "train", profile_dataset: Any = "train",
 ) -> None:
     """Raise ``ValueError`` unless a ``simulate`` job's params can run."""
     if name not in workload_names():
@@ -198,4 +200,7 @@ def _check_simulate(
         raise ValueError(f"unknown policy {policy!r}")
     if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
         raise ValueError(f"scale must be a number, not {scale!r}")
+    for value in (dataset, profile_dataset):
+        if value not in DATASETS:
+            raise ValueError(f"unknown input {value!r}; choose from {DATASETS}")
     EXPERIMENT_CONFIG.with_(**overrides)

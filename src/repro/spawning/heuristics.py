@@ -40,10 +40,6 @@ class HeuristicConfig:
     #: The heuristics only propose constructs observed in the trace, so
     #: this is normally a no-op safety net.
     static_validate: bool = True
-    #: Re-rank the surviving pairs by static squash risk
-    #: (``repro.analysis.dependence``); off by default and bit-identical
-    #: to previous releases when off.
-    dep_rank: bool = False
 
 
 #: Preference among schemes when one spawning point matches several
@@ -228,8 +224,4 @@ def heuristic_pairs(
         from repro.analysis.validator import filter_statically_valid
 
         result = filter_statically_valid(trace.program, result)
-    if config.dep_rank:
-        from repro.analysis.dependence import rank_pairs
-
-        result = rank_pairs(trace.program, result)
     return result

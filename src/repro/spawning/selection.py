@@ -59,11 +59,6 @@ class ProfilePolicyConfig:
     #: pairs come from observed executions so this is normally a no-op; it
     #: guards against corrupted pair tables and profiling bugs.
     static_validate: bool = True
-    #: Re-rank the selected pairs by static squash risk
-    #: (``repro.analysis.dependence``): each pair's score is divided by
-    #: ``1 + risk_score`` so memory-dependent pairs sink.  Off by default —
-    #: with it off the selection is bit-identical to previous releases.
-    dep_rank: bool = False
 
 
 def select_profile_pairs(
@@ -141,10 +136,6 @@ def select_profile_pairs(
         from repro.analysis.validator import filter_statically_valid
 
         result = filter_statically_valid(trace.program, result)
-    if config.dep_rank:
-        from repro.analysis.dependence import rank_pairs
-
-        result = rank_pairs(trace.program, result)
     return result
 
 

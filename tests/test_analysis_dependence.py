@@ -205,28 +205,13 @@ def test_generated_loop_dependences_within_may_set(start, count, bump):
 
 
 # ----------------------------------------------------------------------
-# dep_rank wiring: off is bit-identical, on only rescores.
+# Risk ranking: only rescores, never changes membership.
 # ----------------------------------------------------------------------
 
 
-def test_dep_rank_off_is_bit_identical(loop_trace):
+def test_rank_pairs_preserves_membership(loop_trace):
     base = select_profile_pairs(loop_trace, ProfilePolicyConfig())
-    off = select_profile_pairs(
-        loop_trace, ProfilePolicyConfig(dep_rank=False)
-    )
-    assert base.all_pairs() == off.all_pairs()
-    assert base.candidates_evaluated == off.candidates_evaluated
-
-    hbase = heuristic_pairs(loop_trace, HeuristicConfig())
-    hoff = heuristic_pairs(loop_trace, HeuristicConfig(dep_rank=False))
-    assert hbase.all_pairs() == hoff.all_pairs()
-
-
-def test_dep_rank_on_preserves_membership(loop_trace):
-    base = select_profile_pairs(loop_trace, ProfilePolicyConfig())
-    ranked = select_profile_pairs(
-        loop_trace, ProfilePolicyConfig(dep_rank=True)
-    )
+    ranked = rank_pairs(loop_trace.program, base)
     assert {p.key() for p in ranked.all_pairs()} == {
         p.key() for p in base.all_pairs()
     }

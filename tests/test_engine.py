@@ -8,6 +8,7 @@ from repro.experiments.engine import (
     Point,
     execute_point,
     figure_points,
+    point_key_fields,
     run_figure,
 )
 
@@ -82,16 +83,18 @@ class TestEquivalence:
             assert serial_results[key].value == parallel_results[key].value
 
     def test_run_figure_parallel_equals_serial(self, tmp_path):
-        serial = run_figure(
-            "figure3", SCALE, ParallelEngine(jobs=1, cache_dir=tmp_path / "s")
-        )
-        framework.clear_memos()
-        parallel = run_figure(
-            "figure3", SCALE, ParallelEngine(jobs=2, cache_dir=tmp_path / "p")
-        )
-        assert serial.series == parallel.series
-        assert serial.summary == parallel.summary
-        assert serial.render() == parallel.render()
+        for figure in ("figure3", "profile_input_sensitivity"):
+            framework.clear_memos()
+            serial = run_figure(figure, SCALE, ParallelEngine(
+                jobs=1, cache_dir=tmp_path / f"s-{figure}"
+            ))
+            framework.clear_memos()
+            parallel = run_figure(figure, SCALE, ParallelEngine(
+                jobs=2, cache_dir=tmp_path / f"p-{figure}"
+            ))
+            assert serial.series == parallel.series, figure
+            assert serial.summary == parallel.summary, figure
+            assert serial.render() == parallel.render(), figure
 
     def test_warm_cache_serves_repeat_sweep(self, tmp_path):
         points = _mini_points()
@@ -178,10 +181,72 @@ class TestCheckpointResume:
         assert again.render() == result.render()
 
 
+EXTENSIONS = ["heuristic_breakdown", "profile_input_sensitivity"]
+
+
 class TestExtensionDrivers:
-    @pytest.mark.parametrize(
-        "driver", ["heuristic_breakdown", "profile_input_sensitivity"]
-    )
+    @pytest.mark.parametrize("driver", EXTENSIONS)
+    def test_a_warm_rerun_simulates_nothing(
+        self, tmp_path, monkeypatch, driver
+    ):
+        from repro import cmt
+        from repro.cmt import processor
+
+        run_figure(driver, 0.05, ParallelEngine(jobs=1, cache_dir=tmp_path))
+        framework.clear_memos()
+        calls = []
+        real_simulate = processor.simulate
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args[0].program.name)
+            return real_simulate(*args, **kwargs)
+
+        # Every attribute a simulation is reached through.
+        for module in (processor, cmt, framework):
+            monkeypatch.setattr(module, "simulate", counting_simulate)
+        seen = []
+        run_figure(
+            driver, 0.05, ParallelEngine(jobs=1, cache_dir=tmp_path),
+            progress=lambda key, outcome, resumed: seen.append(resumed),
+        )
+        assert calls == []
+        assert len(seen) == len(figure_points(driver, 0.05)) and all(seen)
+
+    def test_inputs_key_their_points_and_artifacts(self, tmp_path):
+        points = figure_points("profile_input_sensitivity", 0.05)
+        keys = {p.key.split("|", 3)[3] for p in points}
+        assert keys == {
+            "base|dataset=ref|profile_dataset=ref", "base|dataset=ref",
+        }
+        # A point at the default inputs names none, and naming them
+        # keys the same artifact.
+        for figure in figures.RUNS:
+            if figure != "profile_input_sensitivity":
+                for point in figure_points(figure, 0.05):
+                    assert set(point.params) == {
+                        "name", "policy", "scale", "overrides",
+                    }
+                    assert point.key.count("|") == 3
+        params = figure_points("figure3", 0.05)[0].params
+        named = {**params, "dataset": "train", "profile_dataset": "train"}
+        assert point_key_fields("simulate", named) == point_key_fields(
+            "simulate", params
+        )
+
+        from repro.cache import ArtifactCache
+
+        cache = ArtifactCache(tmp_path)
+        with framework.use_cache(cache):
+            for point in points[:1] + points[8:9]:
+                execute_point(point, cache)
+        # go's self- and cross-profiled points: both simulate ref (one
+        # baseline), on pairs selected on ref and on train.
+        summary = cache.disk_summary()
+        assert {kind: summary[kind].entries for kind in summary} == {
+            "trace": 2, "pairs": 2, "baseline": 1, "point": 2,
+        }
+
+    @pytest.mark.parametrize("driver", EXTENSIONS)
     def test_read_their_traces_from_the_cache(
         self, tmp_path, monkeypatch, driver
     ):

@@ -178,9 +178,10 @@ class TestWorkCounts:
     def test_every_driver_in_one_process(self, work):
         for driver in figures.ALL_FIGURES.values():
             driver(0.05)
-        # 192 configurations plus 32 baselines; train and ref traces of
-        # the 8 workloads; 4 pair-selection policies per workload.
-        assert work == {"simulations": 224, "executions": 16, "selections": 32}
+        # 232 configurations plus 40 baselines (32 train, 8 ref); train
+        # and ref traces of the 8 workloads; 7 pair-selection policies
+        # on train plus the profile policy on ref, per workload.
+        assert work == {"simulations": 272, "executions": 16, "selections": 64}
 
     def test_campaign_without_a_cache_dir(self, work):
         result = run_campaign(CampaignSpec.smoke(), jobs=1)

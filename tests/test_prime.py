@@ -82,6 +82,53 @@ class TestReplayMatchesOracle:
         assert cache.stats.misses == 0
 
 
+class TestCrossProfiled:
+    """A point simulating the ref input on pairs profiled on train."""
+
+    INPUTS = {"dataset": "ref", "profile_dataset": "train"}
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_replay_gives_the_legacy_stats(
+        self, tmp_path, fresh_memos, monkeypatch, name
+    ):
+        # The oracle primes from the simulated trace, so the artifact
+        # must sample the ref trace with the train pairs.
+        config = framework.EXPERIMENT_CONFIG.with_(value_predictor="stride")
+        with framework.use_cache(ArtifactCache(tmp_path)):
+            framework.priming_sequence_for(
+                name, "profile", SCALE, config, **self.INPUTS
+            )
+        framework.clear_memos()
+        cache = ArtifactCache(tmp_path)
+        _forbid_derivation(monkeypatch)
+        with framework.use_cache(cache):
+            event = framework.run_policy(
+                name, "profile", config, SCALE, **self.INPUTS
+            )
+            legacy = framework.run_policy(
+                name, "profile", config.with_(sim_core="legacy"), SCALE,
+                **self.INPUTS,
+            )
+        assert event.to_dict() == legacy.to_dict()
+        assert cache.stats.misses == 0
+
+    def test_both_inputs_key_the_artifact(self, tmp_path, fresh_memos):
+        with framework.use_cache(ArtifactCache(tmp_path)):
+            sequences = {
+                (dataset, profiled): framework.priming_sequence_for(
+                    "perl", "profile", SCALE, None, dataset, profiled
+                )
+                for dataset, profiled in (
+                    ("train", "train"), ("ref", "train"), ("ref", "ref"),
+                )
+            }
+        summary = ArtifactCache(tmp_path).disk_summary()
+        assert summary["prime"].entries == 3
+        assert summary["pairs"].entries == 2
+        assert sequences[("ref", "train")] != sequences[("train", "train")]
+        assert sequences[("ref", "train")] != sequences[("ref", "ref")]
+
+
 class TestArtifact:
     @pytest.mark.parametrize("scale", [0.05, 0.25])
     @pytest.mark.parametrize("name", workload_names())

@@ -100,6 +100,19 @@ def wait_state(client, job_id, state, timeout=5.0):
     return False
 
 
+def wait_job_processes(daemon, timeout=5.0):
+    """The pool's job processes, once there is one.
+
+    A job shows ``running`` as soon as a worker claims it, which is
+    before the worker forks its job process.
+    """
+    deadline = time.monotonic() + timeout
+    while not daemon.pool.job_processes():
+        assert time.monotonic() < deadline, "no job process forked"
+        time.sleep(0.01)
+    return daemon.pool.job_processes()
+
+
 class TestHttpApi:
     def test_submit_status_result_roundtrip(self, tmp_path):
         daemon, client = start_daemon(tmp_path)
@@ -167,6 +180,8 @@ class TestHttpApi:
                 {"policy": "bogus"},
                 {"scale": "big"},
                 {"scale": True},
+                {"dataset": "Ref"},
+                {"profile_dataset": "test"},
             ):
                 status, body = client.submit(
                     "simulate", {**point, **bad, "overrides": {}}
@@ -332,7 +347,7 @@ class TestJobProcesses:
             daemon.install_signal_handlers()
             _, body = client.submit("sleep", {"duration": 30.0})
             assert wait_state(client, body["id"], "running")
-            [process] = daemon.pool.job_processes()
+            [process] = wait_job_processes(daemon)
             started = time.monotonic()
             client.cancel(body["id"])
             assert wait_state(client, body["id"], "cancelled", timeout=5.0)
@@ -373,11 +388,7 @@ class TestJobProcesses:
         try:
             _, body = client.submit("sleep", {"duration": 1.0})
             assert wait_state(client, body["id"], "running")
-            deadline = time.monotonic() + 5.0
-            while not daemon.pool.job_processes():
-                assert time.monotonic() < deadline, "no job process forked"
-                time.sleep(0.01)
-            [process] = daemon.pool.job_processes()
+            [process] = wait_job_processes(daemon)
             os.kill(process.pid, signal.SIGKILL)
             final = client.wait(body["id"], timeout=10.0)
             assert (final["state"], final["attempts"]) == ("done", 2)
@@ -468,7 +479,7 @@ class TestJobProcesses:
         try:
             _, body = client.submit("sleep", {"duration": 30.0})
             assert wait_state(client, body["id"], "running")
-            processes = daemon.pool.job_processes()
+            processes = wait_job_processes(daemon)
             assert len(processes) == 1
         finally:
             daemon.stop()
