@@ -5,8 +5,6 @@ this reproduction had to make (spawn ordering enforcement, CFG coverage,
 spawn/commit costs, branch-predictor organisation).
 """
 
-import pytest
-
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.metrics import harmonic_mean
 from repro.spawning import ProfilePolicyConfig, select_profile_pairs
@@ -15,10 +13,9 @@ from repro.workloads import load_trace
 from conftest import BENCH_SCALE
 
 BENCHES = ("go", "compress", "ijpeg", "vortex")
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 
-def _suite_hmean(config, policy=POLICY):
+def _suite_hmean(config, policy=None):
     speedups = []
     for name in BENCHES:
         trace = load_trace(name, BENCH_SCALE)
@@ -52,7 +49,7 @@ def test_ablation_cfg_coverage(benchmark):
     def sweep():
         out = {}
         for coverage in (0.9, 0.95, 0.99):
-            policy = ProfilePolicyConfig(coverage=coverage, max_distance=4096)
+            policy = ProfilePolicyConfig(coverage=coverage)
             out[coverage] = _suite_hmean(ProcessorConfig(), policy)
         return out
 
@@ -107,9 +104,7 @@ def test_ablation_reaching_estimator(benchmark):
     def sweep():
         out = {}
         for method in ("empirical", "markov"):
-            policy = ProfilePolicyConfig(
-                coverage=0.99, max_distance=4096, method=method
-            )
+            policy = ProfilePolicyConfig(method=method)
             out[method] = _suite_hmean(ProcessorConfig(), policy)
         return out
 
@@ -129,9 +124,7 @@ def test_ablation_keep_loop_heads(benchmark):
     def sweep():
         out = {}
         for flag in (False, True):
-            policy = ProfilePolicyConfig(
-                coverage=0.99, max_distance=4096, keep_loop_heads=flag
-            )
+            policy = ProfilePolicyConfig(keep_loop_heads=flag)
             out[flag] = _suite_hmean(ProcessorConfig(), policy)
         return out
 

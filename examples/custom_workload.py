@@ -17,7 +17,7 @@ from repro.isa import Opcode, ProgramBuilder
 from repro.mem import SpeculativeVersioningMemory
 from repro.profiling import ControlFlowGraph, prune_cfg
 from repro.profiling.reaching import EmpiricalReachingProfile
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 
 
 def build_histogram_kernel():
@@ -66,9 +66,7 @@ def main() -> None:
     )
 
     # --- spawning pairs + simulation ---
-    pairs = select_profile_pairs(
-        trace, ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-    )
+    pairs = select_profile_pairs(trace)
     config = ProcessorConfig(num_thread_units=8)
     base = single_thread_cycles(trace, config)
     stats = simulate(trace, pairs, config)

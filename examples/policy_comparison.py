@@ -3,7 +3,8 @@
 
 Sweeps the profile-based policy (all three CQIP-ordering criteria) and the
 combined traditional heuristics over the eight SpecInt95 analogues, under
-perfect value prediction, and prints speed-ups over single-thread.
+perfect value prediction, and prints speed-ups over single-thread.  The
+pairs come from the experiments' policy table, as in the figures.
 
 Run:  python examples/policy_comparison.py [scale]
 """
@@ -11,33 +12,13 @@ Run:  python examples/policy_comparison.py [scale]
 import sys
 
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
+from repro.experiments.framework import policy_builder
 from repro.metrics import harmonic_mean
-from repro.spawning import (
-    HeuristicConfig,
-    ProfilePolicyConfig,
-    heuristic_pairs,
-    select_profile_pairs,
-)
 from repro.workloads import load_trace, workload_names
 
-POLICIES = {
-    "profile(distance)": lambda t: select_profile_pairs(
-        t, ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-    ),
-    "profile(indep)": lambda t: select_profile_pairs(
-        t,
-        ProfilePolicyConfig(
-            coverage=0.99, max_distance=4096, ordering="independent"
-        ),
-    ),
-    "profile(pred)": lambda t: select_profile_pairs(
-        t,
-        ProfilePolicyConfig(
-            coverage=0.99, max_distance=4096, ordering="predictable"
-        ),
-    ),
-    "heuristics": lambda t: heuristic_pairs(t, HeuristicConfig()),
-}
+POLICIES = (
+    "profile", "profile-independent", "profile-predictable", "heuristics",
+)
 
 
 def main() -> None:
@@ -45,7 +26,7 @@ def main() -> None:
     config = ProcessorConfig()
 
     header = f"{'benchmark':>10} " + " ".join(
-        f"{name:>18}" for name in POLICIES
+        f"{name:>20}" for name in POLICIES
     )
     print(header)
     print("-" * len(header))
@@ -55,17 +36,17 @@ def main() -> None:
         trace = load_trace(workload, scale)
         baseline = single_thread_cycles(trace, config)
         row = [f"{workload:>10}"]
-        for name, build in POLICIES.items():
-            stats = simulate(trace, build(trace), config)
+        for name in POLICIES:
+            stats = simulate(trace, policy_builder(name)(trace), config)
             speedup = baseline / stats.cycles
             per_policy[name].append(speedup)
-            row.append(f"{speedup:>18.2f}")
+            row.append(f"{speedup:>20.2f}")
         print(" ".join(row))
 
     print("-" * len(header))
     row = [f"{'hmean':>10}"]
     for name in POLICIES:
-        row.append(f"{harmonic_mean(per_policy[name]):>18.2f}")
+        row.append(f"{harmonic_mean(per_policy[name]):>20.2f}")
     print(" ".join(row))
     print(
         "\npaper shape: the distance-ordered profile policy leads; the "

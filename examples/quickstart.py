@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py [workload] [scale]
 import sys
 
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
-from repro.spawning import ProfilePolicyConfig, heuristic_pairs, select_profile_pairs
+from repro.spawning import heuristic_pairs, select_profile_pairs
 from repro.workloads import load_trace, workload_names
 
 
@@ -31,8 +31,7 @@ def main() -> None:
           f"{len(trace.program)} static")
 
     # --- the paper's profile pass ---
-    policy = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-    pairs = select_profile_pairs(trace, policy)
+    pairs = select_profile_pairs(trace)
     print(f"profile pass: {pairs.candidates_evaluated} candidate pairs, "
           f"{len(pairs)} spawning points selected")
     for pair in pairs.primary_pairs()[:5]:

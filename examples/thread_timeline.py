@@ -14,7 +14,7 @@ import sys
 
 from repro.cmt import ProcessorConfig, simulate
 from repro.cmt.gantt import render_gantt
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 from repro.workloads import load_trace, workload_names
 
 
@@ -26,9 +26,7 @@ def main() -> None:
         raise SystemExit(f"pick one of {workload_names()}")
 
     trace = load_trace(workload, scale)
-    pairs = select_profile_pairs(
-        trace, ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-    )
+    pairs = select_profile_pairs(trace)
     stats = simulate(
         trace,
         pairs,

@@ -13,7 +13,7 @@ import sys
 
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.metrics import arithmetic_mean, harmonic_mean
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 from repro.workloads import load_trace, workload_names
 
 PREDICTORS = ("perfect", "stride", "fcm", "last", "none")
@@ -21,15 +21,13 @@ PREDICTORS = ("perfect", "stride", "fcm", "last", "none")
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.4
-    policy = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-
     speedups = {vp: [] for vp in PREDICTORS}
     hits = {vp: [] for vp in PREDICTORS}
     overhead = []
 
     for workload in workload_names():
         trace = load_trace(workload, scale)
-        pairs = select_profile_pairs(trace, policy)
+        pairs = select_profile_pairs(trace)
         base = single_thread_cycles(trace, ProcessorConfig())
         for vp in PREDICTORS:
             stats = simulate(

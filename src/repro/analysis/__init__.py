@@ -4,8 +4,9 @@ This package analyses :class:`~repro.isa.program.Program` objects without
 executing them — the compile-time counterpart of :mod:`repro.profiling`'s
 trace-driven analyses.  It powers the ``repro lint``, ``repro
 validate-pairs``, ``repro analyze-deps`` and ``repro sanitize`` CLI
-commands and the static pre-filtering of spawning pairs in
-:mod:`repro.spawning`.  :mod:`repro.analysis.dependence` adds
+commands.  Pair selection (:mod:`repro.spawning`) imports nothing from
+here; the validator checks its output in the tests.
+:mod:`repro.analysis.dependence` adds
 memory-dependence race analysis over spawning pairs and
 :mod:`repro.analysis.sanitizer` replays simulation event streams against
 the speculation invariants.
@@ -58,7 +59,6 @@ from repro.analysis.validator import (
     PairFinding,
     PairValidationConfig,
     PairValidationReport,
-    filter_statically_valid,
     validate_pairs,
 )
 
@@ -103,6 +103,5 @@ __all__ = [
     "PairFinding",
     "PairValidationConfig",
     "PairValidationReport",
-    "filter_statically_valid",
     "validate_pairs",
 ]

@@ -51,10 +51,6 @@ class DominatorTree:
             b = self.idom[b]
         return a == b
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        """Return True when ``a`` dominates ``b`` and ``a != b``."""
-        return a != b and self.dominates(a, b)
-
 
 def _solve(root: int, succs_of, preds_of) -> DominatorTree:
     """Cooper-Harvey-Kennedy on the subgraph reachable from ``root``."""

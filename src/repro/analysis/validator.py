@@ -1,15 +1,16 @@
 """Static validation of spawning-pair tables against a program.
 
 The paper selects (SP, CQIP) pairs from a *dynamic* profile; this module is
-the static pre-flight check.  Because the static CFG over-approximates
+the static check of a pair table (``repro validate-pairs`` and the tests
+over every policy's pairs).  Because the static CFG over-approximates
 every realisable execution, anything it rejects — a pc off an instruction
 boundary, a CQIP no static path can reach — can never work at runtime, so
-error-level findings are safe to filter before simulation.  Warning-level
-findings are the static analogues of the paper's Section 3.1 selection
-criteria: a short static SP→CQIP distance (criterion: average thread size
->= 32) and speculative-thread live-ins written inside the SP→CQIP region
-(criterion: the thread's inputs should be independent of, or predictable
-from, the instructions it is skipped over).
+an error-level finding marks a corrupt table or a selection bug.
+Warning-level findings are the static analogues of the paper's Section
+3.1 selection criteria: a short static SP→CQIP distance (criterion:
+average thread size >= 32) and speculative-thread live-ins written inside
+the SP→CQIP region (criterion: the thread's inputs should be independent
+of, or predictable from, the instructions it is skipped over).
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ class PairValidationReport:
             f.diagnostic.severity is Severity.ERROR
             for f in self.findings_for(pair)
         )
-
-    def valid_pairs(self) -> List[SpawnPair]:
-        """Return the pairs with no error-level finding."""
-        return [p for p in self.pairs if self.is_valid(p)]
 
     def invalid_pairs(self) -> List[SpawnPair]:
         """Return the pairs rejected by an error-level finding."""
@@ -255,22 +252,3 @@ def validate_pairs(
 
     return PairValidationReport(all_pairs, findings)
 
-
-def filter_statically_valid(
-    program: Program,
-    pairs: SpawnPairSet,
-    config: Optional[PairValidationConfig] = None,
-) -> SpawnPairSet:
-    """Drop pairs with error-level findings; keep provenance counters.
-
-    Returns:
-        ``pairs`` unchanged when nothing was rejected, otherwise a new
-        :class:`SpawnPairSet` with only the statically-valid pairs.
-    """
-    report = validate_pairs(program, pairs, config)
-    if not report.errors():
-        return pairs
-    return SpawnPairSet(
-        report.valid_pairs(),
-        candidates_evaluated=pairs.candidates_evaluated,
-    )

@@ -418,8 +418,3 @@ class ArtifactCache:
                     removed += 1
         self._memory.clear()
         return removed
-
-    def reset_stats(self) -> CacheStats:
-        """Swap in fresh hit/miss counters; returns the old ones."""
-        old, self.stats = self.stats, CacheStats()
-        return old

@@ -86,15 +86,9 @@ from repro.cache import ARTIFACT_KINDS
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.errors import ExecutionError, SimulationError
 from repro.exec.columns import F_BRANCH, F_LOAD, F_STORE, F_TAKEN
+from repro.experiments.framework import policy_builder, policy_names
 from repro.isa.assembler import disassemble
-from repro.spawning import (
-    HeuristicConfig,
-    ProfilePolicyConfig,
-    heuristic_pairs,
-    load_pair_set,
-    save_pair_set,
-    select_profile_pairs,
-)
+from repro.spawning import load_pair_set, save_pair_set
 from repro.workloads import build_workload, load_trace, workload_names
 
 
@@ -112,31 +106,16 @@ def _trace_of(args):
                       max_steps=getattr(args, "max_steps", None))
 
 
-def _profile_config(args) -> ProfilePolicyConfig:
-    return ProfilePolicyConfig(
-        coverage=args.coverage,
-        max_distance=args.max_distance,
-        min_distance=args.min_distance,
-        ordering=args.ordering,
-    )
-
-
-def _add_policy_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=("profile", "heuristics"),
-                        default="profile")
-    parser.add_argument("--coverage", type=float, default=0.99)
-    parser.add_argument("--min-distance", type=float, default=32.0)
-    parser.add_argument("--max-distance", type=float, default=4096.0)
-    parser.add_argument("--ordering", default="distance",
-                        choices=("distance", "independent", "predictable"))
+def _add_policy_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--policy", choices=policy_names(),
+                        default="profile",
+                        help="spawning policy (default profile)")
 
 
 def _build_pairs(trace, args):
     if getattr(args, "load", None):
         return load_pair_set(args.load)
-    if args.policy == "heuristics":
-        return heuristic_pairs(trace, HeuristicConfig())
-    return select_profile_pairs(trace, _profile_config(args))
+    return policy_builder(args.policy)(trace)
 
 
 def cmd_workloads(args) -> int:
@@ -496,7 +475,6 @@ def cmd_analyze_deps(args) -> int:
 def cmd_sanitize(args) -> int:
     from repro.analysis.dependence import DependenceAnalysis
     from repro.analysis.sanitizer import sanitize_run
-    from repro.experiments.framework import policy_builder
     from repro.faults import FaultInjector, FaultPlan, LiveinCorruptionFault
 
     workloads = list(args.workloads or workload_names())
@@ -900,7 +878,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None,
                    help="functional-execution step budget (a workload "
                    "that does not halt within it fails fast)")
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--tus", type=int, default=8, help="thread units")
     p.add_argument("--vp", default="stride",
                    choices=("perfect", "stride", "fcm", "last", "none"))
@@ -924,7 +902,7 @@ def make_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="metrics_cmd", required=True)
     d = msub.add_parser("dump", help="simulate one point and emit metrics")
     _add_workload_arg(d)
-    _add_policy_args(d)
+    _add_policy_arg(d)
     d.add_argument("--tus", type=int, default=16, help="thread units")
     d.add_argument("--vp", default="stride",
                    choices=("perfect", "stride", "fcm", "last", "none"))
@@ -947,12 +925,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="select and print spawning pairs")
     _add_workload_arg(p)
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--save", help="write the pair table to a JSON file")
 
     p = sub.add_parser("simulate", help="run the CSMT simulator")
     _add_workload_arg(p)
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--load", help="load a pair table instead of selecting")
     p.add_argument("--tus", type=int, default=16, help="thread units")
     p.add_argument("--vp", default="perfect",
@@ -970,7 +948,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="ASCII Gantt of thread lifetimes")
     _add_workload_arg(p)
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--tus", type=int, default=8)
     p.add_argument("--vp", default="perfect",
                    choices=("perfect", "stride", "fcm", "last", "none"))
@@ -994,7 +972,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-pairs",
                        help="statically validate a spawning-pair table")
     _add_workload_arg(p)
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--load", help="validate a saved pair table instead")
 
     p = sub.add_parser(
@@ -1002,7 +980,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="static memory-dependence analysis of spawning pairs",
     )
     _add_workload_arg(p)
-    _add_policy_args(p)
+    _add_policy_arg(p)
     p.add_argument("--load", help="analyse a saved pair table instead")
     p.add_argument("--json", metavar="FILE",
                    help="write the per-pair reports as JSON")
@@ -1039,8 +1017,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2002,
                    help="campaign seed (fully determines every fault)")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--policy", choices=("profile", "heuristics"),
-                   default="profile")
+    _add_policy_arg(p)
     p.add_argument("--tus", type=int, default=16, help="thread units")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-run wall-clock limit in seconds")
@@ -1184,8 +1161,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None,
                    help="functional-execution step budget (a workload "
                    "that does not halt within it fails fast)")
-    p.add_argument("--policy", choices=("profile", "heuristics"),
-                   default="profile")
+    _add_policy_arg(p)
     p.add_argument("--tus", type=int, default=8, help="thread units")
     p.add_argument("--vp", default="stride",
                    choices=("perfect", "stride", "fcm", "last", "none"))
@@ -1222,8 +1198,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("workload", choices=workload_names())
     p.add_argument("--scale", type=float, default=0.3,
                    help="workload size multiplier (default 0.3)")
-    p.add_argument("--policy", choices=("profile", "heuristics"),
-                   default="profile")
+    _add_policy_arg(p)
     p.add_argument("--vp", default="stride",
                    choices=("perfect", "stride", "fcm", "last", "none"))
     p.add_argument("--core", choices=("event", "legacy"),

@@ -13,7 +13,6 @@ phase timings and cProfile hotspots (``repro profile``).
 
 from repro.experiments.framework import (
     EXPERIMENT_CONFIG,
-    EXPERIMENT_PROFILE_CONFIG,
     FigureResult,
     ResilientOutcome,
     backoff_delay,
@@ -29,7 +28,6 @@ from repro.experiments import figures
 
 __all__ = [
     "EXPERIMENT_CONFIG",
-    "EXPERIMENT_PROFILE_CONFIG",
     "FigureResult",
     "ParallelEngine",
     "ProfileReport",

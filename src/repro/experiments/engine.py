@@ -38,6 +38,7 @@ __all__ = [
     "run_figure",
     "execute_point",
     "point_key_fields",
+    "canonical_params",
     "POINT_RUNNERS",
     "CACHED_RUNNERS",
 ]
@@ -143,14 +144,25 @@ CACHED_RUNNERS = ("simulate", "campaign")
 _DEFAULT_INPUTS = (("dataset", "train"), ("profile_dataset", "train"))
 
 
+def canonical_params(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Return ``params`` without a ``simulate`` input named at its default.
+
+    ``"dataset": "train"`` runs what leaving the field out runs, so both
+    spellings key one ``point`` artifact (:func:`point_key_fields`) and
+    one serve job (:func:`repro.serve.jobs.job_digest`).
+    """
+    return {k: v for k, v in params.items() if (k, v) not in _DEFAULT_INPUTS}
+
+
 def point_key_fields(runner: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Return the ``point`` artifact-cache key fields of a runner call.
 
     Every param keys the artifact except a campaign's ``crash_key`` (it
     only makes the first attempt crash, and the retry returns the payload
     the point has without it) and a ``simulate`` input named at its
-    ``train`` default.  Sweeps (:func:`execute_point`) and the serve
-    daemon's cache probe both key through here, so they share artifacts.
+    ``train`` default (see :func:`canonical_params`).  Sweeps
+    (:func:`execute_point`) and the serve daemon's cache probe both key
+    through here, so they share artifacts.
 
     Args:
         runner: Name of a runner in :data:`CACHED_RUNNERS`.
@@ -159,10 +171,8 @@ def point_key_fields(runner: str, params: Dict[str, Any]) -> Dict[str, Any]:
     Returns:
         The key fields: ``runner`` plus the params that shape the payload.
     """
-    fields = {
-        k: v for k, v in params.items()
-        if k != "crash_key" and (k, v) not in _DEFAULT_INPUTS
-    }
+    fields = canonical_params(params)
+    fields.pop("crash_key", None)
     return {"runner": runner, **fields}
 
 
@@ -372,17 +382,14 @@ class ParallelEngine:
             outcome = results.get(point.key)
             if outcome is None:
                 continue
-            seed, fault_plan = _point_provenance(point)
             worker_id = self._worker_ids.get(point.key)
             RunManifest(
                 name=point.key,
                 config={"runner": point.runner, **point.params},
-                seed=seed,
                 seconds=outcome.seconds,
                 attempts=outcome.attempts,
                 ok=outcome.ok,
                 cache=self._point_deltas.get(point.key, {}),
-                fault_plan=fault_plan,
                 extra={"worker_id": worker_id} if worker_id else {},
             ).write(self.telemetry_dir)
         extra: Dict[str, Any] = {
@@ -407,30 +414,6 @@ class ParallelEngine:
             cache=dict(self.cache_events),
             extra=extra,
         )
-
-
-def _point_provenance(point: Point):
-    """Return the (seed, fault_plan) a point's manifest should record.
-
-    Campaign points carry their spec fields; the per-workload fault seed
-    is re-derived exactly as the campaign runner derives it, so the
-    manifest pins the randomness that actually fired.
-    """
-    params = point.params
-    seed = params.get("seed")
-    fault_plan = None
-    spec_fields = params.get("spec_fields")
-    if isinstance(spec_fields, dict):
-        from repro.faults.campaign import workload_seed
-
-        campaign_seed = int(spec_fields.get("seed", 0))
-        seed = campaign_seed
-        if "workload" in params and "rate" in params:
-            fault_plan = {
-                "rate": params["rate"],
-                "seed": workload_seed(campaign_seed, str(params["workload"])),
-            }
-    return seed, fault_plan
 
 
 # ----------------------------------------------------------------------

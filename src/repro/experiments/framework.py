@@ -15,11 +15,11 @@ by default).  ``simulate_point`` combines them into the payload of one
 figure point; it is the parallel engine's ``simulate`` runner and what a
 figure driver calls for a point the engine did not run.
 
-Experiment-wide defaults live here too.  Two deliberate deviations from
-the paper's raw parameters (documented in DESIGN.md/EXPERIMENTS.md):
-the profile pass uses 99% CFG coverage and a 4096-instruction distance cap
-because our synthetic traces lack SpecInt's cold-code tail, so the paper's
-90%/unbounded settings would discard structurally important outer loops.
+:func:`policy_builder` is the one way to build a pair set: the figures,
+the CLI, the fault campaigns and the serve jobs all select through the
+policy table.  The profile policies use
+:class:`~repro.spawning.ProfilePolicyConfig`'s defaults (see DESIGN.md §6
+for how they deviate from the paper's).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.cache import ArtifactCache
@@ -49,18 +49,13 @@ from repro.workloads import load_trace, workload_names
 #: Baseline processor configuration for every experiment (Section 4.1).
 EXPERIMENT_CONFIG = ProcessorConfig()
 
-#: Profile-policy selection parameters used by the figures.
-EXPERIMENT_PROFILE_CONFIG = ProfilePolicyConfig(
-    coverage=0.99, max_distance=4096
-)
-
 #: Workload inputs: the paper's ``train``, and ``ref`` (same program, new data).
 DATASETS = ("train", "ref")
 
 
 def _profile(ordering: str) -> Callable[[Trace], SpawnPairSet]:
     """Builder of the profile policy under one CQIP-ordering criterion."""
-    config = replace(EXPERIMENT_PROFILE_CONFIG, ordering=ordering)
+    config = ProfilePolicyConfig(ordering=ordering)
     return lambda trace: select_profile_pairs(trace, config)
 
 
@@ -169,13 +164,7 @@ def trace_for(name: str, scale: float = 1.0, dataset: str = "train") -> Trace:
 
 def _pair_key_fields(name: str, policy: str, scale: float) -> Dict[str, Any]:
     """Cache-key fields of a policy's pair set (and of what derives from it)."""
-    return {
-        "workload": name,
-        "policy": policy,
-        "scale": scale,
-        "coverage": EXPERIMENT_PROFILE_CONFIG.coverage,
-        "max_distance": EXPERIMENT_PROFILE_CONFIG.max_distance,
-    }
+    return {"workload": name, "policy": policy, "scale": scale}
 
 
 def pair_set_for(

@@ -23,10 +23,6 @@ class ShapeCheck:
     observed: str
 
 
-def _bench_value(result: FigureResult, series: str, bench: str) -> float:
-    return result.series[series][result.benchmarks.index(bench)]
-
-
 def run_shape_checks(figures: Dict[str, FigureResult]) -> List[ShapeCheck]:
     """Return every headline claim evaluated against the figures."""
     checks: List[ShapeCheck] = []

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 from repro.isa.instructions import Instruction, Opcode
 
@@ -36,13 +36,6 @@ class Program:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    def label_at(self, pc: int) -> Optional[str]:
-        """Return a label whose address is ``pc``, if any."""
-        for name, addr in self.labels.items():
-            if addr == pc:
-                return name
-        return None
 
     def validate(self) -> None:
         """Check that every control transfer targets a valid pc.

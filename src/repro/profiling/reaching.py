@@ -50,12 +50,6 @@ class ReachingProfile:
         self.prob = prob
         self.dist = dist
 
-    def pair_probability(self, sp_block: int, cqip_block: int) -> float:
-        return float(self.prob[sp_block, cqip_block])
-
-    def pair_distance(self, sp_block: int, cqip_block: int) -> float:
-        return float(self.dist[sp_block, cqip_block])
-
 
 class EmpiricalReachingProfile(ReachingProfile):
     """Reaching statistics measured directly on the profile trace."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
 
-from repro.experiments.engine import POINT_RUNNERS
+from repro.experiments.engine import POINT_RUNNERS, canonical_params
 from repro.experiments.framework import DATASETS, EXPERIMENT_CONFIG, policy_names
 from repro.obs.manifest import config_digest
 from repro.workloads import workload_names
@@ -61,6 +61,11 @@ class JobState(str, Enum):
 def job_digest(runner: str, params: Dict[str, Any]) -> str:
     """Content-addressed job id: blake2b over canonical (runner, params).
 
+    A ``simulate`` input named at its default is left out, as the
+    ``point`` artifact key leaves it out
+    (:func:`~repro.experiments.engine.canonical_params`), so both spellings
+    are one job.  A campaign's ``crash_key`` stays in the id.
+
     Args:
         runner: Registered runner name (a
             :data:`~repro.experiments.engine.POINT_RUNNERS` key).
@@ -69,7 +74,7 @@ def job_digest(runner: str, params: Dict[str, Any]) -> str:
     Returns:
         A 32-hex-character digest; equal digests mean the same job.
     """
-    return config_digest({"runner": runner, "params": params})
+    return config_digest({"runner": runner, "params": canonical_params(params)})
 
 
 @dataclass

@@ -36,10 +36,6 @@ class HeuristicConfig:
     include_loop_iterations: bool = True
     include_loop_continuations: bool = True
     include_subroutine_continuations: bool = True
-    #: Drop statically-impossible pairs (see ``repro.analysis.validator``).
-    #: The heuristics only propose constructs observed in the trace, so
-    #: this is normally a no-op safety net.
-    static_validate: bool = True
 
 
 #: Preference among schemes when one spawning point matches several
@@ -218,10 +214,4 @@ def heuristic_pairs(
     unique = {}
     for pair in pairs:
         unique.setdefault(pair.key(), pair)
-    result = SpawnPairSet(list(unique.values()), candidates_evaluated=len(pairs))
-    if config.static_validate:
-        # Imported lazily: repro.analysis depends on repro.spawning.pairs.
-        from repro.analysis.validator import filter_statically_valid
-
-        result = filter_statically_valid(trace.program, result)
-    return result
+    return SpawnPairSet(list(unique.values()), candidates_evaluated=len(pairs))

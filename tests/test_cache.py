@@ -1,7 +1,11 @@
 """Artifact-cache tests: determinism, invalidation, persistence."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +86,30 @@ class TestKeys:
         for builder in builders:
             package = builder.__module__.split(".")[1]
             assert package in VERSIONED_PACKAGES, builder.__module__
+
+    def test_pairs_and_points_load_no_analysis_module(self):
+        # repro.analysis is not versioned: if pair selection or a point
+        # read it, an edit there would leave stale artifacts in use.
+        script = (
+            "import sys\n"
+            "from repro.experiments.framework import (\n"
+            "    policy_builder, policy_names, simulate_point)\n"
+            "from repro.workloads import load_trace\n"
+            "trace = load_trace('compress', 0.05)\n"
+            "for policy in policy_names():\n"
+            "    policy_builder(policy)(trace)\n"
+            "simulate_point('compress', 'profile', 0.05, {})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'analysis']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120, check=True,
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestRoundTrip:

@@ -52,7 +52,7 @@ class TestCriticalPathBound:
         """Even with perfect register value prediction, memory dataflow is
         never predicted, so the memory-only critical path still bounds the
         clustered runs."""
-        from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+        from repro.spawning import select_profile_pairs
 
         for name, trace in small_traces.items():
             mem_deps = trace.memory_deps
@@ -64,8 +64,6 @@ class TestCriticalPathBound:
                 depth[pos] = d + 1
                 if depth[pos] > best:
                     best = depth[pos]
-            pairs = select_profile_pairs(
-                trace, ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-            )
+            pairs = select_profile_pairs(trace)
             stats = simulate(trace, pairs, ProcessorConfig())
             assert stats.cycles >= best, name

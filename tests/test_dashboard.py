@@ -24,16 +24,14 @@ from repro.obs import (
     sim_metrics,
     validate_chrome_trace,
 )
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
-
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
+from repro.spawning import select_profile_pairs
 
 
 @pytest.fixture(scope="module")
 def dash_source(small_traces):
     """One traced run shaped like DashboardData.collect's output."""
     trace = small_traces["compress"]
-    pairs = select_profile_pairs(trace, POLICY)
+    pairs = select_profile_pairs(trace)
     tracer = EventTracer()
     config = ProcessorConfig(
         num_thread_units=8, value_predictor="stride",

@@ -29,9 +29,8 @@ from repro.faults import (
     SpawnDropFault,
     TUBlackoutFault,
 )
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 #: Dense blackout schedule — test traces run a few hundred cycles, so the
 #: default 1000-cycle slots would rarely fire inside them.
@@ -39,7 +38,7 @@ AGGRESSIVE_BLACKOUT = TUBlackoutFault(rate=0.6, duration=120, slot_cycles=200)
 
 
 def _pairs(trace):
-    return select_profile_pairs(trace, POLICY)
+    return select_profile_pairs(trace)
 
 
 def _run(trace, plan=None, **config_overrides):

@@ -20,7 +20,6 @@ import pytest
 from repro.cmt import ProcessorConfig, simulate
 from repro.spawning import (
     HeuristicConfig,
-    ProfilePolicyConfig,
     heuristic_pairs,
     select_profile_pairs,
 )
@@ -36,15 +35,12 @@ PREDICTORS = ("perfect", "stride", "fcm")
 SIM_CORES = ("legacy", "event")
 REFERENCE_CORE = "legacy"
 
-#: Matches the experiment framework's profile-policy parameters.
-POLICY_CONFIG = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-
 
 def _point(trace, policy: str, predictor: str, sim_core: str) -> dict:
     if policy == "heuristics":
         pairs = heuristic_pairs(trace, HeuristicConfig())
     else:
-        pairs = select_profile_pairs(trace, POLICY_CONFIG)
+        pairs = select_profile_pairs(trace)
     config = ProcessorConfig(value_predictor=predictor, sim_core=sim_core)
     stats = simulate(trace, pairs, config)
     # JSON round-trip normalises tuples to lists so the comparison with

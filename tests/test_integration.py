@@ -6,16 +6,14 @@ from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
 from repro.exec import run_program
 from repro.profiling import ControlFlowGraph, prune_cfg
 from repro.profiling.reaching import EmpiricalReachingProfile
-from repro.spawning import ProfilePolicyConfig, heuristic_pairs, select_profile_pairs
+from repro.spawning import heuristic_pairs, select_profile_pairs
 from repro.workloads import build_workload
-
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 
 class TestFullPipeline:
     def test_trace_to_speedup(self):
         trace = run_program(build_workload("ijpeg", 0.25))
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         assert len(pairs) > 0
         base = single_thread_cycles(trace, ProcessorConfig())
         stats = simulate(trace, pairs, ProcessorConfig())
@@ -27,7 +25,7 @@ class TestFullPipeline:
         cfg = ControlFlowGraph.from_trace(trace)
         pruned = prune_cfg(cfg, 0.99)
         profile = EmpiricalReachingProfile(cfg)
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         by_pc = cfg.by_pc
         for pair in pairs.all_pairs():
             if pair.kind.value != "profile":
@@ -42,7 +40,7 @@ class TestFullPipeline:
     def test_policies_comparable_on_same_trace(self):
         trace = run_program(build_workload("go", 0.2))
         config = ProcessorConfig()
-        profile_stats = simulate(trace, select_profile_pairs(trace, POLICY), config)
+        profile_stats = simulate(trace, select_profile_pairs(trace), config)
         heur_stats = simulate(trace, heuristic_pairs(trace), config)
         # both must complete the same work
         assert profile_stats.instructions == heur_stats.instructions
@@ -53,7 +51,7 @@ class TestFullPipeline:
     def test_value_prediction_sandwich(self):
         """perfect <= stride-driven <= no-prediction cycles."""
         trace = run_program(build_workload("m88ksim", 0.25))
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         cycles = {
             vp: simulate(
                 trace, pairs, ProcessorConfig(value_predictor=vp)

@@ -37,9 +37,8 @@ from repro.obs.events import (
     EV_THREAD_SPAWN,
     EV_THREAD_START,
 )
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 #: Dense fault plan for short test traces (the default blackout slots
 #: are longer than the whole run); exercises every fault counter.
@@ -53,7 +52,7 @@ FAULTY_PLAN = FaultPlan(
 
 
 def _pairs(trace):
-    return select_profile_pairs(trace, POLICY)
+    return select_profile_pairs(trace)
 
 
 class TestNullTracer:

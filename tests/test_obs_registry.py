@@ -17,7 +17,7 @@ from repro.obs import (
     sim_metrics,
 )
 from repro.obs.registry import Counter, Gauge, Histogram
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
+from repro.spawning import select_profile_pairs
 
 
 class TestCounter:
@@ -199,9 +199,7 @@ class TestCollectors:
     @pytest.fixture(scope="class")
     def traced_run(self, small_traces):
         trace = small_traces["compress"]
-        pairs = select_profile_pairs(
-            trace, ProfilePolicyConfig(coverage=0.99, max_distance=4096)
-        )
+        pairs = select_profile_pairs(trace)
         tracer = EventTracer()
         stats = simulate(
             trace, pairs, ProcessorConfig(value_predictor="stride"),

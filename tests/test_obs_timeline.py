@@ -19,16 +19,14 @@ from repro.obs.events import (
     EV_PREDICT_HIT,
     EV_THREAD_SQUASH,
 )
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
-
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
+from repro.spawning import select_profile_pairs
 
 
 @pytest.fixture(scope="module")
 def timeline_run(small_traces):
     """One timeline-enabled traced run shared by the module's tests."""
     trace = small_traces["compress"]
-    pairs = select_profile_pairs(trace, POLICY)
+    pairs = select_profile_pairs(trace)
     tracer = EventTracer()
     config = ProcessorConfig(
         num_thread_units=8, value_predictor="stride", collect_timeline=True
@@ -44,7 +42,7 @@ class TestModel:
 
     def test_from_stats_without_timeline_rejected(self, small_traces):
         trace = small_traces["compress"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         stats = simulate(trace, pairs, ProcessorConfig())  # no timeline
         with pytest.raises(ValueError, match="no timeline collected"):
             TimelineModel.from_stats(stats, 16)
@@ -207,7 +205,7 @@ class TestGantt:
 
     def test_empty_timeline_raises(self, small_traces):
         trace = small_traces["compress"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         stats = simulate(trace, pairs, ProcessorConfig())
         with pytest.raises(ValueError, match="collect_timeline=True"):
             render_gantt(stats, 16)

@@ -6,22 +6,13 @@ import pytest
 from repro.analysis import (
     PairValidationConfig,
     Severity,
-    filter_statically_valid,
     lint_program,
     validate_pairs,
 )
-from repro.exec import run_program
+from repro.experiments.framework import policy_builder, policy_names
 from repro.isa import ProgramBuilder
-from repro.spawning import (
-    HeuristicConfig,
-    PairKind,
-    ProfilePolicyConfig,
-    SpawnPair,
-    SpawnPairSet,
-    heuristic_pairs,
-    select_profile_pairs,
-)
-from repro.workloads import build_workload, load_trace
+from repro.spawning import PairKind, SpawnPair, SpawnPairSet
+from repro.workloads import build_workload, load_trace, workload_names
 
 
 def _pair(sp, cqip, dist=64.0):
@@ -120,59 +111,17 @@ class TestAdversarialPairs:
         assert report.is_valid(_pair(0, 1))
 
 
-class TestFiltering:
-    def test_filter_drops_only_error_pairs(self, loop_program):
-        head = next(iter(loop_program.loop_heads()))
-        good = _pair(head, head)
-        bad = _pair(0, len(loop_program) + 5)
-        filtered = filter_statically_valid(
-            loop_program, SpawnPairSet([good, bad])
-        )
-        kept = {p.key() for p in filtered.all_pairs()}
-        assert good.key() in kept
-        assert bad.key() not in kept
-
-    def test_filter_is_noop_on_valid_set(self, loop_program):
-        head = next(iter(loop_program.loop_heads()))
-        pairs = SpawnPairSet([_pair(head, head)], candidates_evaluated=7)
-        filtered = filter_statically_valid(loop_program, pairs)
-        assert filtered is pairs  # unchanged object, counters preserved
-
-
 class TestPolicyIntegration:
-    """The built-in policies only propose statically-valid pairs, so the
-    validator defaults must not change their output."""
+    """Selection does not filter through the validator, so every policy's
+    pairs on every workload must pass it on their own."""
 
-    def test_profile_pairs_unchanged_by_validation(self):
-        trace = load_trace("compress", 0.2)
-        with_val = select_profile_pairs(
-            trace, ProfilePolicyConfig(static_validate=True)
-        )
-        without = select_profile_pairs(
-            trace, ProfilePolicyConfig(static_validate=False)
-        )
-        assert {p.key() for p in with_val.all_pairs()} == {
-            p.key() for p in without.all_pairs()
-        }
-
-    def test_heuristic_pairs_unchanged_by_validation(self):
-        trace = load_trace("vortex", 0.2)
-        with_val = heuristic_pairs(
-            trace, HeuristicConfig(static_validate=True)
-        )
-        without = heuristic_pairs(
-            trace, HeuristicConfig(static_validate=False)
-        )
-        assert {p.key() for p in with_val.all_pairs()} == {
-            p.key() for p in without.all_pairs()
-        }
-
-    @pytest.mark.parametrize("name", ("compress", "ijpeg", "vortex"))
+    @pytest.mark.parametrize("name", workload_names())
     def test_policy_pairs_have_no_static_errors(self, name):
-        trace = load_trace(name, 0.2)
-        pairs = select_profile_pairs(trace)
-        report = validate_pairs(trace.program, pairs)
-        assert report.errors() == []
+        trace = load_trace(name, 0.1)
+        for policy in policy_names():
+            pairs = policy_builder(policy)(trace)
+            report = validate_pairs(trace.program, pairs)
+            assert report.errors() == [], (policy, report.format())
 
 
 class TestWorkloadLintClean:

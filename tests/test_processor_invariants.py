@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
-from repro.spawning import ProfilePolicyConfig, heuristic_pairs, select_profile_pairs
+from repro.spawning import heuristic_pairs, select_profile_pairs
 
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 CONFIGS = [
     ProcessorConfig(),
@@ -21,7 +20,7 @@ CONFIGS = [
 class TestInvariants:
     def _run(self, small_traces, name, config_index):
         trace = small_traces[name]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         return trace, simulate(trace, pairs, CONFIGS[config_index])
 
     def test_every_instruction_executed_exactly_once(
@@ -53,7 +52,7 @@ class TestInvariants:
 class TestDeterminism:
     def test_identical_runs_identical_stats(self, small_traces):
         trace = small_traces["vortex"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         a = simulate(trace, pairs, ProcessorConfig())
         b = simulate(trace, pairs, ProcessorConfig())
         assert a.cycles == b.cycles
@@ -68,7 +67,7 @@ class TestPolicyRelations:
         for name, trace in small_traces.items():
             base = single_thread_cycles(trace, ProcessorConfig())
             for pairs in (
-                select_profile_pairs(trace, POLICY),
+                select_profile_pairs(trace),
                 heuristic_pairs(trace),
             ):
                 stats = simulate(trace, pairs, ProcessorConfig())
@@ -77,5 +76,5 @@ class TestPolicyRelations:
     def test_profile_wins_on_the_regular_benchmark(self, small_traces):
         trace = small_traces["ijpeg"]
         base = single_thread_cycles(trace, ProcessorConfig())
-        stats = simulate(trace, select_profile_pairs(trace, POLICY), ProcessorConfig())
+        stats = simulate(trace, select_profile_pairs(trace), ProcessorConfig())
         assert base / stats.cycles > 1.4

@@ -1,17 +1,12 @@
 """Speculative-spawning behaviour of the clustered processor."""
 
-import pytest
-
 from repro.cmt import ClusteredProcessor, ProcessorConfig, simulate
 from repro.spawning import (
     PairKind,
-    ProfilePolicyConfig,
     SpawnPair,
     SpawnPairSet,
     select_profile_pairs,
 )
-
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 
 def _loop_pairs(trace):
@@ -115,14 +110,14 @@ class TestControlMisspeculation:
 class TestValuePredictionEffects:
     def test_perfect_at_least_as_fast_as_none(self, small_traces):
         trace = small_traces["vortex"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         perfect = simulate(trace, pairs, ProcessorConfig(value_predictor="perfect"))
         nothing = simulate(trace, pairs, ProcessorConfig(value_predictor="none"))
         assert perfect.cycles <= nothing.cycles
 
     def test_hit_rate_recorded_for_real_predictors(self, small_traces):
         trace = small_traces["m88ksim"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         stats = simulate(trace, pairs, ProcessorConfig(value_predictor="stride"))
         if stats.spawns:
             assert stats.value_predictions > 0
@@ -130,7 +125,7 @@ class TestValuePredictionEffects:
 
     def test_priming_helps_or_is_neutral(self, small_traces):
         trace = small_traces["ijpeg"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         primed = simulate(
             trace, pairs, ProcessorConfig(value_predictor="stride")
         )
@@ -173,7 +168,7 @@ class TestRuntimePolicies:
 
     def test_reassign_uses_alternatives(self, small_traces):
         trace = small_traces["vortex"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         stats = simulate(
             trace,
             pairs,
@@ -184,7 +179,7 @@ class TestRuntimePolicies:
 
     def test_removal_counts_reported(self, small_traces):
         trace = small_traces["compress"]
-        pairs = select_profile_pairs(trace, POLICY)
+        pairs = select_profile_pairs(trace)
         stats = simulate(trace, pairs, ProcessorConfig(removal_cycles=20))
         assert stats.pairs_removed_alone >= 0
 

@@ -12,7 +12,7 @@ from repro.isa.builder import ARG_REGS, RV_REG
 from repro.profiling import ControlFlowGraph
 from repro.spawning import ProfilePolicyConfig, heuristic_pairs, select_profile_pairs
 
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096, min_distance=8)
+POLICY = ProfilePolicyConfig(min_distance=8)
 
 
 @st.composite

@@ -10,7 +10,7 @@ from repro.spawning import (
     select_profile_pairs,
 )
 
-CFG = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
+CFG = ProfilePolicyConfig()
 
 
 class TestThresholds:
@@ -33,13 +33,11 @@ class TestThresholds:
     def test_stricter_probability_selects_fewer(self, small_traces):
         loose = select_profile_pairs(
             small_traces["m88ksim"],
-            ProfilePolicyConfig(min_probability=0.5, coverage=0.99,
-                                include_return_points=False),
+            ProfilePolicyConfig(min_probability=0.5, include_return_points=False),
         )
         strict = select_profile_pairs(
             small_traces["m88ksim"],
-            ProfilePolicyConfig(min_probability=0.999, coverage=0.99,
-                                include_return_points=False),
+            ProfilePolicyConfig(min_probability=0.999, include_return_points=False),
         )
         assert strict.candidates_evaluated <= loose.candidates_evaluated
 
@@ -78,9 +76,7 @@ class TestReturnPoints:
         assert PairKind.RETURN_POINT in kinds
 
     def test_return_points_can_be_disabled(self, small_traces):
-        cfg = ProfilePolicyConfig(
-            coverage=0.99, max_distance=4096, include_return_points=False
-        )
+        cfg = ProfilePolicyConfig(include_return_points=False)
         pairs = select_profile_pairs(small_traces["vortex"], cfg)
         assert all(
             p.kind is not PairKind.RETURN_POINT for p in pairs.all_pairs()
@@ -107,9 +103,7 @@ class TestOrderingCriteria:
 
     @pytest.mark.parametrize("ordering", ["independent", "predictable"])
     def test_alternative_orderings_produce_pairs(self, small_traces, ordering):
-        cfg = ProfilePolicyConfig(
-            coverage=0.99, max_distance=4096, ordering=ordering
-        )
+        cfg = ProfilePolicyConfig(ordering=ordering)
         pairs = select_profile_pairs(small_traces["compress"], cfg)
         assert len(pairs) > 0
 
@@ -117,9 +111,7 @@ class TestOrderingCriteria:
 class TestDedupe:
     def test_dedupe_reduces_spawning_points(self, small_traces):
         with_dedupe = select_profile_pairs(small_traces["compress"], CFG)
-        cfg_off = ProfilePolicyConfig(
-            coverage=0.99, max_distance=4096, dedupe_mutual_sps=False
-        )
+        cfg_off = ProfilePolicyConfig(dedupe_mutual_sps=False)
         without = select_profile_pairs(small_traces["compress"], cfg_off)
         assert len(with_dedupe) <= len(without)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.spawning import (
     PairKind,
-    ProfilePolicyConfig,
     SpawnPair,
     SpawnPairSet,
     load_pair_set,
@@ -48,10 +47,7 @@ class TestRoundTrip:
         assert len(restored.all_pairs()) == 3
 
     def test_real_profile_round_trips(self, small_traces, tmp_path):
-        pairs = select_profile_pairs(
-            small_traces["vortex"],
-            ProfilePolicyConfig(coverage=0.99, max_distance=4096),
-        )
+        pairs = select_profile_pairs(small_traces["vortex"])
         path = tmp_path / "vortex.json"
         save_pair_set(pairs, path)
         restored = load_pair_set(path)

@@ -68,6 +68,25 @@ class TestDedup:
         assert dup is job
         assert queue.depth() == 1
 
+    def test_input_named_at_its_default_dedups(self, tmp_path):
+        # Both spellings key one ``point`` artifact, so they are one job.
+        queue = make_queue(tmp_path)
+        params = {"name": "compress", "policy": "profile", "scale": 0.05,
+                  "overrides": {}}
+        job, _ = queue.submit("simulate", params)
+        named = {**params, "dataset": "train", "profile_dataset": "train"}
+        dup, outcome = queue.submit("simulate", named)
+        assert outcome == "dedup"
+        assert dup.id == job.id
+        assert queue.depth() == 1
+
+    def test_crash_key_stays_in_the_job_id(self):
+        params = {"spec_fields": {}, "workload": "compress", "rate": 0.05,
+                  "sequential": 1, "faultless": 1}
+        assert job_digest("campaign", params) != job_digest(
+            "campaign", {**params, "crash_key": "compress@0.05"}
+        )
+
     def test_done_job_dedups_instantly(self, tmp_path):
         queue = make_queue(tmp_path)
         queue.submit("sleep", sleep_params("a"))

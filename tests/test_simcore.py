@@ -26,14 +26,12 @@ from repro.faults import (
 from repro.obs.events import EventTracer
 from repro.spawning import (
     HeuristicConfig,
-    ProfilePolicyConfig,
     SpawnPairSet,
     heuristic_pairs,
     select_profile_pairs,
 )
 from repro.workloads import workload_names
 
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
 
 CORES = ("legacy", "event")
 
@@ -41,7 +39,7 @@ CORES = ("legacy", "event")
 def _pairs(trace, policy="profile"):
     if policy == "heuristics":
         return heuristic_pairs(trace, HeuristicConfig())
-    return select_profile_pairs(trace, POLICY)
+    return select_profile_pairs(trace)
 
 
 def _all_cores(

@@ -1,22 +1,20 @@
 """Per-thread timeline collection tests."""
 
 from repro.cmt import ProcessorConfig, simulate
-from repro.spawning import ProfilePolicyConfig, select_profile_pairs
-
-POLICY = ProfilePolicyConfig(coverage=0.99, max_distance=4096)
+from repro.spawning import select_profile_pairs
 
 
 class TestTimeline:
     def test_disabled_by_default(self, small_traces):
         trace = small_traces["vortex"]
-        stats = simulate(trace, select_profile_pairs(trace, POLICY), ProcessorConfig())
+        stats = simulate(trace, select_profile_pairs(trace), ProcessorConfig())
         assert stats.timeline == []
 
     def test_records_every_committed_thread(self, small_traces):
         trace = small_traces["vortex"]
         stats = simulate(
             trace,
-            select_profile_pairs(trace, POLICY),
+            select_profile_pairs(trace),
             ProcessorConfig(collect_timeline=True),
         )
         assert len(stats.timeline) == stats.threads_committed
@@ -26,7 +24,7 @@ class TestTimeline:
         trace = small_traces["m88ksim"]
         stats = simulate(
             trace,
-            select_profile_pairs(trace, POLICY),
+            select_profile_pairs(trace),
             ProcessorConfig(collect_timeline=True),
         )
         commits = [rec.commit_cycle for rec in stats.timeline]
@@ -41,7 +39,7 @@ class TestTimeline:
         trace = small_traces["compress"]
         stats = simulate(
             trace,
-            select_profile_pairs(trace, POLICY),
+            select_profile_pairs(trace),
             ProcessorConfig(collect_timeline=True),
         )
         assert stats.timeline[0].pair is None
@@ -51,7 +49,7 @@ class TestTimeline:
         trace = small_traces["vortex"]
         stats = simulate(
             trace,
-            select_profile_pairs(trace, POLICY),
+            select_profile_pairs(trace),
             ProcessorConfig(collect_timeline=True, value_predictor="stride"),
         )
         for rec in stats.timeline:
