@@ -61,8 +61,8 @@ def main() -> None:
     head = cfg.block_of_pc(min(program.loop_heads()))
     print(
         f"loop head block {head}: "
-        f"P(reach itself)={profile.prob[head, head]:.3f}, "
-        f"E[iteration length]={profile.dist[head, head]:.1f} instructions"
+        f"P(reach itself)={profile.prob[head][head]:.3f}, "
+        f"E[iteration length]={profile.dist[head][head]:.1f} instructions"
     )
 
     # --- spawning pairs + simulation ---

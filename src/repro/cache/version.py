@@ -22,8 +22,10 @@ from pathlib import Path
 #: Bump when the serialised artifact formats change incompatibly.
 #: Version 3 stores a trace as ``(program, TraceColumns)``: flat columns
 #: plus the read, write and pc indexes, with no per-field instruction
-#: lists.  Older entries simply miss, and no decoder for them is kept.
-SCHEMA_VERSION = 3
+#: lists.  Version 4 stores every position column and CSR index as a
+#: 4-byte ``array('i')`` (``addr`` stays ``array('q')``).  Older entries
+#: simply miss, and no decoder for them is kept.
+SCHEMA_VERSION = 4
 
 #: Sub-packages of ``repro`` whose source feeds the generator digest.
 VERSIONED_PACKAGES = (

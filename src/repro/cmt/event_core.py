@@ -39,7 +39,7 @@ ownership of ``p`` only changes during such advances.  The first poll
 that finds ``completion[p]`` set is therefore the advance that set it,
 which is precisely when the waiter registry wakes the thread.
 
-Three situations break that argument, so the affected threads (or the
+Four situations break that argument, so the affected threads (or the
 whole run) fall back to legacy-style poll parking, still batched and
 hoisted, same results by construction:
 
@@ -69,6 +69,10 @@ hoisted, same results by construction:
 - **pair-removal policies** (``removal_cycles``, whole run): polls
   sample the "executing alone" condition, so skipping them would
   under-count alone cycles.
+- **pair revival** (``removal_revival_cycles``, whole run): a removed
+  pair comes back once enough cycles have passed, a function of the
+  clock that moves no epoch, so a memoized spawn outcome would go stale
+  while its poller sleeps.
 
 The livelock watchdog degrades gracefully: besides the legacy
 zero-progress counter, an empty heap with unfinished threads (a wait
@@ -122,9 +126,14 @@ def run_event(proc: "ClusteredProcessor") -> "SimulationStats":
     has_injector = injector is not None
     removal_on = config.removal_cycles is not None
     # Wakeup-registry parking is only bit-identical when polls carry no
-    # side effects (module docstring); otherwise keep legacy-style
-    # poll parking inside the batched loop.
-    use_waiters = not has_injector and not removal_on
+    # side effects and spawn outcomes move only with the epoch (module
+    # docstring); otherwise keep legacy-style poll parking inside the
+    # batched loop.
+    use_waiters = (
+        not has_injector
+        and not removal_on
+        and config.removal_revival_cycles is None
+    )
     waiters: Dict[int, List] = proc._waiters
 
     root = proc._make_thread(

@@ -3,8 +3,9 @@
 A trace is its program plus one :class:`TraceColumns`: flat columns
 indexed by trace position, small per-pc tables of the static facts the
 per-instruction readers need, and CSR position indexes.  Every column is
-a typed ``array`` or a tuple of small ints (only the written values are
-a list of Python numbers), so the artifact cache decodes a trace with no
+a typed ``array`` (4-byte for positions, 8-byte for addresses) or a
+tuple of small ints (only the written values are a list of Python
+numbers), so the artifact cache decodes a trace with no
 per-instruction Python pass and no objects for the cyclic collector to
 walk, and the event core's inner loop (:mod:`repro.cmt.event_core`) is
 all O(1) integer reads with no attribute lookups, enum hashing or
@@ -77,14 +78,23 @@ _COLUMNS = ("pc", "flags", "addr", "mem_dep", "dep0", "dep1", "dst_value")
 _INDEXES = ("reads_off", "reads", "writes_off", "writes", "pc_off", "pc_pos")
 _FIELDS = _PC_TABLES + _COLUMNS + _INDEXES
 
+#: Typecode of every array field: positions (and CSR offsets, which are
+#: at most the trace length) are 4-byte ``'i'``; an address is a
+#: register value plus an offset, so ``addr`` stays 8-byte ``'q'``.
+_TYPECODES = dict.fromkeys(("mem_dep", "dep0", "dep1") + _INDEXES, "i")
+_TYPECODES["addr"] = "q"
+
+#: The longest trace a 4-byte position column can index.
+MAX_POSITIONS = 2**31 - 1
+
 
 def _csr(lists: Sequence[Sequence[int]]) -> Tuple["array", "array"]:
     """``(offsets, data)`` of per-key ascending position lists.
 
     The positions of key ``k`` are ``data[offsets[k]:offsets[k + 1]]``.
     """
-    data = array("q")
-    offsets = array("q", [0])
+    data = array("i")
+    offsets = array("i", [0])
     for positions in lists:
         data.extend(positions)
         offsets.append(len(data))
@@ -112,14 +122,14 @@ class TraceColumns:
     - ``addr``: word address touched by a load/store (``array('q')``);
       -1 elsewhere, but only the flags say whether an address exists.
     - ``mem_dep``: position of the store feeding this load, -1 if none or
-      not a load (``array('q')``).
+      not a load (``array('i')``).
     - ``dep0``/``dep1``: position of the last write of the register read
-      in operand slot 0/1 (``array('q')``), -1 when the slot is empty,
+      in operand slot 0/1 (``array('i')``), -1 when the slot is empty,
       reads register 0 or reads a register not yet written.
     - ``dst_value``: value written by the instruction (None when no
       destination) — a list of Python numbers.
 
-    CSR indexes (``array('q')``; the entries of key ``k`` are
+    CSR indexes (``array('i')``; the entries of key ``k`` are
     ``data[offsets[k]:offsets[k + 1]]``, ascending):
 
     - ``reads_off``/``reads``: per register, the positions that read it
@@ -127,6 +137,9 @@ class TraceColumns:
     - ``writes_off``/``writes``: per register, the positions that write
       it (register 0 never).
     - ``pc_off``/``pc_pos``: per static pc, the positions it executed at.
+
+    Positions are 4-byte, so a trace holds at most
+    :data:`MAX_POSITIONS` instructions.
     """
 
     __slots__ = _FIELDS + (
@@ -167,9 +180,9 @@ class TraceColumns:
         self.pc = tuple(pc)
         self.flags = tuple(flags)
         self.addr = array("q", addr)
-        self.mem_dep = array("q", mem_dep)
-        self.dep0 = array("q", dep0)
-        self.dep1 = array("q", dep1)
+        self.mem_dep = array("i", mem_dep)
+        self.dep0 = array("i", dep0)
+        self.dep1 = array("i", dep1)
         self.dst_value = dst_value
         self.reads_off, self.reads = _csr(reads_of)
         self.writes_off, self.writes = _csr(writes_of)
@@ -258,11 +271,26 @@ class TraceColumns:
     def check(self, n_pcs: int) -> None:
         """Raise ``ValueError`` unless the columns are mutually consistent.
 
-        Every per-position column has the trace's length, every per-pc
-        table has ``n_pcs`` entries, and every CSR index has one offset
-        per key plus one, starting at 0, never decreasing and ending at
-        its data length (the pc index covers every position).
+        The trace has at most :data:`MAX_POSITIONS` positions, every
+        array field has its layout's typecode (so an artifact in an older
+        layout is rejected and rebuilt), every per-position column has
+        the trace's length, every per-pc table has ``n_pcs`` entries, and
+        every CSR index has one offset per key plus one, starting at 0,
+        never decreasing and ending at its data length (the pc index
+        covers every position).
         """
+        if self.length > MAX_POSITIONS:
+            raise ValueError(
+                f"trace has {self.length} positions, more than the "
+                f"{MAX_POSITIONS} a 4-byte position column indexes"
+            )
+        for name, code in _TYPECODES.items():
+            found = getattr(getattr(self, name), "typecode", None)
+            if found != code:
+                raise ValueError(
+                    f"trace column {name} has typecode {found!r}, "
+                    f"expected {code!r}"
+                )
         for name in _COLUMNS:
             if len(getattr(self, name)) != self.length:
                 raise ValueError(

@@ -2,12 +2,14 @@
 
 For every ordered pair of basic blocks (s, d) the paper needs:
 
-- ``prob[s, d]``: the probability that, having just entered ``s``, control
+- ``prob[s][d]``: the probability that, having just entered ``s``, control
   reaches ``d`` before re-entering ``s`` (the source may appear in the
   sequence only as its first element, the destination only as its last;
   other blocks may repeat freely — Section 3.1).
-- ``dist[s, d]``: the average number of instructions executed from the
+- ``dist[s][d]``: the average number of instructions executed from the
   start of ``s`` to the start of ``d`` over the sequences that do reach.
+
+Both are lists with one ``array('d')`` row per source block.
 
 :class:`MarkovReachingProfile` computes both in closed form on the pruned
 CFG using absorbing-chain fundamental matrices.  For each source ``s`` the
@@ -23,29 +25,32 @@ because it makes no Markov assumption (and the paper's selection criteria
 only need pairs within a bounded distance anyway).  It walks the block
 sequence once, backwards, keeping the blocks ordered by their next entry
 so each walk visits only the blocks it reaches; counts and distance sums
-accumulate in Python ints per block pair and are written into the two
-matrices once (distances are integers, so the sums are exact).
+accumulate in Python ints per block pair and are divided into the rows
+once (distances are integers, so the sums are exact).  It needs no numpy;
+only the Markov ablation (``method="markov"``) imports it, for the
+matrix inverse.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from typing import Optional
-
-import numpy as np
+from collections import Counter
+from typing import List, Optional
 
 from repro.profiling.cfg import ControlFlowGraph
 from repro.profiling.pruning import PrunedCFG
 
 
 class ReachingProfile:
-    """Common interface: dense ``prob`` and ``dist`` matrices over blocks.
+    """Common interface: dense ``prob`` and ``dist`` tables over blocks.
 
-    ``prob[s, d]`` in [0, 1]; ``dist[s, d]`` in instructions (NaN where the
-    pair was never observed / has zero probability).
+    One ``array('d')`` row per source block: ``prob[s][d]`` in [0, 1];
+    ``dist[s][d]`` in instructions (NaN where the pair was never observed
+    / has zero probability).
     """
 
-    def __init__(self, cfg: ControlFlowGraph, prob: np.ndarray, dist: np.ndarray):
+    def __init__(self, cfg: ControlFlowGraph, prob: List[array], dist: List[array]):
         self.cfg = cfg
         self.prob = prob
         self.dist = dist
@@ -63,11 +68,11 @@ class EmpiricalReachingProfile(ReachingProfile):
         blocks = [bid for bid, _ in cfg.sequence]
         starts = [pos for _, pos in cfg.sequence]
         seq_len = len(blocks)
-        occurrences = np.bincount(np.array(blocks, dtype=np.int64), minlength=n)
+        occurrences = Counter(blocks)
 
         # count_rows[s][d]: walks from s that reached d; dist_rows[s][d]:
-        # the sum of their distances.  Python ints, written into the
-        # matrices once at the end.
+        # the sum of their distances.  Python ints, divided into the
+        # rows once at the end.
         count_rows = [[0] * n for _ in range(n)]
         dist_rows = [[0] * n for _ in range(n)]
         # Walking the sequence backwards, ``following[b]`` is the index of
@@ -99,13 +104,21 @@ class EmpiricalReachingProfile(ReachingProfile):
             order.remove(s)
             order.insert(0, s)
             following[s] = k
-        counts = np.array(count_rows, dtype=np.int64).reshape(n, n)
-        dist_sum = np.array(dist_rows, dtype=np.float64).reshape(n, n)
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prob = counts / np.maximum(occurrences[:, None], 1)
-            dist = np.where(counts > 0, dist_sum / np.maximum(counts, 1), np.nan)
-        prob[occurrences == 0, :] = 0.0
+        # Int/int true division rounds the exact quotient once, as a
+        # float64 divide of the (exactly converted) operands does.  A
+        # block that never occurs has only zero counts: a zero row.
+        nan = float("nan")
+        prob: List[array] = []
+        dist: List[array] = []
+        for s, count_row in enumerate(count_rows):
+            occ = occurrences[s] or 1
+            prob.append(array("d", [c / occ for c in count_row]))
+            dist.append(
+                array(
+                    "d",
+                    [t / c if c else nan for c, t in zip(count_row, dist_rows[s])],
+                )
+            )
         super().__init__(cfg, prob, dist)
         self.max_lookahead = max_lookahead
 
@@ -114,10 +127,20 @@ class MarkovReachingProfile(ReachingProfile):
     """The paper's closed-form computation on the pruned CFG.
 
     Blocks outside the pruned cover get zero probability (they cannot be
-    selected as spawning points anyway).
+    selected as spawning points anyway).  Unlike the default estimator it
+    needs numpy, for the matrix inverse, and raises ``ImportError``
+    without it.
     """
 
     def __init__(self, pruned: PrunedCFG):
+        try:
+            import numpy as np
+        except ImportError as exc:
+            raise ImportError(
+                'the reaching estimator method="markov" needs numpy '
+                "(pip install numpy, or the dev extra)"
+            ) from exc
+
         cfg = pruned.cfg
         n_all = len(cfg)
         kept = sorted(pruned.kept)
@@ -167,7 +190,11 @@ class MarkovReachingProfile(ReachingProfile):
             for di, d_bid in enumerate(kept):
                 prob[s_bid, d_bid] = p_row[di]
                 dist[s_bid, d_bid] = d_row[di]
-        super().__init__(cfg, prob, dist)
+        super().__init__(
+            cfg,
+            [array("d", row.tolist()) for row in prob],
+            [array("d", row.tolist()) for row in dist],
+        )
         self.pruned = pruned
 
 

@@ -32,7 +32,8 @@ class ProfilePolicyConfig:
     important outer loops (DESIGN.md §6).  ``ordering`` is one of
     ``"distance"`` (the paper's default criterion (a)),
     ``"independent"`` (criterion (b)) or ``"predictable"`` (criterion (c)).
-    ``method`` picks the reaching estimator (``"empirical"``/``"markov"``).
+    ``method`` picks the reaching estimator (``"empirical"``/``"markov"``;
+    the Markov ablation needs numpy).
     """
 
     min_probability: float = 0.95
@@ -92,9 +93,11 @@ def select_profile_pairs(
     candidates: List[SpawnPair] = []
     for s in kept:
         sp_pc = cfg.blocks[s].start_pc
+        prob_row = profile.prob[s]
+        dist_row = profile.dist[s]
         for d in kept:
-            prob = profile.prob[s, d]
-            dist = profile.dist[s, d]
+            prob = prob_row[d]
+            dist = dist_row[d]
             if prob < config.min_probability:
                 continue
             if not (config.min_distance <= dist <= config.max_distance):
@@ -104,9 +107,9 @@ def select_profile_pairs(
                     sp_pc=sp_pc,
                     cqip_pc=cfg.blocks[d].start_pc,
                     kind=PairKind.PROFILE,
-                    reach_probability=float(prob),
-                    expected_distance=float(dist),
-                    score=float(dist),
+                    reach_probability=prob,
+                    expected_distance=dist,
+                    score=dist,
                 )
             )
 
@@ -159,8 +162,8 @@ def _dedupe_mutual_sps(cfg, profile, pairs, config):
             if bj is None:
                 continue
             if (
-                profile.prob[bi, bj] >= threshold
-                and profile.prob[bj, bi] >= threshold
+                profile.prob[bi][bj] >= threshold
+                and profile.prob[bj][bi] >= threshold
             ):
                 parent[find(i)] = find(j)
 

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -240,7 +241,9 @@ class TestCorruptArtifacts:
         assert len(reloaded) == len(rebuilt)
 
     @pytest.mark.parametrize(
-        "corrupt", ["short_flags", "decreasing_offset", "offsets_past_data"]
+        "corrupt",
+        ["short_flags", "decreasing_offset", "offsets_past_data",
+         "wide_positions"],
     )
     def test_inconsistent_trace_is_rebuilt_and_overwritten(
         self, tmp_path, corrupt
@@ -260,6 +263,9 @@ class TestCorruptArtifacts:
         elif corrupt == "decreasing_offset":
             offsets = columns.pc_off
             offsets[1] = offsets[2] + 1
+        elif corrupt == "wide_positions":
+            # The schema-3 layout: 8-byte position columns.
+            columns.dep0 = array("q", columns.dep0)
         else:
             columns.reads = columns.reads[:-1]
         path.write_bytes(pickle.dumps((program, columns), protocol=4))

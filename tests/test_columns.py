@@ -7,6 +7,7 @@ reuses them on decoded traces.
 """
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.exec.columns import (
     F_STORE,
     F_TAKEN,
     F_UNCOND,
+    MAX_POSITIONS,
     TraceColumns,
 )
 from repro.isa import assemble
@@ -173,6 +175,42 @@ class TestTraceIntegration:
         assert trace.columns is rebuilt
         assert len(trace) == len(loop_trace)
         assert [d.pc for d in trace] == [d.pc for d in loop_trace]
+
+
+class TestCheck:
+    """``check`` pins the layout: 4-byte positions, 8-byte addresses."""
+
+    def test_layout_typecodes(self, loop_trace):
+        cols = loop_trace.columns
+        assert cols.addr.typecode == "q"
+        for name in ("mem_dep", "dep0", "dep1", "reads_off", "reads",
+                     "writes_off", "writes", "pc_off", "pc_pos"):
+            assert getattr(cols, name).typecode == "i", name
+
+    @pytest.mark.parametrize(
+        "name, code",
+        [("dep0", "q"), ("mem_dep", "q"), ("reads", "q"), ("pc_off", "q"),
+         ("addr", "i")],
+    )
+    def test_rejects_wrong_typecode(self, loop_trace, name, code):
+        cols = pickle.loads(pickle.dumps(loop_trace.columns))
+        cols.check(len(loop_trace.program))
+        setattr(cols, name, array(code, getattr(cols, name)))
+        with pytest.raises(ValueError, match=f"{name} has typecode"):
+            cols.check(len(loop_trace.program))
+
+    def test_rejects_more_positions_than_4_bytes_index(self, loop_trace):
+        assert MAX_POSITIONS == 2**31 - 1
+        # Only the recorded length grows: no large trace is built.
+        cols = pickle.loads(pickle.dumps(loop_trace.columns))
+        cols.length = MAX_POSITIONS + 1
+        with pytest.raises(ValueError, match="4-byte"):
+            cols.check(len(loop_trace.program))
+        # At the limit the length is accepted (and then disagrees with
+        # the columns, which are short).
+        cols.length = MAX_POSITIONS
+        with pytest.raises(ValueError, match="entries, expected"):
+            cols.check(len(loop_trace.program))
 
 
 class TestLiveinWindow:

@@ -1,5 +1,10 @@
 """End-to-end integration: profile -> select -> simulate -> compare."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
@@ -33,7 +38,7 @@ class TestFullPipeline:
             s = by_pc[pair.sp_pc]
             d = by_pc[pair.cqip_pc]
             assert s in pruned.kept and d in pruned.kept
-            assert profile.prob[s, d] == pytest.approx(
+            assert profile.prob[s][d] == pytest.approx(
                 pair.reach_probability
             )
 
@@ -60,3 +65,30 @@ class TestFullPipeline:
         }
         assert cycles["perfect"] <= cycles["stride"] * 1.02
         assert cycles["stride"] <= cycles["none"] * 1.10
+
+
+class TestRunPathsWithoutNumpy:
+    def test_cli_serve_selection_and_simulation_import_no_numpy(self):
+        # numpy is a dev dependency: only the Markov ablation needs it.
+        # A fresh interpreter, so no other test's import counts.
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "import repro.serve.server\n"
+            "from repro.experiments import framework\n"
+            "from repro.workloads import load_trace\n"
+            "trace = load_trace('compress', 0.05)\n"
+            "for policy in ('profile', 'heuristics'):\n"
+            "    assert len(framework.policy_builder(policy)(trace))\n"
+            "framework.simulate_point(\n"
+            "    'compress', 'profile', 0.05, {'value_predictor': 'stride'})\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120, check=True,
+        )
+        assert run.stdout.strip() == "False"

@@ -30,12 +30,12 @@ class TestLinearChain:
         a = cfg.block_of_pc(0)
         b = cfg.block_of_pc(2)
         c = cfg.block_of_pc(4)
-        assert profile.prob[a, b] == pytest.approx(1.0)
-        assert profile.prob[a, c] == pytest.approx(1.0)
-        assert profile.prob[c, a] == pytest.approx(0.0)
+        assert profile.prob[a][b] == pytest.approx(1.0)
+        assert profile.prob[a][c] == pytest.approx(1.0)
+        assert profile.prob[c][a] == pytest.approx(0.0)
         # distance = instructions from block start to block start
-        assert profile.dist[a, b] == pytest.approx(2.0)
-        assert profile.dist[a, c] == pytest.approx(4.0)
+        assert profile.dist[a][b] == pytest.approx(2.0)
+        assert profile.dist[a][c] == pytest.approx(4.0)
 
 
 class TestGeometricLoop:
@@ -50,19 +50,19 @@ class TestGeometricLoop:
         head = cfg.block_of_pc(1)
         exit_block = cfg.block_of_pc(4)
         p = 7 / 8
-        assert profile.prob[head, head] == pytest.approx(p, abs=1e-9)
+        assert profile.prob[head][head] == pytest.approx(p, abs=1e-9)
         # The paper's constraint: the source may appear only as the FIRST
         # element of a sequence, so walks that re-enter the header die.
         # Reaching the exit therefore requires leaving immediately (1/8) —
         # this is exactly why loop-continuation CQIPs score poorly under
         # the profile policy.
-        assert profile.prob[head, exit_block] == pytest.approx(
+        assert profile.prob[head][exit_block] == pytest.approx(
             1 - p, abs=1e-9
         )
         # dist(head -> head) = body size = 3
-        assert profile.dist[head, head] == pytest.approx(3.0, abs=1e-9)
+        assert profile.dist[head][head] == pytest.approx(3.0, abs=1e-9)
         # conditioned on not re-entering the header: one body pass
-        assert profile.dist[head, exit_block] == pytest.approx(3.0, abs=1e-6)
+        assert profile.dist[head][exit_block] == pytest.approx(3.0, abs=1e-6)
 
 
 class TestBranchDiamond:
@@ -84,8 +84,8 @@ class TestBranchDiamond:
         cfg, profile = _profile(text)
         head = cfg.block_of_pc(1)
         join = cfg.block_of_pc(8)
-        assert profile.prob[head, join] == pytest.approx(1.0, abs=1e-9)
+        assert profile.prob[head][join] == pytest.approx(1.0, abs=1e-9)
         # head block = (andi, beqz) = 2 instrs; taken arm = 3 instrs of
         # `even`, fall-through arm = (addi, jump) = 2 instrs; both arms
         # observed twice -> expected 2 + (3 + 2)/2 = 4.5
-        assert profile.dist[head, join] == pytest.approx(4.5, abs=1e-6)
+        assert profile.dist[head][join] == pytest.approx(4.5, abs=1e-6)

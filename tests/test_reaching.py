@@ -1,5 +1,7 @@
 """Reaching-probability estimators: analytical vs empirical vs hand math."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,29 +32,30 @@ class TestEmpirical:
         profile = EmpiricalReachingProfile(cfg)
         head = cfg.block_of_pc(1)
         # from 10 header executions, 9 reach the header again
-        assert profile.prob[head, head] == pytest.approx(0.9)
-        assert profile.dist[head, head] == pytest.approx(3.0)
+        assert profile.prob[head][head] == pytest.approx(0.9)
+        assert profile.dist[head][head] == pytest.approx(3.0)
 
     def test_probabilities_bounded(self, small_traces):
         for trace in small_traces.values():
             cfg = ControlFlowGraph.from_trace(trace)
             profile = EmpiricalReachingProfile(cfg, max_lookahead=512)
-            assert np.all(profile.prob >= 0.0)
-            assert np.all(profile.prob <= 1.0 + 1e-9)
+            prob = np.array(profile.prob)
+            assert np.all(prob >= 0.0)
+            assert np.all(prob <= 1.0 + 1e-9)
 
     def test_distance_at_least_source_block_size(self, small_traces):
         cfg = ControlFlowGraph.from_trace(small_traces["compress"])
         profile = EmpiricalReachingProfile(cfg, max_lookahead=512)
         for s in range(len(cfg)):
             for d in range(len(cfg)):
-                if profile.prob[s, d] > 0:
-                    assert profile.dist[s, d] >= cfg.blocks[s].size
+                if profile.prob[s][d] > 0:
+                    assert profile.dist[s][d] >= cfg.blocks[s].size
 
     def test_lookahead_caps_detection(self, counted_loop):
         trace, cfg = counted_loop
         profile = EmpiricalReachingProfile(cfg, max_lookahead=2)
         head = cfg.block_of_pc(1)
-        assert profile.prob[head, head] == 0.0
+        assert profile.prob[head][head] == 0.0
 
 
 class TestMarkov:
@@ -61,8 +64,8 @@ class TestMarkov:
         profile = MarkovReachingProfile(prune_cfg(cfg, coverage=1.0))
         head = cfg.block_of_pc(1)
         # the pruned chain sees the loop as Markovian with p(back)=0.9
-        assert profile.prob[head, head] == pytest.approx(0.9, abs=1e-6)
-        assert profile.dist[head, head] == pytest.approx(3.0, abs=1e-6)
+        assert profile.prob[head][head] == pytest.approx(0.9, abs=1e-6)
+        assert profile.dist[head][head] == pytest.approx(3.0, abs=1e-6)
 
     def test_agrees_with_empirical_on_markovian_trace(self, counted_loop):
         trace, cfg = counted_loop
@@ -70,9 +73,9 @@ class TestMarkov:
         empirical = EmpiricalReachingProfile(cfg)
         for s in range(len(cfg)):
             for d in range(len(cfg)):
-                if empirical.prob[s, d] > 0.2:
-                    assert markov.prob[s, d] == pytest.approx(
-                        empirical.prob[s, d], abs=0.05
+                if empirical.prob[s][d] > 0.2:
+                    assert markov.prob[s][d] == pytest.approx(
+                        empirical.prob[s][d], abs=0.05
                     )
 
     def test_loose_agreement_on_real_workload(self, small_traces):
@@ -82,18 +85,27 @@ class TestMarkov:
         empirical = EmpiricalReachingProfile(cfg)
         kept = sorted(pruned.kept)
         diffs = [
-            abs(markov.prob[s, d] - empirical.prob[s, d])
+            abs(markov.prob[s][d] - empirical.prob[s][d])
             for s in kept
             for d in kept
-            if empirical.prob[s, d] > 0.9
+            if empirical.prob[s][d] > 0.9
         ]
         assert diffs and float(np.mean(diffs)) < 0.25
 
     def test_probabilities_bounded(self, small_traces):
         cfg = ControlFlowGraph.from_trace(small_traces["m88ksim"])
         profile = MarkovReachingProfile(prune_cfg(cfg))
-        assert np.all(profile.prob >= -1e-9)
-        assert np.all(profile.prob <= 1.0 + 1e-6)
+        prob = np.array(profile.prob)
+        assert np.all(prob >= -1e-9)
+        assert np.all(prob <= 1.0 + 1e-6)
+
+    def test_without_numpy_names_the_method(self, counted_loop, monkeypatch):
+        trace, cfg = counted_loop
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        with pytest.raises(ImportError, match='method="markov" needs numpy'):
+            MarkovReachingProfile(prune_cfg(cfg, coverage=1.0))
+        # The default estimator needs no numpy.
+        assert EmpiricalReachingProfile(cfg).prob
 
 
 class TestFactory:
@@ -127,10 +139,10 @@ class TestPropertyRandomLoops:
         profile = EmpiricalReachingProfile(cfg)
         head_pc = min(cfg.by_pc.keys() & trace.program.loop_heads())
         head = cfg.block_of_pc(head_pc)
-        assert profile.prob[head, head] == pytest.approx(
+        assert profile.prob[head][head] == pytest.approx(
             (trips - 1) / trips, abs=1e-9
         )
-        assert profile.dist[head, head] == pytest.approx(body + 2, abs=1e-9)
+        assert profile.dist[head][head] == pytest.approx(body + 2, abs=1e-9)
 
 
 def _brute_force_reaching(cfg, max_lookahead):
@@ -191,5 +203,7 @@ class TestPropertyRandomSequences:
         cfg = ControlFlowGraph(blocks, edges, sequence, position)
         profile = EmpiricalReachingProfile(cfg, max_lookahead=max_lookahead)
         prob, dist = _brute_force_reaching(cfg, max_lookahead)
-        assert profile.prob.tobytes() == prob.tobytes()
-        assert profile.dist.tobytes() == dist.tobytes()
+        assert len(profile.prob) == len(profile.dist) == n
+        for s in range(n):
+            assert profile.prob[s].tobytes() == prob[s].tobytes()
+            assert profile.dist[s].tobytes() == dist[s].tobytes()

@@ -198,7 +198,7 @@ class TestEquivalence:
 GRID_SCALE = 0.12
 
 
-def _grid_point(name, policy, predictor, injector_factory=None):
+def _grid_point(name, policy, predictor, injector_factory=None, **overrides):
     """Every core on one paper-grid point, built as the sweeps build it."""
     return _all_cores(
         framework.trace_for(name, GRID_SCALE),
@@ -206,6 +206,7 @@ def _grid_point(name, policy, predictor, injector_factory=None):
         injector_factory,
         base=framework.EXPERIMENT_CONFIG,
         value_predictor=predictor,
+        **overrides,
     )
 
 
@@ -227,6 +228,17 @@ class TestPaperGrid:
         )
         _assert_equal(_grid_point("go", "profile", "stride",
                                   lambda: FaultInjector(plan)))
+
+    @pytest.mark.parametrize(
+        "name, policy",
+        [("gcc", "profile"), ("li", "profile"), ("vortex", "heuristics")],
+    )
+    def test_cores_agree_when_removed_pairs_revive(self, name, policy):
+        # A pair removed for its size revives once enough cycles pass: a
+        # function of the clock, not of any event, so a spawn-PC poller
+        # must keep polling rather than sleep on a memoized outcome.
+        _assert_equal(_grid_point(name, policy, "stride", min_thread_size=32,
+                                  removal_revival_cycles=100))
 
 
 class TestReferenceCycles:
