@@ -32,7 +32,6 @@ from repro.analysis.dependence import (
     SquashRiskReport,
     analyze_pairs,
     continuation_pc_ranges,
-    rank_pairs,
     region_pc_ranges,
 )
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
@@ -82,7 +81,6 @@ __all__ = [
     "SquashRiskReport",
     "analyze_pairs",
     "continuation_pc_ranges",
-    "rank_pairs",
     "region_pc_ranges",
     "Diagnostic",
     "DiagnosticReport",

@@ -23,13 +23,12 @@ the natural-loop structure from :mod:`repro.analysis.dominators`: a register
 updated only by recognised self-update shapes inside a loop (``r += c`` and
 friends) is bounded by its entry value, the loop-guard limit and the
 per-iteration growth, instead of iterating the transfer functions to a
-fixpoint.  Results feed :func:`rank_pairs` (an optional re-ranking signal
-for pair selection) and the dependence-aware ``repro lint`` rules.
+fixpoint.  Results feed ``repro analyze-deps``, the replay sanitizer and
+the dependence-aware ``repro lint`` rules.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
@@ -45,7 +44,7 @@ from repro.analysis.dataflow import (
 from repro.analysis.dominators import NaturalLoop, dominator_tree, natural_loops
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
-from repro.spawning.pairs import SpawnPair, SpawnPairSet
+from repro.spawning.pairs import SpawnPairSet
 
 _INT_MIN = -(1 << 31)
 _INT_MAX = (1 << 31) - 1
@@ -926,44 +925,3 @@ def analyze_pairs(
         except ValueError:
             continue
     return reports
-
-
-def rank_pairs(
-    program: Program,
-    pairs: SpawnPairSet,
-    cfg: Optional[StaticCFG] = None,
-    analysis: Optional[DependenceAnalysis] = None,
-) -> SpawnPairSet:
-    """Re-rank a pair set by dividing each score by ``1 + risk_score``.
-
-    Pair identity and membership are untouched — only the per-SP
-    preference order among CQIP alternatives can change, steering the
-    processor toward pairs whose live-ins are predictable and whose
-    skipped region is unlikely to feed the speculative thread through
-    memory.
-
-    Args:
-        program: Program the pairs refer to.
-        pairs: The pair set to re-rank.
-        cfg: Optional pre-built static CFG.
-        analysis: Optional shared :class:`DependenceAnalysis` instance.
-
-    Returns:
-        A new :class:`SpawnPairSet` with adjusted scores.
-    """
-    analysis = analysis or DependenceAnalysis(program, cfg)
-    rescored: List[SpawnPair] = []
-    for pair in pairs.all_pairs():
-        try:
-            report = analysis.analyze_pair(pair.sp_pc, pair.cqip_pc)
-        except ValueError:
-            rescored.append(pair)
-            continue
-        rescored.append(
-            dataclasses.replace(
-                pair, score=pair.score / (1.0 + report.risk_score)
-            )
-        )
-    return SpawnPairSet(
-        rescored, candidates_evaluated=pairs.candidates_evaluated
-    )

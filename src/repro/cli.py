@@ -56,10 +56,19 @@ Commands
     Per-phase timings (trace build, pair selection, value-predictor
     priming, simulate, commit check) and cProfile hotspots of one point.
 
+``trace --out``, ``metrics dump`` and ``dashboard`` simulate their point
+through one function, :func:`repro.obs.traced_run`.  A flag that several
+commands share (the workload and ``--scale``, ``--policy``/``--load``,
+``--tus``/``--vp``, the sweep flags of ``exp`` and ``faults``) is
+declared by one ``_add_*_args`` helper, with per-command defaults.
+
 Exit codes
 ----------
 
-All commands return 0 on success and 2 on a usage error (argparse).
+All commands return 0 on success and 2 on a usage error: argparse's own
+(an unknown workload, ``--tus 0``) or a bad value found while the
+command runs (an unreadable or malformed ``--load`` table, a bad
+``--rates`` list), reported as one ``<command>: <message>`` line.
 ``lint`` additionally returns 1 when any error-severity diagnostic is
 emitted (or any warning under ``--strict``; with ``--docstrings`` it is
 warn-only unless ``--strict``), ``validate-pairs`` returns 1 when any
@@ -79,43 +88,212 @@ workloads) exit 3 with a one-line message instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.cache import ARTIFACT_KINDS
 from repro.cmt import ProcessorConfig, simulate, single_thread_cycles
+from repro.dist.backend import backend_names
 from repro.errors import ExecutionError, SimulationError
 from repro.exec.columns import F_BRANCH, F_LOAD, F_STORE, F_TAKEN
 from repro.experiments.framework import policy_builder, policy_names
 from repro.isa.assembler import disassemble
+from repro.obs import (
+    MetricsSnapshot,
+    RunManifest,
+    traced_run,
+    validate_chrome_trace,
+)
+from repro.predictors.value import VALUE_PREDICTORS
 from repro.spawning import load_pair_set, save_pair_set
 from repro.workloads import build_workload, load_trace, workload_names
 
 
-def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workload", choices=workload_names())
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload size multiplier (default 1.0)")
-    parser.add_argument("--max-steps", type=int, default=None,
-                        help="functional-execution step budget (a workload "
-                        "that does not halt within it fails fast)")
+class UsageError(Exception):
+    """A bad option value found while a command runs (exit 2)."""
 
 
-def _trace_of(args):
-    return load_trace(args.workload, args.scale,
-                      max_steps=getattr(args, "max_steps", None))
+# ----------------------------------------------------------------------
+# Shared flags, each declared once.
+# ----------------------------------------------------------------------
 
 
-def _add_policy_arg(parser: argparse.ArgumentParser) -> None:
+def _add_scale_arg(parser: argparse.ArgumentParser,
+                   default: Optional[float] = 1.0,
+                   help: Optional[str] = None) -> None:
+    parser.add_argument(
+        "--scale", type=float, default=default,
+        help=help or f"workload size multiplier (default {default})",
+    )
+
+
+def _add_workload_args(parser: argparse.ArgumentParser,
+                       scale: Optional[float] = 1.0,
+                       nargs: Optional[str] = None,
+                       help: Optional[str] = None,
+                       scale_help: Optional[str] = None,
+                       max_steps: bool = True) -> None:
+    """Add the workload positional, ``--scale`` and ``--max-steps``."""
+    parser.add_argument("workload", nargs=nargs, choices=workload_names(),
+                        help=help)
+    _add_scale_arg(parser, scale, scale_help)
+    if max_steps:
+        parser.add_argument(
+            "--max-steps", type=int, default=None,
+            help="functional-execution step budget (a workload that does "
+            "not halt within it fails fast)",
+        )
+
+
+def _add_pairs_args(parser: argparse.ArgumentParser,
+                    load: bool = False) -> None:
+    """Add ``--policy`` and, with ``load``, ``--load``."""
     parser.add_argument("--policy", choices=policy_names(),
                         default="profile",
                         help="spawning policy (default profile)")
+    if load:
+        parser.add_argument("--load", help="use a saved pair table instead "
+                            "of selecting pairs")
 
 
-def _build_pairs(trace, args):
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _add_machine_args(parser: argparse.ArgumentParser,
+                      tus: Optional[int] = None,
+                      vp: Optional[str] = None) -> None:
+    """Add ``--tus`` and ``--vp`` with these defaults (None omits one)."""
+    if tus is not None:
+        parser.add_argument("--tus", type=_positive_int, default=tus,
+                            help=f"thread units (default {tus})")
+    if vp is not None:
+        parser.add_argument("--vp", choices=VALUE_PREDICTORS, default=vp,
+                            help=f"live-in value predictor (default {vp})")
+
+
+def _add_sweep_args(parser: argparse.ArgumentParser, unit: str,
+                    jobs: Optional[int] = None,
+                    timeout: Optional[float] = None) -> None:
+    """Add the flags of a parallel-engine sweep; ``unit`` names what it
+    runs ("point" or "run")."""
+    parser.add_argument(
+        "--jobs", type=int, default=jobs,
+        help=f"worker processes (default {jobs or 'CPU count'}; 1 = the "
+        "bit-identical serial path)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="on-disk artifact cache shared by the workers; a re-run on "
+        f"it resumes completed {unit}s",
+    )
+    parser.add_argument("--timeout", type=float, default=timeout,
+                        help=f"per-{unit} wall-clock limit in seconds")
+    parser.add_argument("--retries", type=int, default=2,
+                        help=f"retry budget per {unit}")
+    parser.add_argument(
+        "--telemetry", default=None, metavar="DIR",
+        help=f"write per-{unit} provenance manifests (config digest, "
+        "seed, wall time) plus a rollup into DIR",
+    )
+    parser.add_argument("--verbose", action="store_true",
+                        help=f"print per-{unit} progress to stderr")
+    parser.add_argument(
+        "--backend", choices=backend_names(), default=None,
+        help="executor backend (default: serial for --jobs 1, process "
+        "otherwise)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="backend parallelism (default: --jobs; fleet size for "
+        "--backend remote)",
+    )
+
+
+# ----------------------------------------------------------------------
+# Shared steps.
+# ----------------------------------------------------------------------
+
+
+def _trace_of(args):
+    return load_trace(args.workload, args.scale, max_steps=args.max_steps)
+
+
+def _trace_and_pairs(args):
+    """Trace the workload and build its pairs from ``--load`` or
+    ``--policy``; an unreadable ``--load`` table is a usage error."""
+    loaded = None
     if getattr(args, "load", None):
-        return load_pair_set(args.load)
-    return policy_builder(args.policy)(trace)
+        try:
+            loaded = load_pair_set(args.load)
+        except (OSError, ValueError) as exc:
+            raise UsageError(
+                f"cannot load pair table {args.load}: {exc}"
+            ) from None
+    trace = _trace_of(args)
+    if loaded is None:
+        return trace, policy_builder(args.policy)(trace)
+    return trace, loaded
+
+
+def _traced_run(args, timeline: bool):
+    """Run ``args``' point through :func:`repro.obs.traced_run`."""
+    trace, pairs = _trace_and_pairs(args)
+    config = ProcessorConfig(
+        num_thread_units=args.tus,
+        value_predictor=args.vp,
+        collect_timeline=timeline,
+    )
+    return traced_run(trace, pairs, config, workload=args.workload,
+                      policy=args.policy, scale=args.scale)
+
+
+def _write_telemetry(directory, command: str, run, files, extra) -> None:
+    """Write ``files`` plus ``run``'s manifest into a ``--telemetry`` dir
+    (discoverable by the dashboard's manifest browser)."""
+    tele = Path(directory)
+    tele.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (tele / name).write_text(text)
+    RunManifest(
+        name=f"{command}/{run.meta['workload']}",
+        config=dict(run.meta),
+        seconds=run.seconds,
+        extra=extra,
+    ).write(tele)
+    written = " + ".join(name.split(".")[0] for name in files)
+    print(f"wrote telemetry ({written} + manifest) to {tele}")
+
+
+def _write_report(path: str, payload) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+    print(f"wrote JSON report to {path}")
+
+
+def _print_smoke(report, title: str, width: int, tail: str = "") -> int:
+    """Print a ``{"ok", "checks"}`` smoke report; return its exit code."""
+    for check in report["checks"]:
+        status = "ok" if check["ok"] else "FAIL"
+        detail = (
+            f"  ({check['detail']})"
+            if check["detail"] and not check["ok"] else ""
+        )
+        print(f"  {check['name']:{width}s} {status}{detail}")
+    passed = sum(1 for check in report["checks"] if check["ok"])
+    print(f"{title}: {passed}/{len(report['checks'])} checks{tail}")
+    return 0 if report["ok"] else 1
+
+
+# ----------------------------------------------------------------------
+# Commands.
+# ----------------------------------------------------------------------
 
 
 def cmd_workloads(args) -> int:
@@ -129,14 +307,12 @@ def cmd_workloads(args) -> int:
 def cmd_trace(args) -> int:
     export = args.out or args.metrics or args.smoke or args.telemetry
     if args.workload is None and not args.smoke:
-        print("trace: a workload is required (or --smoke)", file=sys.stderr)
-        return 2
-    workload = args.workload or "compress"
-    scale = args.scale if args.scale is not None else (
-        0.25 if args.smoke else 1.0
-    )
+        raise UsageError("a workload is required (or --smoke)")
+    args.workload = args.workload or "compress"
+    if args.scale is None:
+        args.scale = 0.25 if args.smoke else 1.0
     if not export:
-        trace = load_trace(workload, scale, max_steps=args.max_steps)
+        trace = _trace_of(args)
         branches = taken = loads = stores = 0
         for bits in trace.columns.flags:
             if bits & F_BRANCH:
@@ -150,7 +326,7 @@ def cmd_trace(args) -> int:
         calls = sum(
             len(trace.positions_of(pc)) for pc in trace.program.call_sites()
         )
-        print(f"workload          {workload} (scale {scale})")
+        print(f"workload          {args.workload} (scale {args.scale})")
         print(f"dynamic length    {len(trace)}")
         print(f"static length     {len(trace.program)}")
         print(f"branches          {branches} "
@@ -161,46 +337,18 @@ def cmd_trace(args) -> int:
         return 0
     # Export mode: run a fully traced simulation and emit a Chrome
     # trace-event JSON (plus, optionally, a metrics snapshot).
-    import json
-
-    from repro.obs import (
-        EventTracer,
-        MetricsRegistry,
-        TimelineModel,
-        events_metrics,
-        sim_metrics,
-        validate_chrome_trace,
-    )
-
-    import time
-
     out_path = args.out or ("trace.json" if args.smoke else None)
     metrics_path = args.metrics or ("metrics.json" if args.smoke else None)
-    trace = load_trace(workload, scale, max_steps=args.max_steps)
-    pairs = _build_pairs(trace, args)
-    config = ProcessorConfig(
-        num_thread_units=args.tus,
-        value_predictor=args.vp,
-        collect_timeline=True,
-    )
-    tracer = EventTracer()
-    started = time.perf_counter()
-    stats = simulate(trace, pairs, config, tracer=tracer)
-    elapsed = time.perf_counter() - started
-    labels = {"workload": workload, "policy": args.policy, "vp": args.vp}
-    model = TimelineModel.from_stats(
-        stats, args.tus, events=tracer.events,
-        meta={**labels, "scale": scale, "tus": args.tus},
-    )
-    chrome = model.chrome_trace()
+    run = _traced_run(args, timeline=True)
+    chrome = run.chrome_trace()
     problems = validate_chrome_trace(chrome)
     if problems:
         for problem in problems:
             print(f"trace: schema error: {problem}", file=sys.stderr)
         return 1
     print(
-        f"{workload}: {stats.cycles} cycles, {stats.threads_committed} "
-        f"threads, {len(tracer)} events "
+        f"{args.workload}: {run.stats.cycles} cycles, "
+        f"{run.stats.threads_committed} threads, {len(run.events)} events "
         f"({len(chrome['traceEvents'])} trace entries, schema OK)"
     )
     if out_path:
@@ -208,54 +356,27 @@ def cmd_trace(args) -> int:
             json.dump(chrome, handle, sort_keys=True)
         print(f"wrote Chrome trace to {out_path} (open in ui.perfetto.dev)")
     if metrics_path:
-        registry = MetricsRegistry()
-        sim_metrics(stats, registry, **labels)
-        events_metrics(tracer.events, registry, **labels)
         with open(metrics_path, "w") as handle:
-            json.dump(registry.snapshot().to_dict(), handle,
+            json.dump(run.metrics().snapshot().to_dict(), handle,
                       indent=1, sort_keys=True)
         print(f"wrote metrics snapshot to {metrics_path}")
     if args.telemetry:
-        # Discoverable layout: trace + events + manifest in one dir the
-        # dashboard's find_telemetry-based browser picks up.
-        from pathlib import Path
-
-        from repro.obs import RunManifest
-
-        tele = Path(args.telemetry)
-        tele.mkdir(parents=True, exist_ok=True)
-        (tele / "trace.json").write_text(
-            json.dumps(chrome, sort_keys=True) + "\n"
-        )
-        (tele / "events.jsonl").write_text(tracer.to_jsonl() + "\n")
-        RunManifest(
-            name=f"trace/{workload}",
-            config={
-                "workload": workload, "scale": scale,
-                "policy": args.policy, "vp": args.vp, "tus": args.tus,
+        _write_telemetry(
+            args.telemetry, "trace", run,
+            {
+                "trace.json": json.dumps(chrome, sort_keys=True) + "\n",
+                "events.jsonl": run.tracer.to_jsonl() + "\n",
             },
-            seconds=elapsed,
             extra={
-                "cycles": stats.cycles,
-                "threads_committed": stats.threads_committed,
-                "events": len(tracer),
+                "cycles": run.stats.cycles,
+                "threads_committed": run.stats.threads_committed,
+                "events": len(run.events),
             },
-        ).write(tele)
-        print(f"wrote telemetry (trace + events + manifest) to {tele}")
+        )
     return 0
 
 
 def cmd_metrics(args) -> int:
-    import json
-
-    from repro.obs import (
-        EventTracer,
-        MetricsRegistry,
-        MetricsSnapshot,
-        events_metrics,
-        sim_metrics,
-    )
-
     if args.metrics_cmd == "diff":
         with open(args.before) as handle:
             before = MetricsSnapshot.from_dict(json.load(handle))
@@ -272,23 +393,8 @@ def cmd_metrics(args) -> int:
         print(f"{len(changes)} sample(s) changed")
         return 1 if changes else 0
     # dump: run one traced simulation and emit its metrics.
-    import time
-
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
-    config = ProcessorConfig(
-        num_thread_units=args.tus, value_predictor=args.vp
-    )
-    tracer = EventTracer()
-    started = time.perf_counter()
-    stats = simulate(trace, pairs, config, tracer=tracer)
-    elapsed = time.perf_counter() - started
-    registry = MetricsRegistry()
-    labels = {
-        "workload": args.workload, "policy": args.policy, "vp": args.vp
-    }
-    sim_metrics(stats, registry, **labels)
-    events_metrics(tracer.events, registry, **labels)
+    run = _traced_run(args, timeline=False)
+    registry = run.metrics()
     if args.format == "prom":
         text = registry.to_prometheus()
     elif args.format == "jsonl":
@@ -304,24 +410,10 @@ def cmd_metrics(args) -> int:
     else:
         print(text, end="")
     if args.telemetry:
-        from pathlib import Path
-
-        from repro.obs import RunManifest
-
-        tele = Path(args.telemetry)
-        tele.mkdir(parents=True, exist_ok=True)
-        ext = {"prom": "prom", "json": "json", "jsonl": "jsonl"}
-        (tele / f"metrics.{ext[args.format]}").write_text(text)
-        RunManifest(
-            name=f"metrics/{args.workload}",
-            config={
-                "workload": args.workload, "scale": args.scale,
-                "policy": args.policy, "vp": args.vp, "tus": args.tus,
-            },
-            seconds=elapsed,
-            extra={"format": args.format, "events": len(tracer)},
-        ).write(tele)
-        print(f"wrote telemetry (metrics + manifest) to {tele}")
+        _write_telemetry(
+            args.telemetry, "metrics", run, {f"metrics.{args.format}": text},
+            extra={"format": args.format, "events": len(run.events)},
+        )
     return 0
 
 
@@ -331,8 +423,7 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
+    _, pairs = _trace_and_pairs(args)
     print(
         f"{pairs.candidates_evaluated} candidates evaluated, "
         f"{len(pairs)} spawning points"
@@ -350,8 +441,7 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
+    trace, pairs = _trace_and_pairs(args)
     config = ProcessorConfig(
         num_thread_units=args.tus,
         value_predictor=args.vp,
@@ -379,8 +469,7 @@ def cmd_simulate(args) -> int:
 def cmd_timeline(args) -> int:
     from repro.cmt.gantt import render_gantt
 
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
+    trace, pairs = _trace_and_pairs(args)
     config = ProcessorConfig(
         num_thread_units=args.tus,
         value_predictor=args.vp,
@@ -413,15 +502,13 @@ def cmd_lint(args) -> int:
         print(f"docstrings: {warnings} warning(s), {infos} info(s)")
         return 1 if args.strict and warnings else 0
     if args.workload is None:
-        print("lint: a workload is required (or --list-rules, "
-              "--docstrings)", file=sys.stderr)
-        return 2
+        raise UsageError("a workload is required (or --list-rules, "
+                         "--docstrings)")
     program = build_workload(args.workload, args.scale)
     try:
         report = lint_program(program, ignore=args.ignore or ())
     except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(f"{program.name}: {report.summary()}")
     for diag in report:
         print(f"  {diag.format()}")
@@ -435,8 +522,7 @@ def cmd_lint(args) -> int:
 def cmd_validate_pairs(args) -> int:
     from repro.analysis import validate_pairs
 
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
+    trace, pairs = _trace_and_pairs(args)
     report = validate_pairs(trace.program, pairs)
     print(f"{args.workload}: {report.summary()}")
     for finding in report:
@@ -447,22 +533,16 @@ def cmd_validate_pairs(args) -> int:
 def cmd_analyze_deps(args) -> int:
     from repro.analysis.dependence import analyze_pairs
 
-    trace = _trace_of(args)
-    pairs = _build_pairs(trace, args)
+    trace, pairs = _trace_and_pairs(args)
     reports = analyze_pairs(trace.program, pairs)
     print(f"{args.workload}: {len(reports)} pair(s) analysed")
     for report in reports.values():
         print(f"  {report.format()}")
     if args.json:
-        import json
-
-        payload = {
+        _write_report(args.json, {
             "workload": args.workload,
             "pairs": [r.to_dict() for r in reports.values()],
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote JSON report to {args.json}")
+        })
     sync_pairs = [
         r for r in reports.values() if r.recommended_predictor == "sync"
     ]
@@ -526,18 +606,13 @@ def cmd_sanitize(args) -> int:
                 })
     print(f"sanitize: {len(runs)} run(s), {violations} violation(s)")
     if args.report:
-        import json
-
-        payload = {
+        _write_report(args.report, {
             "ok": violations == 0,
             "scale": scale,
             "seed": args.seed,
             "fault_rate": args.fault_rate,
             "runs": runs,
-        }
-        with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"wrote JSON report to {args.report}")
+        })
     return 1 if violations else 0
 
 
@@ -554,8 +629,7 @@ def cmd_faults(args) -> int:
                 if token.strip() != ""
             )
         except ValueError:
-            print(f"faults: bad --rates value {args.rates!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --rates value {args.rates!r}") from None
         if 0.0 not in rates:
             rates = (0.0,) + rates  # the zero-rate gate is always run
         spec = CampaignSpec(
@@ -582,11 +656,7 @@ def cmd_faults(args) -> int:
     )
     print(result.render())
     if args.report:
-        import json
-
-        with open(args.report, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"wrote JSON report to {args.report}")
+        _write_report(args.report, result.to_dict())
     return 0 if result.ok else 1
 
 
@@ -691,24 +761,14 @@ def cmd_cache(args) -> int:
 
 def cmd_serve(args) -> int:
     import tempfile
-    from pathlib import Path
 
     if args.smoke:
         from repro.serve.client import run_serve_smoke
 
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
             report = run_serve_smoke(Path(tmp) / "state")
-        for check in report["checks"]:
-            status = "ok" if check["ok"] else "FAIL"
-            detail = (
-                f"  ({check['detail']})"
-                if check["detail"] and not check["ok"] else ""
-            )
-            print(f"  {check['name']:26s} {status}{detail}")
-        passed = sum(1 for check in report["checks"] if check["ok"])
-        print(f"serve smoke: {passed}/{len(report['checks'])} checks, "
-              f"{report['jobs']} job(s)")
-        return 0 if report["ok"] else 1
+        return _print_smoke(report, "serve smoke", 26,
+                            f", {report['jobs']} job(s)")
 
     # Daemon mode: run until a drain (SIGTERM/SIGINT or POST
     # /admin/drain) completes.
@@ -757,22 +817,9 @@ def cmd_dashboard(args) -> int:
         run_smoke,
         write_snapshot,
     )
-    from repro.obs import validate_chrome_trace
 
     if args.smoke:
-        report = run_smoke()
-        for check in report["checks"]:
-            status = "ok" if check["ok"] else "FAIL"
-            detail = (
-                f"  ({check['detail']})"
-                if check["detail"] and not check["ok"] else ""
-            )
-            print(f"  {check['name']:20s} {status}{detail}")
-        passed = sum(1 for check in report["checks"] if check["ok"])
-        print(
-            f"dashboard smoke: {passed}/{len(report['checks'])} checks"
-        )
-        return 0 if report["ok"] else 1
+        return _print_smoke(run_smoke(), "dashboard smoke", 20)
 
     try:
         data = DashboardData.collect(
@@ -788,8 +835,7 @@ def cmd_dashboard(args) -> int:
             attach=args.attach,
         )
     except ValueError as exc:
-        print(f"dashboard: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
 
     if args.snapshot:
         written = write_snapshot(data, args.snapshot)
@@ -830,8 +876,7 @@ def cmd_worker(args) -> int:
             heartbeat=args.heartbeat,
         )
     except ValueError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
 
 
 def cmd_profile(args) -> int:
@@ -847,8 +892,6 @@ def cmd_profile(args) -> int:
         with_profile=not args.no_cprofile,
     )
     if args.json:
-        import json
-
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     else:
         print(report.render())
@@ -870,18 +913,12 @@ def make_parser() -> argparse.ArgumentParser:
         help="dynamic-trace statistics, or a traced simulation exported "
         "as Chrome trace-event JSON (--out/--smoke)",
     )
-    p.add_argument("workload", nargs="?", choices=workload_names(),
-                   help="workload (optional with --smoke)")
-    p.add_argument("--scale", type=float, default=None,
-                   help="workload size multiplier (default 1.0; "
-                   "0.25 with --smoke)")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="functional-execution step budget (a workload "
-                   "that does not halt within it fails fast)")
-    _add_policy_arg(p)
-    p.add_argument("--tus", type=int, default=8, help="thread units")
-    p.add_argument("--vp", default="stride",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(p, scale=None, nargs="?",
+                       help="workload (optional with --smoke)",
+                       scale_help="workload size multiplier (default 1.0; "
+                       "0.25 with --smoke)")
+    _add_pairs_args(p)
+    _add_machine_args(p, tus=8, vp="stride")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the traced run as Chrome trace-event JSON "
                    "(viewable in ui.perfetto.dev)")
@@ -901,11 +938,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     msub = p.add_subparsers(dest="metrics_cmd", required=True)
     d = msub.add_parser("dump", help="simulate one point and emit metrics")
-    _add_workload_arg(d)
-    _add_policy_arg(d)
-    d.add_argument("--tus", type=int, default=16, help="thread units")
-    d.add_argument("--vp", default="stride",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(d)
+    _add_pairs_args(d)
+    _add_machine_args(d, tus=16, vp="stride")
     d.add_argument("--format", choices=("prom", "json", "jsonl"),
                    default="prom",
                    help="Prometheus text, snapshot JSON, or JSON Lines")
@@ -921,20 +956,17 @@ def make_parser() -> argparse.ArgumentParser:
     f.add_argument("after", help="snapshot JSON to compare against")
 
     p = sub.add_parser("disasm", help="disassemble a workload")
-    _add_workload_arg(p)
+    _add_workload_args(p)
 
     p = sub.add_parser("pairs", help="select and print spawning pairs")
-    _add_workload_arg(p)
-    _add_policy_arg(p)
+    _add_workload_args(p)
+    _add_pairs_args(p)
     p.add_argument("--save", help="write the pair table to a JSON file")
 
     p = sub.add_parser("simulate", help="run the CSMT simulator")
-    _add_workload_arg(p)
-    _add_policy_arg(p)
-    p.add_argument("--load", help="load a pair table instead of selecting")
-    p.add_argument("--tus", type=int, default=16, help="thread units")
-    p.add_argument("--vp", default="perfect",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(p)
+    _add_pairs_args(p, load=True)
+    _add_machine_args(p, tus=16, vp="perfect")
     p.add_argument("--init-overhead", type=int, default=0)
     p.add_argument("--removal", type=int, default=None,
                    help="alone-cycles removal threshold")
@@ -947,17 +979,13 @@ def make_parser() -> argparse.ArgumentParser:
                    help="seed of the fault plan (with --fault-rate)")
 
     p = sub.add_parser("timeline", help="ASCII Gantt of thread lifetimes")
-    _add_workload_arg(p)
-    _add_policy_arg(p)
-    p.add_argument("--tus", type=int, default=8)
-    p.add_argument("--vp", default="perfect",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(p)
+    _add_pairs_args(p)
+    _add_machine_args(p, tus=8, vp="perfect")
     p.add_argument("--width", type=int, default=100)
 
     p = sub.add_parser("lint", help="static workload linter")
-    p.add_argument("workload", nargs="?", choices=workload_names())
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload size multiplier (default 1.0)")
+    _add_workload_args(p, nargs="?", max_steps=False)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on warnings as well as errors")
     p.add_argument("--ignore", action="append", metavar="RULE",
@@ -971,17 +999,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-pairs",
                        help="statically validate a spawning-pair table")
-    _add_workload_arg(p)
-    _add_policy_arg(p)
-    p.add_argument("--load", help="validate a saved pair table instead")
+    _add_workload_args(p)
+    _add_pairs_args(p, load=True)
 
     p = sub.add_parser(
         "analyze-deps",
         help="static memory-dependence analysis of spawning pairs",
     )
-    _add_workload_arg(p)
-    _add_policy_arg(p)
-    p.add_argument("--load", help="analyse a saved pair table instead")
+    _add_workload_args(p)
+    _add_pairs_args(p, load=True)
     p.add_argument("--json", metavar="FILE",
                    help="write the per-pair reports as JSON")
     p.add_argument("--strict", action="store_true",
@@ -995,9 +1021,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", nargs="*", choices=workload_names(),
                    help="workloads to check (default: whole suite, or "
                    "compress+ijpeg with --smoke)")
-    p.add_argument("--scale", type=float, default=0.2,
-                   help="workload size multiplier (default 0.2)")
-    p.add_argument("--tus", type=int, default=8, help="thread units")
+    _add_scale_arg(p, 0.2)
+    _add_machine_args(p, tus=8)
     p.add_argument("--seed", type=int, default=2002,
                    help="seed of the corruption fault plan")
     p.add_argument("--fault-rate", type=float, default=0.25,
@@ -1016,37 +1041,16 @@ def make_parser() -> argparse.ArgumentParser:
                    help="comma-separated fault rates (0 is always added)")
     p.add_argument("--seed", type=int, default=2002,
                    help="campaign seed (fully determines every fault)")
-    p.add_argument("--scale", type=float, default=1.0)
-    _add_policy_arg(p)
-    p.add_argument("--tus", type=int, default=16, help="thread units")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="per-run wall-clock limit in seconds")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retry budget per run")
+    _add_scale_arg(p)
+    _add_pairs_args(p)
+    _add_machine_args(p, tus=16)
     p.add_argument("--report", help="write the JSON degradation report here")
     p.add_argument("--smoke", action="store_true",
                    help="small fixed campaign for CI (overrides sweep args)")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-run progress to stderr")
     p.add_argument("--inject-crash", action="append", metavar="KEY",
                    help="crash KEY's first attempt (resilience testing; "
                    "KEY is workload@rate)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (default 1 = serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="artifact-cache directory shared by the workers; "
-                   "a re-run on it resumes completed runs")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write per-run provenance manifests (config "
-                   "digest, fault seed, wall time) plus a campaign "
-                   "rollup into DIR")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "remote"),
-                   default=None,
-                   help="executor backend (default: serial for --jobs 1, "
-                   "process otherwise)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="backend parallelism (default: --jobs)")
+    _add_sweep_args(p, "run", jobs=1, timeout=120.0)
 
     p = sub.add_parser(
         "exp",
@@ -1054,31 +1058,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fig", required=True,
                    help="figure to reproduce (8 or figure8)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: CPU count; 1 = the "
-                   "bit-identical serial path)")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--cache-dir", default=None,
-                   help="on-disk artifact cache shared across runs; a "
-                   "re-run on it resumes completed points")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point wall-clock limit in seconds")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retry budget per point")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write per-point provenance manifests (config "
-                   "digest, seed, cache delta, wall time) plus a sweep "
-                   "rollup into DIR")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-point progress to stderr")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "remote"),
-                   default=None,
-                   help="executor backend (default: serial for --jobs 1, "
-                   "process otherwise)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="backend parallelism (default: --jobs; fleet "
-                   "size for --backend remote)")
+    _add_scale_arg(p)
+    _add_sweep_args(p, "point")
 
     p = sub.add_parser(
         "worker",
@@ -1102,8 +1083,7 @@ def make_parser() -> argparse.ArgumentParser:
                    ".repro-cache)")
     p.add_argument("--kind", default=None, choices=ARTIFACT_KINDS,
                    help="restrict 'clear' to one artifact kind")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload scale to warm (with 'warm')")
+    _add_scale_arg(p, help="workload scale to warm (with 'warm')")
     p.add_argument("--verbose", action="store_true",
                    help="print per-workload warm progress to stderr")
 
@@ -1153,18 +1133,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="live web UI over timelines, event streams, metrics and "
         "sweep manifests (docs/dashboard.md)",
     )
-    p.add_argument("workload", nargs="?", choices=workload_names(),
-                   help="workload backing the startup simulation "
-                   "(default compress; ignored with --trace)")
-    p.add_argument("--scale", type=float, default=0.25,
-                   help="workload size multiplier (default 0.25)")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="functional-execution step budget (a workload "
-                   "that does not halt within it fails fast)")
-    _add_policy_arg(p)
-    p.add_argument("--tus", type=int, default=8, help="thread units")
-    p.add_argument("--vp", default="stride",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(p, scale=0.25, nargs="?",
+                       help="workload backing the startup simulation "
+                       "(default compress; ignored with --trace)")
+    _add_pairs_args(p)
+    _add_machine_args(p, tus=8, vp="stride")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="serve this Chrome-trace JSON (e.g. from "
                    "'repro trace --out') instead of simulating")
@@ -1195,12 +1168,9 @@ def make_parser() -> argparse.ArgumentParser:
         "profile",
         help="per-phase timings and cProfile hotspots of one point",
     )
-    p.add_argument("workload", choices=workload_names())
-    p.add_argument("--scale", type=float, default=0.3,
-                   help="workload size multiplier (default 0.3)")
-    _add_policy_arg(p)
-    p.add_argument("--vp", default="stride",
-                   choices=("perfect", "stride", "fcm", "last", "none"))
+    _add_workload_args(p, scale=0.3, max_steps=False)
+    _add_pairs_args(p)
+    _add_machine_args(p, vp="stride")
     p.add_argument("--core", choices=("event", "legacy"),
                    default="event", help="simulator core to profile")
     p.add_argument("--top", type=int, default=15,
@@ -1238,6 +1208,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except (SimulationError, ExecutionError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 3

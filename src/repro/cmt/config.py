@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.predictors.value import VALUE_PREDICTORS
+
 
 @dataclass(frozen=True)
 class ProcessorConfig:
@@ -139,7 +141,7 @@ class ProcessorConfig:
             raise ValueError("removal_occurrences must be >= 1")
         if self.removal_coactive_threshold < 1:
             raise ValueError("removal_coactive_threshold must be >= 1")
-        if self.value_predictor not in ("perfect", "none", "last", "stride", "fcm"):
+        if self.value_predictor not in VALUE_PREDICTORS:
             raise ValueError(
                 f"unknown value predictor {self.value_predictor!r}"
             )

@@ -172,8 +172,3 @@ class SpawnRuntime:
                 reason="min_size",
             )
         return True
-
-    def live_pair_count(self, cycle: int = 0) -> int:
-        return sum(
-            len(self.candidates(sp, cycle)) for sp in self._alternatives
-        )

@@ -213,18 +213,6 @@ class ThreadUnit:
     # Bookkeeping hygiene.
     # ------------------------------------------------------------------
 
-    def reset_bandwidth_tracking(self) -> None:
-        """Drop per-cycle bookkeeping (between independent simulations)."""
-        self._issue_used.clear()
-        self._fu_used.clear()
-        self._issue_overflow.clear()
-        self._fu_overflow.clear()
-        self._ring_base = 0
-        self._issue_stamp = [-1] * RING_WINDOW
-        self._issue_count = [0] * RING_WINDOW
-        self._fu_stamp = [[-1] * RING_WINDOW for _ in FU_CLASSES]
-        self._fu_count = [[0] * RING_WINDOW for _ in FU_CLASSES]
-
     def trim_bandwidth(self, before_cycle: int) -> int:
         """Drop booking entries strictly below ``before_cycle``.
 

@@ -5,9 +5,10 @@ observability layer's existing artifacts:
 
 - the **timeline** view serves the schema-checked Chrome-trace JSON
   (:meth:`~repro.obs.timeline.TimelineModel.chrome_trace`), either
-  loaded from a ``repro trace --out`` file or produced by running one
-  traced simulation at startup — the same export Perfetto opens, so
-  the dashboard and Perfetto stay consistent by construction;
+  loaded from a ``repro trace --out`` file or produced at startup by
+  :func:`~repro.obs.timeline.traced_run`, the run ``repro trace --out``
+  makes — the same export Perfetto opens, so the dashboard and
+  Perfetto stay consistent by construction;
 - the **events** view serves the structured event stream (a PR-5 JSONL
   file or the live tracer) with kind filtering and per-thread
   drill-down, cross-checked against :func:`repro.obs.replay_counters`;
@@ -31,13 +32,8 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.events import SimEvent, events_from_jsonl, replay_counters
 from repro.obs.manifest import find_telemetry, read_manifests
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    events_metrics,
-    sim_metrics,
-)
-from repro.obs.timeline import TimelineModel, validate_chrome_trace
+from repro.obs.registry import Histogram, MetricsRegistry, events_metrics
+from repro.obs.timeline import traced_run
 
 __all__ = [
     "DashboardData",
@@ -251,33 +247,24 @@ class DashboardData:
             if events:
                 registry = events_metrics(events, **_event_labels(meta))
         else:
-            from repro.cmt import ProcessorConfig, simulate
+            from repro.cmt import ProcessorConfig
             from repro.experiments.framework import policy_builder
-            from repro.obs.events import EventTracer
             from repro.workloads import load_trace
 
-            run = load_trace(workload, scale, max_steps=max_steps)
-            pairs = policy_builder(policy)(run)
-            tracer = EventTracer()
+            workload_trace = load_trace(workload, scale, max_steps=max_steps)
             config = ProcessorConfig(
                 num_thread_units=thread_units,
                 value_predictor=value_predictor,
                 collect_timeline=True,
             )
-            stats = simulate(run, pairs, config, tracer=tracer)
-            labels = {
-                "workload": workload,
-                "policy": policy,
-                "vp": value_predictor,
-            }
-            meta = {**labels, "scale": scale, "tus": thread_units}
-            model = TimelineModel.from_stats(
-                stats, thread_units, events=tracer.events, meta=meta
+            run = traced_run(
+                workload_trace, policy_builder(policy)(workload_trace),
+                config, workload=workload, policy=policy, scale=scale,
             )
-            trace = model.chrome_trace()
-            events = tracer.events
-            registry = sim_metrics(stats, **labels)
-            events_metrics(events, registry, **labels)
+            trace = run.chrome_trace()
+            events = run.events
+            registry = run.metrics()
+            meta = run.meta
         dirs: Sequence[Union[str, Path]]
         if telemetry:
             dirs = list(telemetry)
@@ -303,15 +290,6 @@ class DashboardData:
             The Chrome-trace JSON object itself.
         """
         return self.trace
-
-    def trace_problems(self) -> List[str]:
-        """Schema-check the served trace.
-
-        Returns:
-            The :func:`~repro.obs.timeline.validate_chrome_trace`
-            findings (empty when valid).
-        """
-        return validate_chrome_trace(self.trace)
 
     def events_payload(
         self,

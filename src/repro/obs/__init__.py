@@ -10,7 +10,8 @@ Four cooperating pieces (see ``docs/observability.md``):
   plus collectors bridging the repository's existing stats objects;
 - :mod:`repro.obs.timeline` — the per-TU thread-lifetime data model
   shared by the ASCII Gantt view and the Chrome trace-event / Perfetto
-  exporter;
+  exporter, and :func:`traced_run`, the one traced simulation of a
+  point, whose result builds both the trace and the metrics;
 - :mod:`repro.obs.manifest` — per-run and per-sweep provenance records
   (config digest, seed, cache stats, fault plan, durations).
 """
@@ -40,15 +41,15 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     SNAPSHOT_SCHEMA_VERSION,
-    cache_metrics,
     events_metrics,
-    outcome_metrics,
     sim_metrics,
 )
 from repro.obs.timeline import (
     CHROME_TRACE_SCHEMA_VERSION,
     Lifetime,
     TimelineModel,
+    TracedRun,
+    traced_run,
     validate_chrome_trace,
 )
 
@@ -73,12 +74,12 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "SNAPSHOT_SCHEMA_VERSION",
-    "cache_metrics",
     "events_metrics",
-    "outcome_metrics",
     "sim_metrics",
     "CHROME_TRACE_SCHEMA_VERSION",
     "Lifetime",
     "TimelineModel",
+    "TracedRun",
+    "traced_run",
     "validate_chrome_trace",
 ]

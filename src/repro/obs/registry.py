@@ -1,10 +1,10 @@
 """Labelled metrics registry with Prometheus and JSONL exposition.
 
-One registry unifies the repository's scattered telemetry —
-:class:`~repro.cmt.stats.SimulationStats`,
-:class:`~repro.cache.CacheStats`, engine/runner counters (retries,
-timeouts, per-point wall time, worker cache hit rates) — behind three
-metric types with label sets and snapshot/delta semantics:
+One registry unifies the repository's telemetry —
+:class:`~repro.cmt.stats.SimulationStats`, the structured event stream,
+the serve daemon's job counters and the distributed coordinator's fleet
+counters — behind three metric types with label sets and snapshot/delta
+semantics:
 
 - :class:`Counter` — monotonically increasing totals (``*_total``);
 - :class:`Gauge` — point-in-time values (rates, sizes);
@@ -470,45 +470,6 @@ def sim_metrics(stats, registry: Optional[MetricsRegistry] = None,
     return registry
 
 
-def cache_metrics(cache_stats, registry: Optional[MetricsRegistry] = None,
-                  **labels: Any) -> MetricsRegistry:
-    """Record artifact-cache counters into a registry.
-
-    Args:
-        cache_stats: A :class:`~repro.cache.CacheStats` or a plain dict
-            with ``memory_hits``/``disk_hits``/``misses``/``puts`` keys
-            (the engine's aggregated ``cache_events`` shape).
-        registry: Registry to record into (a fresh one when None).
-        **labels: Labels stamped on every sample.
-
-    Returns:
-        The registry, for chaining.
-    """
-    registry = registry or MetricsRegistry()
-    if not isinstance(cache_stats, dict):
-        cache_stats = cache_stats.to_dict()
-    names = {
-        "memory_hits": ("repro_cache_memory_hits_total",
-                        "Artifact-cache lookups served from memory"),
-        "disk_hits": ("repro_cache_disk_hits_total",
-                      "Artifact-cache lookups served from disk"),
-        "misses": ("repro_cache_misses_total", "Artifact-cache misses"),
-        "puts": ("repro_cache_puts_total", "Artifacts written to the cache"),
-    }
-    for key, (name, help_text) in names.items():
-        registry.counter(name, help_text).inc(
-            int(cache_stats.get(key, 0)), **labels
-        )
-    hits = int(cache_stats.get("memory_hits", 0)) + int(
-        cache_stats.get("disk_hits", 0)
-    )
-    total = hits + int(cache_stats.get("misses", 0))
-    registry.gauge(
-        "repro_cache_hit_rate", "Artifact-cache hit rate"
-    ).set(hits / total if total else 0.0, **labels)
-    return registry
-
-
 def events_metrics(events: Iterable, registry: Optional[MetricsRegistry] = None,
                    **labels: Any) -> MetricsRegistry:
     """Record an event stream's per-kind totals into a registry.
@@ -527,40 +488,4 @@ def events_metrics(events: Iterable, registry: Optional[MetricsRegistry] = None,
     )
     for event in events:
         counter.inc(1, kind=event.kind, **labels)
-    return registry
-
-
-def outcome_metrics(outcomes: Mapping[str, Any],
-                    registry: Optional[MetricsRegistry] = None,
-                    **labels: Any) -> MetricsRegistry:
-    """Record hardened-runner outcomes (engine/sweep telemetry).
-
-    Args:
-        outcomes: Mapping of run key to
-            :class:`~repro.experiments.framework.ResilientOutcome`.
-        registry: Registry to record into (a fresh one when None).
-        **labels: Labels stamped on every sample.
-
-    Returns:
-        The registry, for chaining.
-    """
-    registry = registry or MetricsRegistry()
-    points = registry.counter(
-        "repro_engine_points_total", "Sweep points by final status"
-    )
-    retries = registry.counter(
-        "repro_engine_retry_attempts_total",
-        "Extra attempts beyond the first, over all points",
-    )
-    seconds = registry.histogram(
-        "repro_engine_point_seconds",
-        "Per-point wall time in seconds",
-        buckets=(0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300, 600),
-    )
-    for outcome in outcomes.values():
-        status = "ok" if outcome.ok else "failed"
-        points.inc(1, status=status, **labels)
-        if outcome.attempts > 1:
-            retries.inc(outcome.attempts - 1, **labels)
-        seconds.observe(getattr(outcome, "seconds", 0.0), **labels)
     return registry

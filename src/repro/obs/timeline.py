@@ -15,15 +15,27 @@ We emit ``"X"`` (complete) events for thread execute/wait slices, ``"M"``
 for point occurrences such as squashes and spawn drops.  Cycles map 1:1
 to microseconds (``ts``/``dur`` are expressed in us), which keeps
 Perfetto's time axis readable without a scale factor.
+
+:func:`traced_run` is the one way to run a traced simulation point:
+``repro trace --out``, ``repro metrics dump`` and the dashboard's startup
+simulation all call it, and build the Chrome trace and the metrics
+registry from the :class:`TracedRun` it returns.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.events import BULK_KINDS, SimEvent
+from repro.obs.events import BULK_KINDS, EventTracer, SimEvent
+from repro.obs.registry import MetricsRegistry, events_metrics, sim_metrics
+
+if TYPE_CHECKING:
+    from repro.cmt.config import ProcessorConfig
+    from repro.cmt.stats import SimulationStats
+    from repro.exec.trace import Trace
+    from repro.spawning.pairs import SpawnPairSet
 
 #: Version of the emitted Chrome-trace shape, stamped into the trace's
 #: ``metadata`` object.  Version 1 (implicit) predates the stamp;
@@ -116,7 +128,7 @@ class TimelineModel:
     @property
     def total_cycles(self) -> int:
         """Last commit cycle across every lifetime (at least 1)."""
-        return max(l.commit for l in self.lifetimes) or 1
+        return max(life.commit for life in self.lifetimes) or 1
 
     def lanes(self) -> Dict[int, List[Lifetime]]:
         """Return lifetimes grouped by thread unit, sorted by start."""
@@ -126,12 +138,12 @@ class TimelineModel:
         for lifetime in self.lifetimes:
             result.setdefault(lifetime.tu, []).append(lifetime)
         for lane in result.values():
-            lane.sort(key=lambda l: (l.start, l.commit))
+            lane.sort(key=lambda life: (life.start, life.commit))
         return result
 
     def commit_waits(self) -> List[int]:
         """Per-thread commit-wait cycles, in timeline order."""
-        return [l.wait for l in self.lifetimes]
+        return [life.wait for life in self.lifetimes]
 
     # ------------------------------------------------------------------
     # Chrome trace-event export.
@@ -223,9 +235,88 @@ class TimelineModel:
             "metadata": {"schema_version": CHROME_TRACE_SCHEMA_VERSION},
         }
 
-    def chrome_trace_json(self) -> str:
-        """Serialise :meth:`chrome_trace` (stable key order)."""
-        return json.dumps(self.chrome_trace(), sort_keys=True)
+
+@dataclass
+class TracedRun:
+    """One traced simulation point, as :func:`traced_run` returns it.
+
+    Attributes:
+        stats: The run's :class:`~repro.cmt.stats.SimulationStats`.
+        tracer: The tracer that recorded the run's event stream.
+        seconds: Wall time of ``simulate`` alone.
+        meta: Run identity: ``workload``, ``policy``, ``vp``, ``scale``
+            and ``tus``.
+    """
+
+    stats: SimulationStats
+    tracer: EventTracer
+    seconds: float
+    meta: Dict[str, Any]
+
+    @property
+    def events(self) -> List[SimEvent]:
+        """The structured event stream of the run."""
+        return self.tracer.events
+
+    @property
+    def labels(self) -> Dict[str, Any]:
+        """The metric labels: ``workload``, ``policy`` and ``vp``."""
+        return {key: self.meta[key] for key in ("workload", "policy", "vp")}
+
+    def chrome_trace(self) -> Dict[str, Any]:
+        """Return the run as Chrome trace-event JSON.
+
+        The run must have been simulated with ``collect_timeline=True``.
+        """
+        model = TimelineModel.from_stats(
+            self.stats, self.meta["tus"], events=self.events, meta=self.meta
+        )
+        return model.chrome_trace()
+
+    def metrics(self) -> MetricsRegistry:
+        """Return the run's ``sim_metrics`` plus ``events_metrics``."""
+        registry = sim_metrics(self.stats, **self.labels)
+        return events_metrics(self.events, registry, **self.labels)
+
+
+def traced_run(
+    trace: Trace,
+    pairs: SpawnPairSet,
+    config: ProcessorConfig,
+    workload: str,
+    policy: str,
+    scale: float,
+) -> TracedRun:
+    """Simulate one point under a fresh event tracer.
+
+    Args:
+        trace: Sequential :class:`~repro.exec.Trace` to simulate.
+        pairs: The :class:`~repro.spawning.SpawnPairSet` to spawn from.
+        config: The :class:`~repro.cmt.ProcessorConfig`; its predictor
+            and thread-unit count complete the run's identity.
+        workload: Workload label of the run.
+        policy: Spawning-policy label of the run.
+        scale: Workload scale label of the run.
+
+    Returns:
+        The :class:`TracedRun`: stats, event stream and ``simulate``
+        wall time.
+    """
+    # Imported here: repro.cmt imports repro.obs.events.
+    from repro.cmt.processor import simulate
+
+    tracer = EventTracer()
+    started = time.perf_counter()
+    stats = simulate(trace, pairs, config, tracer=tracer)
+    seconds = time.perf_counter() - started
+    meta = {
+        "workload": workload,
+        "policy": policy,
+        "vp": config.value_predictor,
+        "scale": scale,
+        "tus": config.num_thread_units,
+    }
+    return TracedRun(stats, tracer, seconds, meta)
 
 
 def validate_chrome_trace(

@@ -12,6 +12,7 @@ its tables deliberately persist across the threads that run on a unit.
 
 from repro.predictors.branch import GsharePredictor
 from repro.predictors.value import (
+    VALUE_PREDICTORS,
     FCMPredictor,
     LastValuePredictor,
     NeverPredictor,
@@ -23,6 +24,7 @@ from repro.predictors.value import (
 
 __all__ = [
     "GsharePredictor",
+    "VALUE_PREDICTORS",
     "ValuePredictor",
     "PerfectPredictor",
     "NeverPredictor",

@@ -18,6 +18,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+#: Every value-predictor name: the oracle bound, the paper's two
+#: realistic tables, the copy baseline and no prediction.  The CLI's
+#: ``--vp`` choices and :class:`~repro.cmt.ProcessorConfig` read it.
+VALUE_PREDICTORS = ("perfect", "stride", "fcm", "last", "none")
+
 
 def _hash_index(sp_pc: int, cqip_pc: int, reg: int, mask: int) -> int:
     """Combine the three identifiers into a table index."""
@@ -196,17 +201,18 @@ class FCMPredictor(ValuePredictor):
 
 
 def make_value_predictor(name: str, size_kb: int = 16) -> ValuePredictor:
-    """Factory keyed by the names used in the experiment configs."""
-    factories = {
-        "perfect": lambda: PerfectPredictor(),
-        "none": lambda: NeverPredictor(),
-        "last": lambda: LastValuePredictor(),
-        "stride": lambda: StridePredictor(size_kb),
-        "fcm": lambda: FCMPredictor(size_kb),
-    }
-    try:
-        return factories[name]()
-    except KeyError:
+    """Build the predictor ``name``, one of :data:`VALUE_PREDICTORS`."""
+    if name not in VALUE_PREDICTORS:
         raise ValueError(
-            f"unknown value predictor {name!r}; choose from {sorted(factories)}"
-        ) from None
+            f"unknown value predictor {name!r}; "
+            f"choose from {sorted(VALUE_PREDICTORS)}"
+        )
+    if name == "stride":
+        return StridePredictor(size_kb)
+    if name == "fcm":
+        return FCMPredictor(size_kb)
+    return {
+        "perfect": PerfectPredictor,
+        "none": NeverPredictor,
+        "last": LastValuePredictor,
+    }[name]()

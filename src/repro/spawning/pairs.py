@@ -82,15 +82,3 @@ class SpawnPairSet:
     def all_pairs(self) -> List[SpawnPair]:
         """Return every pair, including non-primary alternatives."""
         return [p for alts in self._by_sp.values() for p in alts]
-
-    def merged_with(self, other: "SpawnPairSet") -> "SpawnPairSet":
-        """Return the union of two pair sets (self wins on duplicates)."""
-        seen = {p.key() for p in self.all_pairs()}
-        merged = self.all_pairs() + [
-            p for p in other.all_pairs() if p.key() not in seen
-        ]
-        return SpawnPairSet(
-            merged,
-            candidates_evaluated=self.candidates_evaluated
-            + other.candidates_evaluated,
-        )

@@ -37,24 +37,39 @@ def pair_set_to_dict(pairs: SpawnPairSet) -> dict:
 
 
 def pair_set_from_dict(data: dict) -> SpawnPairSet:
-    """Return the pair set encoded by :func:`pair_set_to_dict`."""
+    """Return the pair set encoded by :func:`pair_set_to_dict`.
+
+    Raises:
+        ValueError: when ``data`` is not a pair table of this format (a
+            pair that parses but names bad pcs is accepted; the
+            validator reports it).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"pair table is a JSON {type(data).__name__}, not an object"
+        )
     version = data.get("version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported pair-table version: {version!r}")
-    pairs = [
-        SpawnPair(
-            sp_pc=entry["sp_pc"],
-            cqip_pc=entry["cqip_pc"],
-            kind=PairKind(entry["kind"]),
-            reach_probability=entry["reach_probability"],
-            expected_distance=entry["expected_distance"],
-            score=entry["score"],
+    try:
+        pairs = [
+            SpawnPair(
+                sp_pc=entry["sp_pc"],
+                cqip_pc=entry["cqip_pc"],
+                kind=PairKind(entry["kind"]),
+                reach_probability=entry["reach_probability"],
+                expected_distance=entry["expected_distance"],
+                score=entry["score"],
+            )
+            for entry in data["pairs"]
+        ]
+        return SpawnPairSet(
+            pairs, candidates_evaluated=data.get("candidates_evaluated", 0)
         )
-        for entry in data["pairs"]
-    ]
-    return SpawnPairSet(
-        pairs, candidates_evaluated=data.get("candidates_evaluated", 0)
-    )
+    except KeyError as exc:
+        raise ValueError(f"pair table lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed pair table: {exc}") from None
 
 
 def save_pair_set(pairs: SpawnPairSet, path: Union[str, Path]) -> None:

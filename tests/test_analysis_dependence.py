@@ -11,9 +11,7 @@ from repro.analysis.dependence import (
     DependenceAnalysis,
     Interval,
     LiveInClass,
-    analyze_pairs,
     continuation_pc_ranges,
-    rank_pairs,
     region_pc_ranges,
 )
 from repro.analysis.cfg import StaticCFG
@@ -21,12 +19,7 @@ from repro.analysis.lint import HIGH_SQUASH_RISK_THRESHOLD, lint_program
 from repro.exec import run_program
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import Opcode
-from repro.spawning import (
-    HeuristicConfig,
-    ProfilePolicyConfig,
-    heuristic_pairs,
-    select_profile_pairs,
-)
+from repro.spawning import HeuristicConfig, heuristic_pairs
 
 
 # ----------------------------------------------------------------------
@@ -202,37 +195,6 @@ def test_generated_loop_dependences_within_may_set(start, count, bump):
     config = ProcessorConfig(num_thread_units=4, value_predictor="stride")
     _, report = sanitize_run(trace, pairs, config)
     assert report.ok, report.format()
-
-
-# ----------------------------------------------------------------------
-# Risk ranking: only rescores, never changes membership.
-# ----------------------------------------------------------------------
-
-
-def test_rank_pairs_preserves_membership(loop_trace):
-    base = select_profile_pairs(loop_trace, ProfilePolicyConfig())
-    ranked = rank_pairs(loop_trace.program, base)
-    assert {p.key() for p in ranked.all_pairs()} == {
-        p.key() for p in base.all_pairs()
-    }
-    assert ranked.candidates_evaluated == base.candidates_evaluated
-    by_key = {p.key(): p for p in base.all_pairs()}
-    for pair in ranked.all_pairs():
-        assert pair.score <= by_key[pair.key()].score
-
-
-def test_rank_pairs_divides_by_risk(loop_trace):
-    pairs = heuristic_pairs(loop_trace, HeuristicConfig())
-    reports = analyze_pairs(loop_trace.program, pairs)
-    ranked = rank_pairs(loop_trace.program, pairs)
-    assert len(ranked.all_pairs()) == len(pairs.all_pairs())
-    for before, after in zip(pairs.all_pairs(), ranked.all_pairs()):
-        report = reports.get(before.key())
-        if report is None:
-            assert after.score == before.score
-        else:
-            expected = before.score / (1.0 + report.risk_score)
-            assert after.score == pytest.approx(expected)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import main, make_parser
+from repro.dist.backend import backend_names
+from repro.experiments.framework import policy_names
+from repro.predictors import VALUE_PREDICTORS
 
 
 class TestParser:
@@ -110,6 +113,40 @@ class TestCommands:
             "--load", str(path),
         ]) == 1
         assert "rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "compress", "--out", "t.json"],
+        ["metrics", "dump", "compress"],
+        ["simulate", "compress"],
+        ["timeline", "compress"],
+        ["sanitize", "--smoke"],
+        ["faults", "--smoke"],
+        ["dashboard", "compress", "--snapshot", "snap"],
+    ])
+    def test_zero_thread_units_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scale", "0.1", "--tus", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tus: expected a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command",
+                             ["simulate", "validate-pairs", "analyze-deps"])
+    @pytest.mark.parametrize("content", [None, "{nope", "[]", '{"version": 1}'])
+    def test_unreadable_pair_table_is_usage_error(
+        self, capsys, tmp_path, command, content
+    ):
+        path = tmp_path / "pairs.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, "compress", "--scale", "0.1",
+                     "--load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{command}: cannot load pair table")
 
     def test_figure_unknown_name(self, capsys):
         assert main(["exp", "--fig", "figure99"]) == 2
@@ -307,3 +344,74 @@ class TestObservability:
         points = [m for stem, m in manifests.items()
                   if stem != "sweep.manifest"]
         assert points and all(m["ok"] for m in points)
+
+    def test_trace_metrics_and_dashboard_share_one_traced_run(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        from repro.dashboard import DashboardData
+
+        point = ["compress", "--scale", "0.1", "--tus", "4", "--vp", "stride"]
+        out, snap = tmp_path / "trace.json", tmp_path / "trace-metrics.json"
+        dump = tmp_path / "dump.json"
+        assert main(["trace", *point, "--out", str(out),
+                     "--metrics", str(snap)]) == 0
+        assert main(["metrics", "dump", *point, "--format", "json",
+                     "--out", str(dump)]) == 0
+        data = DashboardData.collect(
+            workload="compress", scale=0.1, thread_units=4,
+            value_predictor="stride", telemetry=[str(tmp_path)],
+        )
+        assert json.loads(out.read_text()) == json.loads(
+            json.dumps(data.trace)
+        )
+        collected = data.registry.snapshot().to_dict()
+        assert json.loads(snap.read_text()) == collected
+        assert json.loads(dump.read_text()) == collected
+
+
+class TestSharedFlags:
+    """Every command reads a shared flag's choices from one place."""
+
+    @staticmethod
+    def _options(option):
+        import argparse
+
+        found = []
+        parsers = [("repro", make_parser())]
+        while parsers:
+            name, parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(
+                        (f"{name} {sub}", p)
+                        for sub, p in action.choices.items()
+                    )
+                elif option in action.option_strings:
+                    found.append((name, tuple(action.choices)))
+        return found
+
+    @pytest.mark.parametrize("option, names, count", [
+        ("--vp", VALUE_PREDICTORS, 6),
+        ("--backend", backend_names(), 2),
+        ("--policy", tuple(policy_names()), 10),
+    ])
+    def test_choices_come_from_one_source(self, option, names, count):
+        found = self._options(option)
+        assert len(found) == count
+        for command, choices in found:
+            assert choices == names, command
+
+    def test_config_accepts_exactly_the_value_predictors(self):
+        from repro.cmt import ProcessorConfig
+        from repro.predictors import make_value_predictor
+
+        for name in VALUE_PREDICTORS:
+            assert ProcessorConfig(value_predictor=name).value_predictor == name
+            assert make_value_predictor(name).name == name
+        for name in ("oracle", "Stride", ""):
+            with pytest.raises(ValueError):
+                ProcessorConfig(value_predictor=name)
+            with pytest.raises(ValueError):
+                make_value_predictor(name)

@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.cmt import ProcessorConfig, simulate
+from repro.cmt import ProcessorConfig
 from repro.dashboard import (
     DashboardApp,
     DashboardData,
@@ -16,35 +16,23 @@ from repro.dashboard import (
     write_snapshot,
 )
 from repro.dashboard.data import histogram_quantiles
-from repro.obs import (
-    EventTracer,
-    RunManifest,
-    TimelineModel,
-    events_metrics,
-    sim_metrics,
-    validate_chrome_trace,
-)
+from repro.obs import RunManifest, traced_run, validate_chrome_trace
 from repro.spawning import select_profile_pairs
 
 
 @pytest.fixture(scope="module")
 def dash_source(small_traces):
-    """One traced run shaped like DashboardData.collect's output."""
+    """One traced run, as DashboardData.collect's startup simulation."""
     trace = small_traces["compress"]
-    pairs = select_profile_pairs(trace)
-    tracer = EventTracer()
     config = ProcessorConfig(
         num_thread_units=8, value_predictor="stride",
         collect_timeline=True,
     )
-    stats = simulate(trace, pairs, config, tracer=tracer)
-    labels = {"workload": "compress", "policy": "profile", "vp": "stride"}
-    model = TimelineModel.from_stats(
-        stats, 8, events=tracer.events, meta={**labels, "tus": 8}
+    run = traced_run(
+        trace, select_profile_pairs(trace), config,
+        workload="compress", policy="profile", scale=0.2,
     )
-    registry = sim_metrics(stats, **labels)
-    events_metrics(tracer.events, registry, **labels)
-    return model.chrome_trace(), tracer.events, registry
+    return run.chrome_trace(), run.events, run.metrics()
 
 
 def make_data(dash_source, tmp_path, **overrides):
@@ -139,7 +127,7 @@ class TestResolveAttach:
 class TestPayloads:
     def test_trace_is_schema_valid(self, dash_source, tmp_path):
         data = make_data(dash_source, tmp_path)
-        assert data.trace_problems() == []
+        assert validate_chrome_trace(data.trace) == []
 
     def test_events_kind_prefix_and_thread_filter(
         self, dash_source, tmp_path
@@ -204,7 +192,7 @@ class TestPayloads:
             events_path=str(events_path),
             telemetry=[str(tmp_path)],
         )
-        assert data.trace_problems() == []
+        assert validate_chrome_trace(data.trace) == []
         assert len(data.events) == len(events)
         assert data.meta["workload"] == "compress"
 

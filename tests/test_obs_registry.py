@@ -5,15 +5,12 @@ import json
 import pytest
 
 from repro.cmt import ProcessorConfig, simulate
-from repro.experiments.framework import ResilientOutcome
 from repro.obs import (
     EventTracer,
     MetricsRegistry,
     MetricsSnapshot,
     SNAPSHOT_SCHEMA_VERSION,
-    cache_metrics,
     events_metrics,
-    outcome_metrics,
     sim_metrics,
 )
 from repro.obs.registry import Counter, Gauge, Histogram
@@ -227,27 +224,3 @@ class TestCollectors:
         counter = registry.counter("repro_events_total")
         for kind, count in tracer.counts().items():
             assert counter.value(kind=kind) == count
-
-    def test_cache_metrics_from_dict(self):
-        registry = cache_metrics(
-            {"memory_hits": 6, "disk_hits": 2, "misses": 2, "puts": 4}
-        )
-        flat = registry.snapshot().flatten()
-        assert flat["repro_cache_memory_hits_total"] == 6
-        assert flat["repro_cache_hit_rate"] == 0.8
-
-    def test_outcome_metrics_counts_statuses(self):
-        outcomes = {
-            "a": ResilientOutcome(ok=True, value=1, attempts=1, seconds=0.2),
-            "b": ResilientOutcome(ok=True, value=2, attempts=3, seconds=0.1),
-            "c": ResilientOutcome(ok=False, error="boom", attempts=2),
-        }
-        registry = outcome_metrics(outcomes)
-        points = registry.counter("repro_engine_points_total")
-        assert points.value(status="ok") == 2
-        assert points.value(status="failed") == 1
-        retries = registry.counter("repro_engine_retry_attempts_total")
-        assert retries.value() == 3  # (3-1) + (2-1)
-        seconds = registry.histogram("repro_engine_point_seconds")
-        assert seconds.count() == 3
-        assert seconds.sum() == pytest.approx(0.3)

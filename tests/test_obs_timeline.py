@@ -107,7 +107,7 @@ class TestChromeTrace:
     def test_json_serialisation_round_trips(self, timeline_run):
         stats, _ = timeline_run
         model = TimelineModel.from_stats(stats, 8)
-        parsed = json.loads(model.chrome_trace_json())
+        parsed = json.loads(json.dumps(model.chrome_trace()))
         assert validate_chrome_trace(parsed) == []
 
 

@@ -135,13 +135,6 @@ class TestSpawnPairSet:
     def test_primary_of_unknown_sp_is_none(self):
         assert SpawnPairSet([]).primary(7) is None
 
-    def test_merged_with_prefers_first_set(self):
-        a = SpawnPairSet([self._mk(1, 2, 10)])
-        b = SpawnPairSet([self._mk(1, 2, 99), self._mk(4, 5, 1)])
-        merged = a.merged_with(b)
-        assert merged.primary(1).score == 10
-        assert merged.primary(4) is not None
-
     def test_iteration_yields_primaries(self):
         pairs = SpawnPairSet([self._mk(1, 2, 10), self._mk(3, 4, 5)])
         assert len(list(pairs)) == 2

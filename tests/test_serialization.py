@@ -60,3 +60,22 @@ class TestRoundTrip:
         data["version"] = 99
         with pytest.raises(ValueError):
             pair_set_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda data: [data],  # top level is not an object
+            lambda data: {"version": 1},  # no pairs
+            lambda data: {**data, "pairs": 7},  # pairs not a list
+            lambda data: {**data, "pairs": [{"sp_pc": 1}]},  # missing keys
+            lambda data: {**data, "pairs": ["x"]},  # entry not an object
+            lambda data: {**data, "pairs": [
+                {**data["pairs"][0], "kind": "bogus"}
+            ]},
+        ],
+        ids=["list", "no-pairs", "pairs-int", "short-entry", "str-entry",
+             "bad-kind"],
+    )
+    def test_malformed_table_raises_value_error(self, mangle):
+        with pytest.raises(ValueError):
+            pair_set_from_dict(mangle(pair_set_to_dict(_sample_set())))

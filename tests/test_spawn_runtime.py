@@ -242,6 +242,6 @@ class TestMinSizeRemoval:
 
     def test_live_pair_count(self):
         rt = _runtime([_pair(1, 2), _pair(5, 6)], min_thread_size=32)
-        assert rt.live_pair_count() == 2
+        assert [len(rt.candidates(sp)) for sp in (1, 5)] == [1, 1]
         rt.note_thread_size(_pair(1, 2), 1)
-        assert rt.live_pair_count() == 1
+        assert [len(rt.candidates(sp)) for sp in (1, 5)] == [0, 1]

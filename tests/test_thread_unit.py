@@ -38,12 +38,6 @@ class TestIssueBooking:
         tu = _tu()
         assert tu.book_issue(100, FuClass.SIMPLE_INT) >= 100
 
-    def test_reset_bandwidth_tracking(self):
-        tu = _tu(issue_width=1)
-        tu.book_issue(3, FuClass.SIMPLE_INT)
-        tu.reset_bandwidth_tracking()
-        assert tu.book_issue(3, FuClass.SIMPLE_INT) == 3
-
 
 class TestPerUnitState:
     def test_fresh_unit_is_free_at_time_zero(self):
@@ -106,14 +100,6 @@ class TestRingBooking:
         tu.begin_group(100)
         tu.begin_group(40)
         assert tu._ring_base == 100
-
-    def test_reset_clears_ring_state(self):
-        tu = _tu(issue_width=1)
-        tu.begin_group(50)
-        tu.book_issue(50, FuClass.SIMPLE_INT)
-        tu.reset_bandwidth_tracking()
-        assert tu._ring_base == 0
-        assert tu.book_issue(50, FuClass.SIMPLE_INT) == 50
 
 
 class TestTrimBandwidth:
